@@ -70,7 +70,11 @@ def ring_golden() -> CriterionResult:
 
 def volume_link() -> CriterionResult:
     """self_intersection_top of the ample divisor equals n! * volume, which is
-    n! for Q^n and 1 for the simplex, n = 1..4."""
+    n! for Q^n and 1 for the simplex, n = 1..4.
+
+    The two sides are computed apart: the product by localization at the
+    vertices, the volume by triangulation, so the criterion checks one against
+    the other."""
     fact = 1
     for n in range(1, 5):
         fact *= n

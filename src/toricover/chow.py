@@ -3,17 +3,18 @@ polytope.
 
 A divisor is a rational coefficient per facet.  Linear equivalence is the flux
 relation: D ~ 0 iff coeff_F = <u_F, v> for a single constant vector v.  Top
-intersection numbers are computed through exact mixed volumes: divisors are
-shifted by a multiple of the ample class until their offset polytopes share
-the combinatorial type of P (the nef certificate), and the polarization
-identity turns inclusion-exclusion of volumes into the intersection product.
-Simple non-Delzant polytopes come out with rational (orbifold) intersection
-numbers automatically; no extra bookkeeping is done for them.
+intersection numbers are computed by localization at the vertices of P (the
+Brion-Lawrence vertex sum): each vertex contributes a closed rational term
+built from its facet normals, so the product is a polynomial in the
+coefficients with no shift, search over multiples or cap.  Simple non-Delzant
+polytopes come out with rational (orbifold) intersection numbers
+automatically; no extra bookkeeping is done for them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +27,10 @@ from .polytope import (
 
 
 class NefLiftFailedError(Exception):
-    """No shift multiple up to the cap made every divisor fan-compatible."""
+    """No longer raised: vertex localization has no cap to exceed.
 
-
-NEF_LIFT_CAP = 2 ** 16
+    Kept so that callers which name it as an expected error still import.
+    """
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,8 @@ def volume(obj) -> Fraction:
 
     Accepts a SimplePolytope or a Region.  Empty and lower-dimensional regions
     have volume 0.  A full-dimensional region whose vertex lies on more than n
-    facets is rejected: the intersection routines only ever take volumes of
-    fan-certified (hence simple) regions, and silently triangulating a
+    facets is rejected: volumes are taken of P and of the fan-certified
+    (hence simple) regions of nef divisors, and silently triangulating a
     non-simple region would need face-lattice machinery this library does not
     carry.
     """
@@ -246,14 +247,7 @@ def volume(obj) -> Fraction:
         base = simplex[-1]
         rows = [linalg.vec_sub(pt, base) for pt in simplex[:-1]]
         total += abs(linalg.det(rows))
-    return total / Fraction(_factorial(dim))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return total / math.factorial(dim)
 
 
 def is_nef_certified(p: SimplePolytope, d: Divisor) -> bool:
@@ -263,56 +257,41 @@ def is_nef_certified(p: SimplePolytope, d: Divisor) -> bool:
 
 
 def intersection_number(query: IntersectionQuery) -> Fraction:
-    """Top intersection product D_1 ... D_n via mixed-volume polarization.
+    """Top intersection product D_1 ... D_n by localization at the vertices.
 
-    Steps: shift every D_j by M times the ample divisor H (doubling M from 1
-    up to NEF_LIFT_CAP) until each shifted divisor is fan-compatible with P;
-    the polarized product of nef divisors E_1..E_n is
-        sum over nonempty S of (-1)^(n-|S|) vol(region(sum_{j in S} E_j)),
-    which equals n! vol for n equal arguments; finally expand the shift
-    multilinearly to recover the product of the original divisors.
+    At a vertex v let U_v hold the normals of its n facets as rows, e_{v,i} the
+    columns of U_v^-1 (the edge directions) and x_v(D) the solution of
+    <u_F, x> = -d_F on those facets.  Then
+        D_1 ... D_n = sum_v prod_j <xi, x_v(D_j)> / (|det U_v| prod_i -<xi, e_{v,i}>)
+    for any xi with no zero edge weight <xi, e_{v,i}>.  Since
+    x_v(D) = -sum_i d_{F_i} e_{v,i}, each term reduces to
+        prod_j <w_v, D_j|_v> / (|det U_v| prod_i w_{v,i}),
+    where the weights w_v = (<xi, e_{v,i}>)_i solve U_v^T w = xi.  xi is the
+    first (1, t, t^2, ...) with t = 1, 2, ... at which no weight vanishes; each
+    weight is a nonzero polynomial of degree < n in t, so the search is finite.
     """
     p = query.polytope
     n = p.dim
-    divisors = query.divisors
-    h = ample_from_offsets(p)
+    cones = []
+    for v in p.vertices:
+        facets = sorted(v.facets)
+        rows = [p.normals[f] for f in facets]
+        cones.append((facets, list(zip(*rows)), abs(linalg.det(rows))))
 
-    m = 1
-    while m <= NEF_LIFT_CAP:
-        if all(is_nef_certified(p, d + m * h) for d in divisors):
+    for t in itertools.count(1):
+        xi = [Fraction(t) ** k for k in range(n)]
+        weights = [linalg.solve_unique(transposed, xi) for _, transposed, _ in cones]
+        if all(all(w) for w in weights):
             break
-        m *= 2
-    else:
-        raise NefLiftFailedError(
-            f"no shift multiple up to {NEF_LIFT_CAP} makes all divisors nef"
-        )
-    shifted = [d + m * h for d in divisors]
 
-    vol_memo = {}
-
-    def region_volume(div: Divisor) -> Fraction:
-        key = div.coeffs
-        if key not in vol_memo:
-            vol_memo[key] = volume(polytope_of_divisor(p, div))
-        return vol_memo[key]
-
-    def polarized(args) -> Fraction:
-        total = Fraction(0)
-        for size in range(1, n + 1):
-            sign = (-1) ** (n - size)
-            for subset in itertools.combinations(range(n), size):
-                acc = args[subset[0]]
-                for j in subset[1:]:
-                    acc = acc + args[j]
-                total += sign * region_volume(acc)
-        return total
-
-    result = Fraction(0)
-    for picks in itertools.product(range(2), repeat=n):
-        args = [shifted[j] if picks[j] else h for j in range(n)]
-        weight = Fraction(-m) ** (n - sum(picks))
-        result += weight * polarized(args)
-    return result
+    total = Fraction(0)
+    for (facets, _, det), w in zip(cones, weights):
+        num = Fraction(1)
+        for d in query.divisors:
+            num *= sum(wi * d.coeffs[f] for wi, f in zip(w, facets))
+        if num:
+            total += num / (det * math.prod(w))
+    return total
 
 
 def self_intersection_top(p: SimplePolytope, d: Divisor) -> Fraction:

@@ -38,11 +38,12 @@ class InputError(Exception):
 
 
 def _load_json(spec: str):
-    """Accept a file path, inline JSON (starts with '{'), or '-' for stdin."""
+    """Accept a file path, inline JSON (starts with '{' or '['), or '-' for
+    stdin."""
     try:
         if spec == "-":
             return json.load(sys.stdin)
-        if spec.lstrip().startswith("{"):
+        if spec.lstrip().startswith(("{", "[")):
             return json.loads(spec)
         with open(spec) as fh:
             return json.load(fh)
@@ -286,7 +287,6 @@ def main(argv=None) -> int:
         covering.BadSampleError,
         covering.WrongArityError,
         harness.BadResolutionError,
-        chow.NefLiftFailedError,
         polytope.NotSimpleError,
         polytope.UnboundedError,
         polytope.EmptyPolytopeError,

@@ -419,13 +419,20 @@ class PointCloudCover:
 
 
 def sample_spacing(sample) -> Fraction:
-    """Smallest positive max-norm distance between two sample points."""
+    """Smallest positive max-norm distance between two sample points.
+
+    Sweeps the distinct points in sorted order: once the first coordinates
+    differ by at least the best distance so far, no later point comes closer.
+    """
+    pts = sorted(set(sample))
     best = None
-    pts = list(sample)
     for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
+        for j in range(i + 1, len(pts)):
+            q = pts[j]
+            if best is not None and q[0] - p[0] >= best:
+                break
             d = max(abs(a - b) for a, b in zip(p, q))
-            if d > 0 and (best is None or d < best):
+            if best is None or d < best:
                 best = d
     if best is None:
         raise ValueError("sample needs at least two distinct points")

@@ -19,10 +19,6 @@ def dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u, v):
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
 
@@ -106,9 +102,10 @@ def solve(rows, rhs):
 def solve_unique(rows, rhs):
     """Solution of a square nonsingular system, or None if singular."""
     n = len(rows)
-    if det(rows) == 0:
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    if len(_row_echelon(aug, n)) < n:
         return None
-    return solve(rows, rhs)
+    return tuple(row[n] for row in aug)
 
 
 def nullspace_vector(rows, n):

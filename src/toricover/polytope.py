@@ -264,10 +264,6 @@ def faces(p: SimplePolytope, k: int):
     return [FaceDescriptor(s, k) for s in sorted(found, key=sorted)]
 
 
-def face_vertices(p: SimplePolytope, face: FaceDescriptor):
-    return [v for v in p.vertices if face.facet_ids <= v.facets]
-
-
 def generic_normals_check(p: SimplePolytope) -> bool:
     """True iff every n-subset of facet normals is linearly independent."""
     for subset in itertools.combinations(p.normals, p.dim):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -22,9 +23,11 @@ from toricover import (
     polytope_of_divisor,
     presentation,
     principal_divisor,
+    product,
     self_intersection_top,
     volume,
 )
+from toricover.chow import is_nef_certified
 
 small_rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
@@ -41,6 +44,60 @@ def cube_ring_oracle(axes):
     squarefree full product is 1, anything with a repeat is 0.  Independent of
     the mixed-volume route."""
     return 1 if len(set(axes)) == len(axes) else 0
+
+
+def polarization_oracle(p, divisors):
+    """Top intersection product by mixed volumes, independent of localization.
+
+    Every D_j is shifted by m times the ample class H, doubling m until each
+    shifted divisor E_j is nef (fan-certified).  The polarization identity
+        E_1 ... E_n = sum over nonempty S of (-1)^(n-|S|) vol(region(sum_S E_j))
+    gives products of nef divisors, and D_j = E_j - m H expands
+    multilinearly.  Returns the product and the shifted divisors.
+    """
+    n = p.dim
+    h = ample_from_offsets(p)
+    m = 1
+    while not all(is_nef_certified(p, d + m * h) for d in divisors):
+        m *= 2
+        assert m <= 2 ** 16, "nef lift found no shift"
+    shifted = [d + m * h for d in divisors]
+    memo = {}
+
+    def region_volume(d):
+        if d.coeffs not in memo:
+            memo[d.coeffs] = volume(polytope_of_divisor(p, d))
+        return memo[d.coeffs]
+
+    def polarized(args):
+        total = Fraction(0)
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(args, size):
+                acc = subset[0]
+                for d in subset[1:]:
+                    acc = acc + d
+                total += (-1) ** (n - size) * region_volume(acc)
+        return total
+
+    value = Fraction(0)
+    for picks in itertools.product((0, 1), repeat=n):
+        args = [shifted[j] if picks[j] else h for j in range(n)]
+        value += Fraction(-m) ** (n - sum(picks)) * polarized(args)
+    return value, shifted
+
+
+ORACLE_SHAPES = {
+    "Q2": lambda: construct_standard("cube", 2),
+    "Q3": lambda: construct_standard("cube", 3),
+    "S2": lambda: construct_standard("simplex", 2),
+    "S3": lambda: construct_standard("simplex", 3),
+    "P112": lambda: from_halfspaces([(1, 0), (0, 1), (-1, -2)], [0, 0, 2]),
+    "S2xQ1": lambda: product(
+        construct_standard("simplex", 2), construct_standard("cube", 1)
+    ),
+    "pQ3": lambda: perturb(construct_standard("cube", 3), Fraction(1, 100), seed=3),
+    "pS3": lambda: perturb(construct_standard("simplex", 3), Fraction(1, 100), seed=3),
+}
 
 
 class TestPresentation:
@@ -205,14 +262,28 @@ class TestIntersectionNumbers:
         with pytest.raises(ValueError):
             IntersectionQuery(q2, (Divisor.zero(q2),) * 3)
 
-    def test_nef_lift_cap_is_honest(self, q2):
-        # a coefficient beyond the documented shift cap is reported, never
-        # silently approximated
-        from toricover import NefLiftFailedError
-
+    def test_huge_coefficient_is_exact(self, q2):
+        # the product is a polynomial in the coefficients, so no size of
+        # coefficient is out of reach
         huge = Divisor.on_facet(q2, 0, -(2 ** 20))
-        with pytest.raises(NefLiftFailedError):
-            self_intersection_top(q2, huge)
+        other = Divisor.on_facet(q2, 2)
+        assert intersection_number(IntersectionQuery(q2, (huge, other))) == -(2 ** 20)
+        assert self_intersection_top(q2, huge) == 0
+
+    @pytest.mark.parametrize("shape", list(ORACLE_SHAPES))
+    def test_matches_polarization_oracle(self, shape):
+        p = ORACLE_SHAPES[shape]()
+        rng = random.Random(shape)
+        for _ in range(3):
+            divisors = tuple(
+                Divisor(tuple(Fraction(rng.randint(-1, 3)) for _ in range(p.num_facets)))
+                for _ in range(p.dim)
+            )
+            want, shifted = polarization_oracle(p, divisors)
+            assert intersection_number(IntersectionQuery(p, divisors)) == want
+            for e in shifted:
+                region = polytope_of_divisor(p, e)
+                assert self_intersection_top(p, e) == factorial(p.dim) * volume(region)
 
     def test_ample_selfint_is_scaled_volume(self, d3):
         h = ample_from_offsets(d3)

@@ -64,7 +64,7 @@ class TestIntersect:
         assert code == 0
         assert out == {"value": "0"}
 
-    def test_nef_lift_failure_exit_four(self, capsys):
+    def test_huge_coefficient_exits_zero(self, capsys):
         payload = json.dumps(
             {
                 "polytope": json.loads(CUBE2),
@@ -75,8 +75,17 @@ class TestIntersect:
             }
         )
         code, out, err = run(capsys, "intersect", "--input", payload)
+        assert code == 0
+        assert out == {"value": "-1048576"}
+
+    def test_inline_json_array_is_parsed(self, capsys):
+        # an array is inline JSON, not a file name; it is not an intersection
+        # payload, so the result is an input error naming the missing field
+        code, out, err = run(capsys, "intersect", "--input", "[1]")
         assert code == 4
-        assert "NefLiftFailed" in err
+        assert out is None
+        assert err.startswith("input error:")
+        assert "missing required field" in err
 
 
 class TestPrincipal:

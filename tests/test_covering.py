@@ -27,6 +27,11 @@ from toricover import (
 from toricover import covering, harness
 
 
+small_coords = st.fractions(
+    min_value=Fraction(-2), max_value=Fraction(2), max_denominator=4
+)
+
+
 def cube_cover(n, r, sets):
     return LatticeCover(LatticeModel("cube", n, r), sets)
 
@@ -410,3 +415,38 @@ class TestKKMLebesgue:
                 segment,
                 PointCloudCover(sample, {"X": frozenset({sample[0]})}),
             )
+
+
+def brute_force_spacing(sample):
+    """Smallest positive max-norm distance over all pairs, or None."""
+    dists = [
+        max(abs(a - b) for a, b in zip(p, q))
+        for i, p in enumerate(sample)
+        for q in sample[i + 1:]
+    ]
+    return min((d for d in dists if d > 0), default=None)
+
+
+class TestSampleSpacing:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[small_coords] * n), min_size=1, max_size=25
+            )
+        ),
+        st.data(),
+    )
+    def test_matches_all_pairs(self, pts, data):
+        # repeat some points so the sweep meets duplicates
+        sample = pts + data.draw(st.lists(st.sampled_from(pts), max_size=5))
+        want = brute_force_spacing(sample)
+        if want is None:
+            with pytest.raises(ValueError):
+                covering.sample_spacing(sample)
+        else:
+            assert covering.sample_spacing(sample) == want
+
+    def test_one_dimensional_with_duplicates(self):
+        sample = [(Fraction(3),), (Fraction(0),), (Fraction(3),), (Fraction(5, 2),)]
+        assert covering.sample_spacing(sample) == Fraction(1, 2)
