@@ -37,20 +37,31 @@ class InputError(Exception):
     pass
 
 
-def _load_json(spec: str):
+_JSON_TYPES = {
+    list: "array", str: "string", int: "number", float: "number",
+    bool: "boolean", type(None): "null",
+}
+
+
+def _load_json(spec: str) -> dict:
     """Accept a file path, inline JSON (starts with '{' or '['), or '-' for
-    stdin."""
+    stdin.  Every payload is a JSON object; any other top-level type is an
+    input error that names what was expected."""
     try:
         if spec == "-":
-            return json.load(sys.stdin)
-        if spec.lstrip().startswith(("{", "[")):
-            return json.loads(spec)
-        with open(spec) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        elif spec.lstrip().startswith(("{", "[")):
+            data = json.loads(spec)
+        else:
+            with open(spec) as fh:
+                data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON near line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise InputError(f"cannot read input {spec!r}: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"input must be a JSON object, got {_JSON_TYPES[type(data)]}")
+    return data
 
 
 def _field(data: dict, name: str):
@@ -248,7 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["lebesgue", "kkm", "axes", "complement", "kkm-lebesgue"],
     )
     p_verify.add_argument("--k", type=int, help="face dimension for kkm/complement")
-    p_verify.add_argument("--eps", help="touch tolerance p/q for kkm-lebesgue")
+    p_verify.add_argument(
+        "--eps",
+        help="touch tolerance p/q for kkm-lebesgue; overrides the payload's "
+        "eps, and without either it is one minimal sample spacing",
+    )
 
     add("color", _cmd_color, help="Palais coloring of a lattice cover")
 

@@ -15,6 +15,7 @@ coordinate indices 0..n (facet j is {a_j = 0}).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -440,11 +441,24 @@ def sample_spacing(sample) -> Fraction:
 
 
 def facet_touch_set(p: SimplePolytope, points, eps: Fraction):
-    """Facets F with some point at slack <= eps * |u_F|_1."""
+    """Facets F with some point at slack <= eps * |u_F|_1.
+
+    Every point is read once as integer numerators a over the common
+    denominator L of all coordinates.  With c_F = N_F / D_F and
+    eps = e / q the test <u_F, a> / L + c_F <= eps |u_F|_1 becomes
+    <u_F, a> D_F q <= L (e |u_F|_1 D_F - N_F q), in integers.
+    """
+    den = math.lcm(*(x.denominator for pt in points for x in pt))
+    ints = [
+        [x.numerator * (den // x.denominator) for x in pt] for pt in points
+    ]
+    eps = Fraction(eps)
+    e, q = eps.numerator, eps.denominator
     touched = set()
-    for f in p.facet_ids():
-        bound = eps * sum(abs(x) for x in p.normals[f])
-        if any(p.slack(f, pt) <= bound for pt in points):
+    for f, (u, c) in enumerate(zip(p.normals, p.offsets)):
+        scale = c.denominator * q
+        bound = den * (e * sum(abs(x) for x in u) * c.denominator - c.numerator * q)
+        if any(sum(w * a for w, a in zip(u, pt)) * scale <= bound for pt in ints):
             touched.add(f)
     return touched
 
@@ -455,8 +469,10 @@ def kkm_lebesgue_witness(
     """Search a multiplicity-<=n sample cover of a simple polytope for a set
     touching at least n+1 facets.
 
-    eps defaults to half the minimal sample spacing.  Every set with at most n
-    touched facets gets an inessentiality certificate attached to the report:
+    eps defaults to one minimal sample spacing: a tilted facet plane can stay
+    further than half a spacing from every grid plane on its polytope side.
+    Every set with at most n touched facets gets an inessentiality
+    certificate attached to the report:
     a divisor equivalent to the ample class avoiding its touched facets, or
     null when the flux system is inconsistent.
     """
@@ -470,11 +486,21 @@ def kkm_lebesgue_witness(
     if union != sample:
         raise BadSampleError("the sets do not cover the sample")
 
-    counts = {}
+    # layers[j]: the points in more than j of the sets seen so far; set
+    # operations reuse the stored hashes of the points
+    layers = []
     for pts in cover.sets.values():
-        for pt in pts:
-            counts[pt] = counts.get(pt, 0) + 1
-    mult = max(counts.values(), default=0)
+        for j in range(len(layers) - 1, -1, -1):
+            common = layers[j].intersection(pts)
+            if common and j + 1 == len(layers):
+                layers.append(common)
+            elif common:
+                layers[j + 1] |= common
+        if layers:
+            layers[0].update(pts)
+        elif pts:
+            layers.append(set(pts))
+    mult = len(layers)
     if mult > p.dim:
         return WitnessReport(
             HYPOTHESIS_VIOLATED,
@@ -482,7 +508,7 @@ def kkm_lebesgue_witness(
         )
 
     if eps is None:
-        eps = sample_spacing(cover.sample) / 2
+        eps = sample_spacing(cover.sample)
     eps = Fraction(eps)
 
     touched_by = {

@@ -253,20 +253,43 @@ def dilated_partition_cover(model: LatticeModel, parts: int, seed: int) -> Latti
 
 
 def lattice_sample(p: SimplePolytope, resolution: int):
-    """The rational points of P on the grid (1/resolution) Z^n."""
+    """The rational points of P on the grid (1/resolution) Z^n.
+
+    A grid point a / resolution lies in P iff D_F <u_F, a> + resolution N_F >= 0
+    for every facet with offset N_F / D_F, so the scan runs over integer grid
+    indices a.  The first n-1 indices range over P's bounding box; each facet
+    then bounds the last index to an interval, and the points are emitted in
+    lexicographic order of a.  Fractions are built once per grid value.
+    """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    r = resolution
     lo = [min(v.coords[i] for v in p.vertices) for i in range(p.dim)]
     hi = [max(v.coords[i] for v in p.vertices) for i in range(p.dim)]
     ranges = [
-        range(math.ceil(l * resolution), math.floor(h * resolution) + 1)
-        for l, h in zip(lo, hi)
+        range(math.ceil(l * r), math.floor(h * r) + 1) for l, h in zip(lo, hi)
     ]
+    facets = [
+        ([c.denominator * x for x in u], r * c.numerator)
+        for u, c in zip(p.normals, p.offsets)
+    ]
+    grid = {a: Fraction(a, r) for axis_range in ranges for a in axis_range}
+    last = ranges[-1]
     sample = []
-    for ints in itertools.product(*ranges):
-        point = tuple(Fraction(a, resolution) for a in ints)
-        if p.contains(point):
-            sample.append(point)
+    for head in itertools.product(*ranges[:-1]):
+        first, stop = last.start, last.stop
+        for w, c in facets:
+            # w[-1] * a_last + rest >= 0
+            rest = sum(x * a for x, a in zip(w, head)) + c
+            if w[-1] > 0:
+                first = max(first, -(rest // w[-1]))
+            elif w[-1] < 0:
+                stop = min(stop, rest // -w[-1] + 1)
+            elif rest < 0:
+                stop = first
+        coords = tuple(grid[a] for a in head)
+        for a in range(first, stop):
+            sample.append(coords + (grid[a],))
     return tuple(sample)
 
 
@@ -276,41 +299,49 @@ def polytope_sample_cover(
     """A multiplicity-<=m cover of the lattice sample of P: coordinate slabs
     (layer 1, a partition) plus up to m-1 layers of disjoint max-norm balls.
 
-    Returns (PointCloudCover, eps) with eps one full grid spacing.  The
-    verifier's own default (half the spacing) is too tight here: a tilted
+    Slabs and balls are cut on the integer grid indices of the sample points,
+    where a ball of radius k / resolution has integer radius k.
+
+    Returns (PointCloudCover, eps) with eps one full grid spacing.  A tilted
     facet plane can stay further than half a spacing from every grid plane on
-    its polytope side, so facet contact is judged at one grid layer instead.
+    its polytope side, so facet contact is judged at one grid layer.
     """
     rng = random.Random(seed)
     sample = lattice_sample(p, resolution)
     if not sample:
         raise ValueError("empty sample; raise the resolution")
+    grid = [
+        tuple(x.numerator * (resolution // x.denominator) for x in pt)
+        for pt in sample
+    ]
     axis = rng.randrange(p.dim)
-    values = sorted({pt[axis] for pt in sample})
+    values = sorted({g[axis] for g in grid})
     nslabs = min(rng.randint(2, 3), len(values))
     cut_positions = sorted(rng.sample(range(1, len(values)), nslabs - 1))
     bounds = [0] + cut_positions + [len(values)]
     sets = {}
     for i in range(nslabs):
-        chunk = set(values[bounds[i]:bounds[i + 1]])
-        pts = frozenset(pt for pt in sample if pt[axis] in chunk)
+        first, last = values[bounds[i]], values[bounds[i + 1] - 1]
+        pts = frozenset(
+            pt for pt, g in zip(sample, grid) if first <= g[axis] <= last
+        )
         if pts:
             sets[f"slab_{i}"] = pts
 
     for layer in range(1, m):
         used = set()
         for b in range(rng.randint(1, 2)):
-            center = rng.choice(sample)
-            radius = Fraction(rng.randint(1, 2), resolution)
-            ball = frozenset(
-                q
-                for q in sample
-                if q not in used
-                and max(abs(a - c) for a, c in zip(q, center)) <= radius
-            )
+            center = rng.choice(grid)
+            radius = rng.randint(1, 2)
+            ball = [
+                i
+                for i, g in enumerate(grid)
+                if i not in used
+                and all(abs(a - c) <= radius for a, c in zip(g, center))
+            ]
             if ball:
-                sets[f"ball_{layer}_{b}"] = ball
-                used |= ball
+                sets[f"ball_{layer}_{b}"] = frozenset(sample[i] for i in ball)
+                used.update(ball)
 
     return PointCloudCover(sample, sets), Fraction(1, resolution)
 

@@ -1,18 +1,22 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed in integers.
 
-Everything here works on lists/tuples of fractions.Fraction (plain ints are
-accepted and coerced).  Matrices are lists of row vectors.  Sizes stay tiny
-(n <= 4, up to ~12 rows), so plain fraction Gaussian elimination is plenty.
+Matrices are lists of row vectors whose entries are ints or
+fractions.Fraction.  Each row is first scaled by the lcm of its denominators,
+which keeps its row space and, with the right-hand side scaled along, the
+solutions of its equation.  One fraction-free elimination (Bareiss 1968, run
+Gauss-Jordan style) then works on those integer rows: every intermediate entry
+is a minor of the scaled matrix, so each division is exact.  A Fraction is
+built only for the values a public function returns.
+
+int_row clears one row; the other int_* functions take integer rows and
+return integers, for callers that keep their own denominators (polytope
+vertex solving and sign tests).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+from math import gcd, lcm
 
 
 def dot(u, v) -> Fraction:
@@ -23,61 +27,115 @@ def vec_sub(u, v):
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
 
 
-def vec_scale(c, u):
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in u)
+def int_row(row):
+    """(ints, s): the row times s, the lcm of its entries' denominators."""
+    s = lcm(*(x.denominator for x in row))
+    return [x.numerator * (s // x.denominator) for x in row], s
+
+
+def _eliminate(a, ncols, *, reduce=True):
+    """Fraction-free elimination of the integer rows `a`, in place.
+
+    Pivots are taken column by column over the first ncols columns.  Returns
+    (pivots, d, sign): the pivot columns, the last pivot value d and the
+    parity of the row swaps.  With reduce, every other row is cleared in each
+    pivot column, every pivot entry ends equal to d, and a[r][c] / d is the
+    reduced row echelon form.  Without it only the rows below are cleared,
+    which is all a determinant needs: for a square nonsingular matrix
+    sign * d is its determinant.
+    """
+    nrows = len(a)
+    pivots = []
+    d = 1
+    sign = 1
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        pivot = next((r for r in range(row, nrows) if a[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            a[row], a[pivot] = a[pivot], a[row]
+            sign = -sign
+        prow = a[row]
+        p = prow[col]
+        for r in range(0 if reduce else row + 1, nrows):
+            if r != row:
+                f = a[r][col]
+                a[r] = [(p * x - f * y) // d for x, y in zip(a[r], prow)]
+        d = p
+        pivots.append(col)
+        row += 1
+    return pivots, d, sign
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix."""
+    a = [list(row) for row in rows]
+    pivots, d, sign = _eliminate(a, len(a), reduce=False)
+    return sign * d if len(pivots) == len(a) else 0
+
+
+def int_solve_unique(rows, rhs):
+    """(x, d) with rows . (x / d) = rhs for a square nonsingular integer
+    system, or None if singular.  d > 0 and gcd(d, *x) == 1, so equal
+    solutions give equal pairs."""
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots, d, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        return None
+    x = [row[n] for row in aug]
+    if d < 0:
+        d = -d
+        x = [-v for v in x]
+    g = gcd(d, *x)
+    return tuple(v // g for v in x), d // g
+
+
+def _kernel(a, n):
+    """(x, d) with x / d the kernel vector nullspace_vector returns, or None."""
+    if not a:
+        return ([1] + [0] * (n - 1), 1) if n else None
+    pivots, d, _ = _eliminate(a, n)
+    if len(pivots) == n:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    x = [0] * n
+    x[free] = d
+    for r, col in enumerate(pivots):
+        x[col] = -a[r][free]
+    return x, d
+
+
+def int_nullspace_vector(rows, n):
+    """A nonzero integer multiple of nullspace_vector(rows, n) for integer
+    rows, or None."""
+    kernel = _kernel([list(row) for row in rows], n)
+    return None if kernel is None else tuple(kernel[0])
+
+
+def _augmented(rows, rhs):
+    return [int_row(list(row) + [b])[0] for row, b in zip(rows, rhs)]
 
 
 def det(rows) -> Fraction:
-    """Determinant of a square rational matrix (fraction Gaussian elimination)."""
-    a = _frac_rows(rows)
-    n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        result *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return sign * result
-
-
-def _row_echelon(aug, ncols):
-    """In-place row echelon form; returns the list of pivot column indices."""
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    return pivots
+    """Determinant of a square rational matrix."""
+    a = []
+    scale = 1
+    for row in rows:
+        ints, s = int_row(row)
+        a.append(ints)
+        scale *= s
+    return Fraction(int_det(a), scale)
 
 
 def rank(rows) -> int:
     if not rows:
         return 0
-    a = _frac_rows(rows)
-    return len(_row_echelon(a, len(a[0])))
+    a = [int_row(row)[0] for row in rows]
+    return len(_eliminate(a, len(a[0]), reduce=False)[0])
 
 
 def solve(rows, rhs):
@@ -88,24 +146,24 @@ def solve(rows, rhs):
     if not rows:
         return ()
     n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = _row_echelon(aug, n)
-    for r in range(len(pivots), len(aug)):
-        if aug[r][n] != 0:
-            return None
+    aug = _augmented(rows, rhs)
+    pivots, d, _ = _eliminate(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
+    for row, col in zip(aug, pivots):
+        x[col] = Fraction(row[n], d)
     return tuple(x)
 
 
 def solve_unique(rows, rhs):
     """Solution of a square nonsingular system, or None if singular."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if len(_row_echelon(aug, n)) < n:
+    aug = _augmented(rows, rhs)
+    pivots, d, _ = _eliminate(aug, n)
+    if len(pivots) < n:
         return None
-    return tuple(row[n] for row in aug)
+    return tuple(Fraction(row[n], d) for row in aug)
 
 
 def nullspace_vector(rows, n):
@@ -115,18 +173,11 @@ def nullspace_vector(rows, n):
     dimensional (the case needed for extreme-ray enumeration); for larger
     kernels an arbitrary nonzero kernel vector is returned.
     """
-    if not rows:
-        return tuple([Fraction(1)] + [Fraction(0)] * (n - 1)) if n else None
-    a = _frac_rows(rows)
-    pivots = _row_echelon(a, n)
-    if len(pivots) == n:
+    kernel = _kernel([int_row(row)[0] for row in rows], n)
+    if kernel is None:
         return None
-    free = next(c for c in range(n) if c not in pivots)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        x[col] = -a[r][free]
-    return tuple(x)
+    x, d = kernel
+    return tuple(Fraction(v, d) for v in x)
 
 
 def primitive_int_vector(vec):
@@ -134,14 +185,8 @@ def primitive_int_vector(vec):
 
     The sign of the input is preserved.  Raises ValueError on the zero vector.
     """
-    fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
+    ints, denom = int_row([Fraction(x) for x in vec])
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
     return tuple(v // g for v in ints), Fraction(denom, g)

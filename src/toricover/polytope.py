@@ -3,7 +3,10 @@
 A polytope is stored as P = {x : <normal_F, x> + offset_F >= 0} with primitive
 integer inward normals and rational offsets.  Vertices are always derived from
 the half-spaces by exhaustive n-subset solving; this is exact and fast enough
-at desk scale (n <= 4, a dozen facets).
+at desk scale (n <= 4, a dozen facets).  The solving, the slack signs, the
+spanning test and the genericity test all run in integers on the cleared
+half-space data (linalg's int_* functions); Fraction is only the type of the
+stored offsets and vertex coordinates.
 
 Facet ids are the integer positions 0..m-1 in the facet list; that ordering is
 the one serialized to JSON and referenced by divisor coefficient maps.
@@ -104,46 +107,54 @@ def _positively_spanning(normals, n) -> bool:
 
     The cone is pointed once the normals have full rank; a nontrivial pointed
     cone contains an extreme ray tight on n-1 of the constraints, so checking
-    the kernel directions of all (n-1)-subsets is exhaustive.
+    the kernel directions of all (n-1)-subsets is exhaustive.  The normals are
+    integer vectors, so the kernel directions and sign tests stay in integers.
     """
     if linalg.rank(normals) < n:
         return False
     for subset in itertools.combinations(normals, n - 1):
-        d = linalg.nullspace_vector(list(subset), n)
+        d = linalg.int_nullspace_vector(subset, n)
         if d is None:
             continue
-        for cand in (d, linalg.vec_scale(-1, d)):
-            if all(linalg.dot(u, cand) >= 0 for u in normals):
-                return False
+        dots = [sum(a * b for a, b in zip(u, d)) for u in normals]
+        if all(s >= 0 for s in dots) or all(s <= 0 for s in dots):
+            return False
     return True
 
 
 def solve_region_vertices(normals, offsets, *, require_simple):
     """Basic feasible points of {x : <u_F,x> + c_F >= 0} with their tight sets.
 
+    Each half-space is scaled once to integer data (u_F, c_F) * s_F, which
+    leaves it unchanged.  Every n-subset of facets is then solved in integers
+    as x = X / d, and the m slacks are read off the integers
+    <u_F, X> + c_F d, which have the signs of the true slacks; a Fraction is
+    built only for the coordinates of a new vertex.
+
     Returns a list of Vertex.  With require_simple, raises NotSimpleError as
     soon as a feasible basic point is tight on more than n facets.
     """
     n = len(normals[0])
     m = len(normals)
+    rows = [linalg.int_row(list(u) + [c])[0] for u, c in zip(normals, offsets)]
     seen = {}
-    for subset in itertools.combinations(range(m), n):
-        rows = [normals[i] for i in subset]
-        rhs = [-offsets[i] for i in subset]
-        point = linalg.solve_unique(rows, rhs)
-        if point is None:
+    for subset in itertools.combinations(rows, n):
+        sol = linalg.int_solve_unique(
+            [row[:n] for row in subset], [-row[n] for row in subset]
+        )
+        if sol is None or sol in seen:
             continue
-        if point in seen:
-            continue
-        slacks = [linalg.dot(normals[i], point) + offsets[i] for i in range(m)]
+        x, d = sol
+        slacks = [sum(a * b for a, b in zip(row, x)) + row[n] * d for row in rows]
         if any(s < 0 for s in slacks):
             continue
         tight = frozenset(i for i in range(m) if slacks[i] == 0)
+        point = tuple(Fraction(v, d) for v in x)
         if require_simple and len(tight) > n:
             raise NotSimpleError(
                 f"vertex {point} lies on {len(tight)} facets (expected {n})"
             )
-        seen[point] = Vertex(point, tight)
+        seen[sol] = Vertex(point, tight)
     return list(seen.values())
 
 
@@ -267,7 +278,7 @@ def faces(p: SimplePolytope, k: int):
 def generic_normals_check(p: SimplePolytope) -> bool:
     """True iff every n-subset of facet normals is linearly independent."""
     for subset in itertools.combinations(p.normals, p.dim):
-        if linalg.det(list(subset)) == 0:
+        if linalg.int_det(subset) == 0:
             return False
     return True
 

@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from toricover import cli
 
@@ -80,12 +83,12 @@ class TestIntersect:
 
     def test_inline_json_array_is_parsed(self, capsys):
         # an array is inline JSON, not a file name; it is not an intersection
-        # payload, so the result is an input error naming the missing field
+        # payload, so the result is an input error naming the expected type
         code, out, err = run(capsys, "intersect", "--input", "[1]")
         assert code == 4
         assert out is None
         assert err.startswith("input error:")
-        assert "missing required field" in err
+        assert "input must be a JSON object, got array" in err
 
 
 class TestPrincipal:
@@ -320,3 +323,38 @@ class TestSelftest:
         assert out["ok"] is True
         assert len(out["criteria"]) == 10
         assert json.loads(out_path.read_text())["ok"] is True
+
+
+class TestTopLevelType:
+    """Every payload is a JSON object; any other top-level type is reported
+    as such, not as an indexing error from deep inside a loader."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ring"],
+            ["intersect"],
+            ["principal"],
+            ["avoid"],
+            ["verify", "--theorem", "lebesgue"],
+            ["verify", "--theorem", "kkm-lebesgue"],
+            ["color"],
+            ["moment", "--kind", "cpn"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+    )
+    def test_array_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--input", "[1]")
+        assert code == 4
+        assert out is None
+        assert err.strip() == "input error: input must be a JSON object, got array"
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [('"cube"', "string"), ("3", "number"), ("true", "boolean"), ("null", "null")],
+    )
+    def test_other_types_from_stdin(self, capsys, monkeypatch, text, kind):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "ring", "--input", "-")
+        assert code == 4
+        assert err.strip() == f"input error: input must be a JSON object, got {kind}"

@@ -13,6 +13,7 @@ from toricover import (
     axes_witness,
     complement_components,
     complement_witness,
+    construct_standard,
     kkm_lebesgue_witness,
     kkm_witness,
     lebesgue_witness,
@@ -401,6 +402,18 @@ class TestKKMLebesgue:
         assert len(rep.payload["touched"]) >= 4
         for cert in rep.payload["certificates"].values():
             assert cert is not None
+
+    @pytest.mark.parametrize("kind, seed", [("cube", 4), ("simplex", 2)])
+    def test_default_eps_is_one_spacing(self, kind, seed):
+        # on these tilted samples no set comes within half a spacing of n+1
+        # facets, but one set does within a full spacing
+        p = perturb(construct_standard(kind, 3), Fraction(1, 100), seed=seed)
+        cov, eps = harness.polytope_sample_cover(p, 6, 2, seed)
+        assert eps == Fraction(1, 6)
+        assert kkm_lebesgue_witness(p, cov, eps / 2).verdict == "counterexample_candidate"
+        default = kkm_lebesgue_witness(p, cov)
+        assert default.verdict == "witness_found"
+        assert default.payload == kkm_lebesgue_witness(p, cov, eps).payload
 
     def test_bad_sample_rejected(self, segment):
         sample = harness.lattice_sample(segment, 2)
