@@ -1,19 +1,23 @@
 """The acceptance matrix: every exit criterion of the library as a runnable
-check.  `run_all` powers both the CLI selftest and tests/test_acceptance.py.
+check.  tests/test_acceptance.py runs each criterion; `run_all` runs them all
+for the CLI selftest and times each one.
 
 Each criterion returns a CriterionResult; ok=False anywhere means the build
-fails, and the detail string carries the replay seed of the first failure.
+fails.  The seeded criteria are lists of harness.SuiteConfig, all run by
+harness.run_property_suite; a failing one names the seed of its first failing
+instance, which replays it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import chow, covering, harness
+from . import chow, harness
 from .chow import Divisor, IntersectionQuery
-from .covering import LatticeModel
+from .harness import SuiteConfig
 from .polytope import construct_standard, cube_facet_id, generic_normals_check, perturb
 
 
@@ -22,6 +26,7 @@ class CriterionResult:
     name: str
     ok: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)
 
 
 def _cube_axis_class(p, axis):
@@ -131,98 +136,80 @@ def flux_certificates(instances: int = 50) -> CriterionResult:
     return CriterionResult("flux_certificates", True, f"{instances} seeded polytopes")
 
 
+def _suites(name: str, configs, detail: str) -> CriterionResult:
+    """Run each config through harness.run_property_suite; a failure names
+    the config and the seed of its first failing instance for replay."""
+    for c in configs:
+        report = harness.run_property_suite(c)
+        if not report["ok"]:
+            where = f"{c.verifier} {c.kind} n={c.n} r={c.r}" + (f" k={c.k}" if c.k else "")
+            seed = c.seed + report["failures"][0]
+            return CriterionResult(name, False, f"{where} fails at seed {seed}")
+    return CriterionResult(name, True, detail)
+
+
 def palais_suite(instances: int = 200) -> CriterionResult:
     """Colorings of seeded random covers satisfy refinement, within-color
     disjointness, and union preservation for (n,r) in {(2,16),(3,12)} and
-    multiplicity targets 2 and 3."""
-    for n, r in ((2, 16), (3, 12)):
-        model = LatticeModel("cube", n, r)
-        for i in range(instances):
-            seed = 1000 * n + i
-            k = 2 + (i % 2)
-            stamped = harness.random_low_multiplicity_cover(model, k, seed)
-            classes = covering.palais_coloring(stamped.cover)
-            if not harness._validate_coloring(stamped.cover, classes):
-                return CriterionResult("palais_suite", False, f"n={n} seed={seed}")
-    return CriterionResult("palais_suite", True, f"{instances} covers per config")
+    multiplicity targets 2 and 3 (alternating with the seed)."""
+    configs = [
+        SuiteConfig(verifier="palais", kind="cube", n=n, r=r, instances=1,
+                    seed=1000 * n + i, multiplicity=2 + i % 2)
+        for n, r in ((2, 16), (3, 12))
+        for i in range(instances)
+    ]
+    return _suites("palais_suite", configs, f"{instances} covers per config")
 
 
 def lebesgue_suite(instances: int = 200) -> CriterionResult:
     """Seeded full covers with multiplicity <= n always yield a spanning
     witness; the shifted-brick control is flagged hypothesis_violated with
     multiplicity n+1."""
+    configs = []
     for n, r in ((2, 16), (3, 12)):
-        config = harness.SuiteConfig(
-            verifier="lebesgue", kind="cube", n=n, r=r,
-            instances=instances, seed=2000 * n, multiplicity=n,
-        )
-        report = harness.run_property_suite(config)
-        if not report["ok"]:
-            return CriterionResult(
-                "lebesgue_suite", False,
-                f"n={n} failures at instances {report['failures'][:5]}",
-            )
-        control = harness.run_property_suite(
-            harness.SuiteConfig(
-                verifier="bricks_control", kind="cube", n=n, r=r, instances=1, seed=0
-            )
-        )
-        if not control["ok"]:
-            return CriterionResult("lebesgue_suite", False, f"bricks control n={n}")
-    return CriterionResult("lebesgue_suite", True, f"{instances} covers per config")
+        configs += [
+            SuiteConfig(verifier="lebesgue", kind="cube", n=n, r=r,
+                        instances=instances, seed=2000 * n, multiplicity=n),
+            SuiteConfig(verifier="bricks_control", kind="cube", n=n, r=r,
+                        instances=1, seed=0),
+        ]
+    return _suites("lebesgue_suite", configs, f"{instances} covers per config")
 
 
 def kkm_suite(instances: int = 100) -> CriterionResult:
     """Seeded facet-missing families on the simplex with multiplicity <= k
     always leave a complement component meeting every k-face (n = 2, 3,
     r = 12, k = 1..n)."""
-    for n in (2, 3):
-        for k in range(1, n + 1):
-            config = harness.SuiteConfig(
-                verifier="kkm", kind="simplex", n=n, r=12,
-                instances=instances, seed=3000 * n + 100 * k, k=k,
-            )
-            report = harness.run_property_suite(config)
-            if not report["ok"]:
-                return CriterionResult(
-                    "kkm_suite", False,
-                    f"n={n} k={k} failures {report['failures'][:5]}",
-                )
-    return CriterionResult("kkm_suite", True, f"{instances} families per (n,k)")
+    configs = [
+        SuiteConfig(verifier="kkm", kind="simplex", n=n, r=12, instances=instances,
+                    seed=3000 * n + 100 * k, k=k)
+        for n in (2, 3)
+        for k in range(1, n + 1)
+    ]
+    return _suites("kkm_suite", configs, f"{instances} families per (n,k)")
 
 
 def axes_suite(instances: int = 100) -> CriterionResult:
     """Seeded n-set full covers of the cube always contain a component of the
     i-th set spanning the i-th axis pair (n = 2, 3)."""
-    for n, r in ((2, 16), (3, 12)):
-        config = harness.SuiteConfig(
-            verifier="axes", kind="cube", n=n, r=r,
-            instances=instances, seed=4000 * n,
-        )
-        report = harness.run_property_suite(config)
-        if not report["ok"]:
-            return CriterionResult(
-                "axes_suite", False, f"n={n} failures {report['failures'][:5]}"
-            )
-    return CriterionResult("axes_suite", True, f"{instances} covers per config")
+    configs = [
+        SuiteConfig(verifier="axes", kind="cube", n=n, r=r, instances=instances,
+                    seed=4000 * n)
+        for n, r in ((2, 16), (3, 12))
+    ]
+    return _suites("axes_suite", configs, f"{instances} covers per config")
 
 
 def kkm_lebesgue_suite(instances: int = 50) -> CriterionResult:
     """On seeded sample covers of perturbed Q^3 and the perturbed simplex, a
     set touching at least n+1 facets is always found and every set with at
     most n touched facets carries an inessentiality certificate."""
-    for kind, seed0 in (("cube", 5000), ("simplex", 6000)):
-        config = harness.SuiteConfig(
-            verifier="kkm_lebesgue", kind=kind, n=3, r=6,
-            instances=instances, seed=seed0, multiplicity=2,
-        )
-        report = harness.run_property_suite(config)
-        if not report["ok"]:
-            return CriterionResult(
-                "kkm_lebesgue_suite", False,
-                f"{kind} failures at instances {report['failures'][:5]}",
-            )
-    return CriterionResult("kkm_lebesgue_suite", True, f"{instances} covers per shape")
+    configs = [
+        SuiteConfig(verifier="kkm_lebesgue", kind=kind, n=3, r=6, instances=instances,
+                    seed=seed, multiplicity=2)
+        for kind, seed in (("cube", 5000), ("simplex", 6000))
+    ]
+    return _suites("kkm_lebesgue_suite", configs, f"{instances} covers per shape")
 
 
 def oracle() -> CriterionResult:
@@ -250,15 +237,23 @@ ALL_CRITERIA = (
 )
 
 
+# seeded criteria sizes in a quick run: a smoke test, the full run is the gate
+QUICK_SIZES = {
+    flux_certificates: 8,
+    palais_suite: 20,
+    lebesgue_suite: 20,
+    kkm_suite: 20,
+    axes_suite: 20,
+    kkm_lebesgue_suite: 8,
+}
+
+
 def run_all(quick: bool = False):
-    """Run every acceptance criterion; quick mode shrinks the seeded suites
-    (smoke use only, the real gate is the full run)."""
+    """Run every acceptance criterion, each result carrying its seconds;
+    quick mode shrinks the seeded suites to QUICK_SIZES."""
     results = []
     for fn in ALL_CRITERIA:
-        if quick and fn in (palais_suite, lebesgue_suite, kkm_suite, axes_suite):
-            results.append(fn(20))
-        elif quick and fn in (flux_certificates, kkm_lebesgue_suite):
-            results.append(fn(8))
-        else:
-            results.append(fn())
+        t0 = time.perf_counter()
+        result = fn(QUICK_SIZES[fn]) if quick and fn in QUICK_SIZES else fn()
+        results.append(replace(result, seconds=time.perf_counter() - t0))
     return results

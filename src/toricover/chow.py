@@ -67,9 +67,6 @@ class Divisor:
         c = Fraction(scalar)
         return Divisor(tuple(c * a for a in self.coeffs))
 
-    def to_map(self):
-        return {i: c for i, c in enumerate(self.coeffs)}
-
 
 @dataclass(frozen=True)
 class RingPresentation:

@@ -19,6 +19,7 @@ from .covering import (
     WITNESS_FOUND,
     LatticeModel,
 )
+from .jsonio import JSON_TYPES, InputError, _field, _ints
 from .polytope import moment_map_eval
 
 EXIT_OK = 0
@@ -30,16 +31,6 @@ _VERDICT_EXIT = {
     WITNESS_FOUND: EXIT_OK,
     HYPOTHESIS_VIOLATED: EXIT_HYPOTHESIS_VIOLATED,
     COUNTEREXAMPLE_CANDIDATE: EXIT_COUNTEREXAMPLE,
-}
-
-
-class InputError(Exception):
-    pass
-
-
-_JSON_TYPES = {
-    list: "array", str: "string", int: "number", float: "number",
-    bool: "boolean", type(None): "null",
 }
 
 
@@ -60,14 +51,8 @@ def _load_json(spec: str) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read input {spec!r}: {exc}")
     if not isinstance(data, dict):
-        raise InputError(f"input must be a JSON object, got {_JSON_TYPES[type(data)]}")
+        raise InputError(f"input must be a JSON object, got {JSON_TYPES[type(data)]}")
     return data
-
-
-def _field(data: dict, name: str):
-    if name not in data:
-        raise InputError(f"missing required field {name!r}")
-    return data[name]
 
 
 def _emit(data: dict, summary: str, out_path=None) -> None:
@@ -90,9 +75,10 @@ def _cmd_ring(args) -> int:
 
 def _cmd_intersect(args) -> int:
     data = _load_json(args.input)
-    p = jsonio.polytope_from_json(_field(data, "polytope"))
+    p = jsonio.polytope_from_json(_field(data, "polytope"), "polytope")
     divisors = tuple(
-        jsonio.divisor_from_json(p, d) for d in _field(data, "divisors")
+        jsonio.divisor_from_json(p, d, f"divisors[{i}]")
+        for i, d in enumerate(_field(data, "divisors", kind=list))
     )
     value = chow.intersection_number(chow.IntersectionQuery(p, divisors))
     _emit({"value": jsonio.frac_to_str(value)}, f"intersection number = {value}", args.output)
@@ -101,8 +87,8 @@ def _cmd_intersect(args) -> int:
 
 def _cmd_principal(args) -> int:
     data = _load_json(args.input)
-    p = jsonio.polytope_from_json(_field(data, "polytope"))
-    d = jsonio.divisor_from_json(p, _field(data, "divisor"))
+    p = jsonio.polytope_from_json(_field(data, "polytope"), "polytope")
+    d = jsonio.divisor_from_json(p, _field(data, "divisor"), "divisor")
     v = chow.is_principal(p, d)
     if v is None:
         _emit({"principal": False}, "not principal", args.output)
@@ -116,9 +102,9 @@ def _cmd_principal(args) -> int:
 
 def _cmd_avoid(args) -> int:
     data = _load_json(args.input)
-    p = jsonio.polytope_from_json(_field(data, "polytope"))
-    d = jsonio.divisor_from_json(p, _field(data, "divisor"))
-    touched = [int(f) for f in _field(data, "touched")]
+    p = jsonio.polytope_from_json(_field(data, "polytope"), "polytope")
+    d = jsonio.divisor_from_json(p, _field(data, "divisor"), "divisor")
+    touched = _ints(_field(data, "touched"), "touched")
     cert = chow.avoidance_certificate(p, d, touched)
     if cert is None:
         _emit({"exists": False}, "no avoidance certificate", args.output)
@@ -139,18 +125,13 @@ def _cmd_verify(args) -> int:
         cover = jsonio.cover_from_json(data)
         if args.theorem == "lebesgue":
             report = covering.lebesgue_witness(cover)
-        elif args.theorem == "kkm":
+        elif args.theorem in ("kkm", "complement"):
             if args.k is None:
-                raise InputError("--k is required for the kkm theorem")
-            report = covering.kkm_witness(cover, args.k)
-        elif args.theorem == "complement":
-            if args.k is None:
-                raise InputError("--k is required for the complement theorem")
-            report = covering.complement_witness(cover, args.k)
-        elif args.theorem == "axes":
-            report = covering.axes_witness(cover)
+                raise InputError(f"--k is required for the {args.theorem} theorem")
+            witness = covering.kkm_witness if args.theorem == "kkm" else covering.complement_witness
+            report = witness(cover, args.k)
         else:
-            raise InputError(f"unknown theorem {args.theorem!r}")
+            report = covering.axes_witness(cover)
     _emit(jsonio.report_to_json(report), f"verdict: {report.verdict}", args.output)
     return _VERDICT_EXIT[report.verdict]
 
@@ -180,7 +161,7 @@ def _cmd_generate(args) -> int:
         cover = harness.kkm_standard_cover(args.n, args.r)
         data = jsonio.cover_to_json(cover)
         summary = f"kkm stars: {len(cover.sets)} sets"
-    elif args.pattern == "random":
+    else:
         model = LatticeModel(args.kind, args.n, args.r)
         stamped = harness.random_low_multiplicity_cover(model, args.m, args.seed)
         data = jsonio.cover_to_json(stamped.cover, multiplicity=stamped.multiplicity)
@@ -188,8 +169,6 @@ def _cmd_generate(args) -> int:
             f"random cover: {len(stamped.cover.sets)} sets, "
             f"measured multiplicity {stamped.multiplicity}"
         )
-    else:
-        raise InputError(f"unknown pattern {args.pattern!r}")
     _emit(data, summary, args.output)
     return EXIT_OK
 
@@ -226,9 +205,11 @@ def _cmd_selftest(args) -> int:
         "ok": all(r.ok for r in results),
     }
     for r in results:
-        print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}", file=sys.stderr)
-    _emit(data, "selftest: " + ("all criteria passed" if data["ok"] else "FAILURES"),
-          args.output)
+        print(f"{'PASS' if r.ok else 'FAIL'}  {r.seconds:6.2f}s  {r.name}: {r.detail}",
+              file=sys.stderr)
+    total = sum(r.seconds for r in results)
+    _emit(data, "selftest: " + ("all criteria passed" if data["ok"] else "FAILURES")
+          + f" in {total:.2f}s", args.output)
     return EXIT_OK if data["ok"] else EXIT_COUNTEREXAMPLE
 
 

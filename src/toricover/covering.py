@@ -4,7 +4,8 @@ Points of the cube model are integer tuples in {0..r}^n with +-1 adjacency in
 one coordinate; points of the simplex model are the nonnegative integer
 (n+1)-tuples summing to r, adjacent when one unit moves between two
 coordinates.  Covering sets are arbitrary point sets; "closed" has no separate
-encoding, membership is the whole story.  Verifiers search for the witness a
+encoding, membership is the whole story.  Connected components under this
+adjacency come from one flood fill.  Verifiers search for the witness a
 covering theorem promises and report a counterexample candidate verbatim when
 none exists; they never assert the continuous statement.
 
@@ -196,41 +197,28 @@ def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
     )
 
 
-class UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 def connected_components(points, model: LatticeModel):
-    """Components of a point set under the model adjacency, via union-find.
+    """Components of a point set under the model adjacency, by flood fill.
 
-    Deterministic: components are sorted by their smallest point.
+    Deterministic: a fill starts from each point not yet reached, taken in
+    sorted order, so components come out sorted by their smallest point.
     """
-    pts = sorted(points)
-    index = {p: i for i, p in enumerate(pts)}
-    uf = UnionFind(len(pts))
-    for p, i in index.items():
-        for q in model.neighbors(p):
-            j = index.get(q)
-            if j is not None:
-                uf.union(i, j)
-    groups = {}
-    for p, i in index.items():
-        groups.setdefault(uf.find(i), []).append(p)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+    remaining = set(points)
+    components = []
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
+        remaining.remove(start)
+        comp = [start]
+        frontier = [start]
+        while frontier:
+            for q in model.neighbors(frontier.pop()):
+                if q in remaining:
+                    remaining.remove(q)
+                    comp.append(q)
+                    frontier.append(q)
+        components.append(frozenset(comp))
+    return components
 
 
 def complement_points(cover: LatticeCover):

@@ -188,10 +188,9 @@ def random_low_multiplicity_cover(
     return StampedCover(cover, covering.multiplicity(cover))
 
 
-def random_small_set_family(
-    model: LatticeModel, k: int, seed: int, *, max_sets_per_layer: int = 2
-) -> LatticeCover:
-    """k layers of separated small BFS balls, each ball missing one facet.
+def random_small_set_family(model: LatticeModel, k: int, seed: int) -> LatticeCover:
+    """k layers of one or two separated small BFS balls, each ball missing one
+    facet.
 
     Balls are grown inside the complement of a randomly chosen facet and
     capped at radius r//4, so on the cube no ball can span an opposite facet
@@ -209,7 +208,7 @@ def random_small_set_family(
     sets = {}
     for layer in range(k):
         blocked = set()
-        for b in range(rng.randint(1, max_sets_per_layer)):
+        for b in range(rng.randint(1, 2)):
             facet = rng.choice(model.facets())
             candidates = [
                 p
@@ -489,26 +488,17 @@ def _run_instance(config: SuiteConfig, iseed: int):
         )
         classes = covering.palais_coloring(stamped.cover)
         return "coloring", _validate_coloring(stamped.cover, classes)
-    if v == "kkm":
+    if v in ("kkm", "complement"):
         cover = random_small_set_family(model, config.k, iseed)
-        report = covering.kkm_witness(cover, config.k)
+        witness = covering.kkm_witness if v == "kkm" else covering.complement_witness
+        report = witness(cover, config.k)
         ok = report.verdict == WITNESS_FOUND
         if ok:
             comp = {tuple(q) for q in report.payload["component"]}
-            complement = covering.complement_points(cover)
-            ok = comp <= complement and all(
-                any(model.face_contains(face, q) for q in comp)
-                for face in model.k_faces(config.k)
-            )
-        return report.verdict, ok
-    if v == "complement":
-        cover = random_small_set_family(model, config.k, iseed)
-        report = covering.complement_witness(cover, config.k)
-        ok = report.verdict == WITNESS_FOUND
-        if ok:
-            comp = {tuple(q) for q in report.payload["component"]}
-            free = frozenset(report.payload["axes"])
-            faces = [f for f in model.k_faces(config.k) if f[0] == free]
+            faces = model.k_faces(config.k)
+            if v == "complement":
+                free = frozenset(report.payload["axes"])
+                faces = [f for f in faces if f[0] == free]
             ok = comp <= covering.complement_points(cover) and all(
                 any(model.face_contains(face, q) for q in comp) for face in faces
             )

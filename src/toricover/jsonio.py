@@ -3,6 +3,10 @@
 Rationals travel as strings "p/q" (plain integers allowed), never as floats.
 Facet ids are the positions in the polytope's facet list; JSON object keys
 are their decimal strings.  Stable facet ordering is the input ordering.
+
+The loaders check every field they read: a missing field, a value of the
+wrong JSON type, or a float or boolean where an integer belongs raises
+InputError with the field's path, such as `facets[0].normal[1]`.
 """
 
 from __future__ import annotations
@@ -14,6 +18,15 @@ from .covering import LatticeCover, LatticeModel, PointCloudCover, WitnessReport
 from .polytope import SimplePolytope, from_halfspaces
 
 
+class InputError(Exception):
+    """Malformed input; the message names the offending field."""
+
+
+JSON_TYPES = {
+    dict: "object", list: "array", str: "string", int: "number", float: "number",
+    bool: "boolean", type(None): "null",
+}
+
 def frac_from_str(s) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
         raise ValueError(f"rationals must be strings or integers, got {s!r}")
@@ -22,6 +35,52 @@ def frac_from_str(s) -> Fraction:
 
 def frac_to_str(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def _at(path: str, key) -> str:
+    """The path of a member: `a.b` for a key, `a[0]` for an index."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _field(data: dict, name: str, path: str = "", kind=None):
+    """data[name], checked to be of the given kind if one is given."""
+    if name not in data:
+        raise InputError(f"missing required field {_at(path, name)!r}")
+    return data[name] if kind is None else _check(data[name], kind, _at(path, name))
+
+
+def _check(value, kind, path: str):
+    """value if it is a JSON object (kind dict), array (list) or integer
+    (int); a float or a boolean is not an integer and is never truncated."""
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        expected = "integer" if kind is int else JSON_TYPES[kind]
+        got = JSON_TYPES.get(type(value), type(value).__name__)
+        raise InputError(f"{path or 'input'} must be an {expected}, got {got}")
+    return value
+
+
+def _ints(value, path: str) -> tuple:
+    """An array of integers."""
+    return tuple(_check(x, int, _at(path, i)) for i, x in enumerate(_check(value, list, path)))
+
+
+def _points(value, path: str) -> list:
+    """An array of arrays of integers, as tuples.  Lattice covers hold many
+    points, so the path of each point is built only to name a bad one."""
+    _check(value, list, path)
+    if not all(isinstance(p, list) and all(type(x) is int for x in p) for p in value):
+        for i, p in enumerate(value):
+            _ints(p, _at(path, i))
+    return [tuple(p) for p in value]
+
+
+def _frac(value, path: str) -> Fraction:
+    try:
+        return frac_from_str(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def polytope_to_json(p: SimplePolytope) -> dict:
@@ -34,13 +93,19 @@ def polytope_to_json(p: SimplePolytope) -> dict:
     }
 
 
-def polytope_from_json(data: dict) -> SimplePolytope:
-    facets = data["facets"]
-    normals = [tuple(int(x) for x in f["normal"]) for f in facets]
-    offsets = [frac_from_str(f["offset"]) for f in facets]
+def polytope_from_json(data: dict, path: str = "") -> SimplePolytope:
+    """The polytope of a JSON object; errors name fields under path."""
+    _check(data, dict, path)
+    normals, offsets = [], []
+    for i, f in enumerate(_field(data, "facets", path, list)):
+        at = _at(_at(path, "facets"), i)
+        _check(f, dict, at)
+        normals.append(_ints(_field(f, "normal", at), _at(at, "normal")))
+        offsets.append(_frac(_field(f, "offset", at), _at(at, "offset")))
     p = from_halfspaces(normals, offsets)
-    if p.dim != int(data["dim"]):
-        raise ValueError(f"dim field {data['dim']} does not match normals")
+    dim = _field(data, "dim", path, int)
+    if p.dim != dim:
+        raise InputError(f"{_at(path, 'dim')} is {dim}, the normals have dimension {p.dim}")
     return p
 
 
@@ -48,9 +113,11 @@ def divisor_to_json(d: Divisor) -> dict:
     return {"coeffs": {str(i): frac_to_str(c) for i, c in enumerate(d.coeffs)}}
 
 
-def divisor_from_json(p: SimplePolytope, data: dict) -> Divisor:
+def divisor_from_json(p: SimplePolytope, data: dict, path: str = "") -> Divisor:
+    coeffs = _field(_check(data, dict, path), "coeffs", path, dict)
+    at = _at(path, "coeffs")
     return Divisor.from_map(
-        p, {int(k): frac_from_str(v) for k, v in data["coeffs"].items()}
+        p, {int(k): _frac(v, _at(at, k)) for k, v in coeffs.items()}
     )
 
 
@@ -75,11 +142,13 @@ def cover_to_json(cover: LatticeCover, **extra) -> dict:
 
 
 def cover_from_json(data: dict) -> LatticeCover:
-    m = data["model"]
-    model = LatticeModel(m["kind"], int(m["n"]), int(m["r"]))
+    m = _field(data, "model", kind=dict)
+    model = LatticeModel(
+        _field(m, "kind", "model"), _field(m, "n", "model", int), _field(m, "r", "model", int)
+    )
     sets = {
-        name: frozenset(tuple(int(x) for x in p) for p in pts)
-        for name, pts in data["sets"].items()
+        name: frozenset(_points(pts, _at("sets", name)))
+        for name, pts in _field(data, "sets", kind=dict).items()
     }
     return LatticeCover(model, sets)
 
@@ -101,17 +170,20 @@ def point_cover_to_json(p: SimplePolytope, cover: PointCloudCover, eps=None) -> 
 
 def point_cover_from_json(data: dict):
     """Returns (polytope, PointCloudCover, eps or None)."""
-    p = polytope_from_json(data["polytope"])
-    sample = tuple(
-        tuple(frac_from_str(x) for x in pt) for pt in data["sample"]
-    )
+    p = polytope_from_json(_field(data, "polytope"), "polytope")
+    sample = []
+    for i, pt in enumerate(_field(data, "sample", kind=list)):
+        at = _at("sample", i)
+        sample.append(tuple(_frac(x, _at(at, j)) for j, x in enumerate(_check(pt, list, at))))
+    sample = tuple(sample)
     sets = {}
-    for name, idxs in data["sets"].items():
-        for i in idxs:
-            if not 0 <= int(i) < len(sample):
-                raise ValueError(f"set {name!r}: sample index {i} out of range")
-        sets[name] = frozenset(sample[int(i)] for i in idxs)
-    eps = frac_from_str(data["eps"]) if "eps" in data else None
+    for name, idxs in _field(data, "sets", kind=dict).items():
+        at = _at("sets", name)
+        for j, i in enumerate(_ints(idxs, at)):
+            if not 0 <= i < len(sample):
+                raise InputError(f"{_at(at, j)}: sample index {i} out of range")
+        sets[name] = frozenset(sample[i] for i in idxs)
+    eps = _frac(data["eps"], "eps") if "eps" in data else None
     return p, PointCloudCover(sample, sets), eps
 
 

@@ -1,7 +1,9 @@
 """The acceptance gate: every criterion at full scale, one pass/fail line
 each.  Run with -s to see the lines as they complete."""
 
-from toricover import acceptance
+import pytest
+
+from toricover import acceptance, harness
 
 CRITERIA = {fn.__name__: fn for fn in acceptance.ALL_CRITERIA}
 
@@ -65,3 +67,29 @@ def test_kkm_lebesgue_suite():
 def test_oracle():
     """Exhaustive tiny enumeration: zero violations, verifier agrees."""
     _check("oracle")
+
+
+@pytest.mark.parametrize(
+    "name, verifier, seed, where",
+    [
+        ("palais_suite", "palais", 3003, "palais cube n=3 r=12"),
+        ("lebesgue_suite", "lebesgue", 4002, "lebesgue cube n=2 r=16"),
+        ("kkm_suite", "kkm", 9201, "kkm simplex n=3 r=12 k=2"),
+        ("axes_suite", "axes", 8004, "axes cube n=2 r=16"),
+        ("kkm_lebesgue_suite", "kkm_lebesgue", 6001, "kkm_lebesgue simplex n=3 r=6"),
+    ],
+)
+def test_failure_names_its_seed(monkeypatch, name, verifier, seed, where):
+    """A verifier failing on one seed fails its criterion, and the detail
+    names that instance seed for replay."""
+    original = harness._run_instance
+
+    def fail_once(config, iseed):
+        if config.verifier == verifier and iseed == seed:
+            return "counterexample_candidate", False
+        return original(config, iseed)
+
+    monkeypatch.setattr(harness, "_run_instance", fail_once)
+    result = CRITERIA[name](5)
+    assert not result.ok
+    assert result.detail == f"{where} fails at seed {seed}"

@@ -1,9 +1,11 @@
 import io
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
-from toricover import cli
+from toricover import cli, construct_standard, harness, jsonio, perturb
 
 
 def run(capsys, *argv):
@@ -324,6 +326,27 @@ class TestSelftest:
         assert len(out["criteria"]) == 10
         assert json.loads(out_path.read_text())["ok"] is True
 
+    def test_quick_report_and_timings(self, capsys):
+        code, out, err = run(capsys, "selftest", "--quick")
+        assert code == 0
+        assert [(c["name"], c["ok"], c["detail"]) for c in out["criteria"]] == [
+            ("ring_golden", True, "n=1..4 exact"),
+            ("volume_link", True, "n=1..4 exact"),
+            ("principal_identity", True, "n=1..4 exact"),
+            ("flux_certificates", True, "8 seeded polytopes"),
+            ("palais_suite", True, "20 covers per config"),
+            ("lebesgue_suite", True, "20 covers per config"),
+            ("kkm_suite", True, "20 families per (n,k)"),
+            ("axes_suite", True, "20 covers per config"),
+            ("kkm_lebesgue_suite", True, "8 covers per shape"),
+            ("oracle", True, "2241 covers, 1136 checked"),
+        ]
+        lines = err.strip().splitlines()
+        assert len(lines) == 11
+        for line, c in zip(lines, out["criteria"]):
+            assert re.fullmatch(rf"PASS +\d+\.\d\ds  {c['name']}: .*", line), line
+        assert re.fullmatch(r"selftest: all criteria passed in \d+\.\d\ds", lines[-1])
+
 
 class TestTopLevelType:
     """Every payload is a JSON object; any other top-level type is reported
@@ -358,3 +381,115 @@ class TestTopLevelType:
         code, out, err = run(capsys, "ring", "--input", "-")
         assert code == 4
         assert err.strip() == f"input error: input must be a JSON object, got {kind}"
+
+
+def kkm_lebesgue_payload():
+    p = perturb(construct_standard("cube", 2), Fraction(1, 100), seed=1)
+    cover, eps = harness.polytope_sample_cover(p, 4, 2, seed=1)
+    return json.loads(json.dumps(jsonio.point_cover_to_json(p, cover, eps)))
+
+
+def with_field(data, path, value):
+    """A copy of data with the member at path (keys and indices) replaced."""
+    data = json.loads(json.dumps(data))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+def expect_input_error(capsys, argv, payload, message):
+    code, out, err = run(capsys, *argv, "--input", json.dumps(payload))
+    assert code == 4
+    assert out is None
+    assert err.strip() == f"input error: {message}"
+
+
+class TestIntegerFields:
+    """Integer fields take JSON integers only: a float or a boolean is an
+    input error naming the field, never truncated to a nearby integer."""
+
+    def test_normal(self, capsys):
+        segment = {
+            "dim": 1,
+            "facets": [{"normal": [1.9], "offset": "0"}, {"normal": [-1], "offset": "1"}],
+        }
+        expect_input_error(capsys, ["ring"], segment,
+                           "facets[0].normal[0] must be an integer, got number")
+
+    def test_dim(self, capsys):
+        expect_input_error(capsys, ["ring"], with_field(json.loads(CUBE2), ["dim"], 2.0),
+                           "dim must be an integer, got number")
+
+    def test_lattice_point(self, capsys):
+        cover = {
+            "model": {"kind": "cube", "n": 1, "r": 3},
+            "sets": {"A": [[0], [1]], "B": [[0.5], [2.7], [3]]},
+        }
+        expect_input_error(capsys, ["verify", "--theorem", "lebesgue"], cover,
+                           "sets.B[0][0] must be an integer, got number")
+
+    def test_n(self, capsys):
+        cover = with_field(json.loads(SLAB_COVER), ["model", "n"], 1.6)
+        expect_input_error(capsys, ["color"], cover, "model.n must be an integer, got number")
+
+    def test_r(self, capsys):
+        cover = with_field(json.loads(SLAB_COVER), ["model", "r"], True)
+        expect_input_error(capsys, ["color"], cover, "model.r must be an integer, got boolean")
+
+    def test_sample_index(self, capsys):
+        data = kkm_lebesgue_payload()
+        name = next(iter(data["sets"]))
+        data["sets"][name][0] = 0.0
+        expect_input_error(capsys, ["verify", "--theorem", "kkm-lebesgue"], data,
+                           f"sets.{name}[0] must be an integer, got number")
+
+    def test_touched_facet(self, capsys):
+        payload = {
+            "polytope": json.loads(CUBE2),
+            "divisor": {"coeffs": {"0": "1"}},
+            "touched": [1, 2.0],
+        }
+        expect_input_error(capsys, ["avoid"], payload,
+                           "touched[1] must be an integer, got number")
+
+
+class TestRationalFields:
+    def test_zero_denominator_names_the_offset(self, capsys):
+        cube = with_field(json.loads(CUBE2), ["facets", 1, "offset"], "1/0")
+        code, out, err = run(capsys, "ring", "--input", json.dumps(cube))
+        assert code == 4
+        assert err.startswith("input error: facets[1].offset: ")
+
+
+class TestInnerFieldTypes:
+    """A wrong JSON type below the top level names the field's path and the
+    expected type."""
+
+    def test_polytope_not_an_object(self, capsys):
+        expect_input_error(capsys, ["intersect"], {"polytope": [1], "divisors": []},
+                           "polytope must be an object, got array")
+
+    def test_sample_not_an_array(self, capsys):
+        data = with_field(kkm_lebesgue_payload(), ["sample"], 5)
+        expect_input_error(capsys, ["verify", "--theorem", "kkm-lebesgue"], data,
+                           "sample must be an array, got number")
+
+    def test_cover_without_model(self, capsys):
+        expect_input_error(capsys, ["verify", "--theorem", "lebesgue"], {"sets": {}},
+                           "missing required field 'model'")
+
+    def test_nested_missing_field(self, capsys):
+        payload = {"polytope": {"dim": 2, "facets": [{"normal": [1, 0]}]}, "divisors": []}
+        expect_input_error(capsys, ["intersect"], payload,
+                           "missing required field 'polytope.facets[0].offset'")
+
+    def test_divisor_coefficient_names_its_path(self, capsys):
+        payload = {
+            "polytope": json.loads(CUBE2),
+            "divisors": [{"coeffs": {"0": "1"}}, {"coeffs": {"2": 0.5}}],
+        }
+        code, out, err = run(capsys, "intersect", "--input", json.dumps(payload))
+        assert code == 4
+        assert err.startswith("input error: divisors[1].coeffs.2: ")

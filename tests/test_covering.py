@@ -158,6 +158,85 @@ class TestComponents:
         assert sorted(got, key=min) == sorted(expected, key=min)
 
 
+def union_find_components(points, model):
+    """Reference: components by union-find with path compression, sorted by
+    their smallest point (the library's implementation before the flood
+    fill)."""
+    pts = sorted(points)
+    index = {p: i for i, p in enumerate(pts)}
+    parent = list(range(len(pts)))
+
+    def find(i):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    for p, i in index.items():
+        for q in model.neighbors(p):
+            j = index.get(q)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for p, i in index.items():
+        groups.setdefault(find(i), []).append(p)
+    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+
+
+def model_id(model):
+    return f"{model.kind}{model.n}-r{model.r}"
+
+
+FAMILY_MODELS = [
+    LatticeModel("cube", 2, 16),
+    LatticeModel("cube", 3, 8),
+    LatticeModel("simplex", 2, 12),
+    LatticeModel("simplex", 3, 8),
+]
+
+
+class TestComponentsAgainstUnionFind:
+    """The flood fill equals the union-find reference, component order
+    included."""
+
+    @pytest.mark.parametrize("model", FAMILY_MODELS, ids=model_id)
+    def test_small_set_family_complements_and_unions(self, model):
+        """The complements are mostly connected; the unions split into the
+        family's separated balls, which pins the component order."""
+        split = 0
+        for k in range(1, model.n + 1):
+            for seed in range(4):
+                cover = harness.random_small_set_family(model, k, seed)
+                for points in (covering.complement_points(cover), cover.union()):
+                    got = covering.connected_components(points, model)
+                    assert got == union_find_components(points, model)
+                    split += len(got) > 1
+        assert split >= 4
+
+    @pytest.mark.parametrize("model", FAMILY_MODELS, ids=model_id)
+    def test_dilated_partition_sets(self, model):
+        for seed in range(4):
+            cover = harness.dilated_partition_cover(model, model.n + 1, seed)
+            for pts in cover.sets.values():
+                assert covering.connected_components(
+                    pts, model
+                ) == union_find_components(pts, model)
+
+    @pytest.mark.parametrize(
+        "model", [LatticeModel("cube", 2, 3), LatticeModel("simplex", 2, 3)], ids=model_id
+    )
+    def test_empty_set_and_single_points(self, model):
+        assert covering.connected_components(set(), model) == []
+        assert union_find_components(set(), model) == []
+        for p in model.points():
+            assert covering.connected_components({p}, model) == [frozenset({p})]
+            assert union_find_components({p}, model) == [frozenset({p})]
+
+
 class TestPalais:
     def test_disjoint_cover_single_class(self):
         cov = cube_cover(1, 3, {"A": {(0,), (1,)}, "B": {(2,), (3,)}})
