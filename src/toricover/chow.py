@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import linalg
 from .polytope import (
+    InputError,
     NotSimpleError,
     SimplePolytope,
     solve_region_vertices,
@@ -45,7 +46,7 @@ class Divisor:
         for fid, value in mapping.items():
             fid = int(fid)
             if not 0 <= fid < p.num_facets:
-                raise ValueError(f"facet id {fid} not in 0..{p.num_facets - 1}")
+                raise InputError(f"facet id {fid} not in 0..{p.num_facets - 1}")
             coeffs[fid] = Fraction(value)
         return cls(tuple(coeffs))
 
@@ -85,7 +86,7 @@ class IntersectionQuery:
 
     def __post_init__(self):
         if len(self.divisors) != self.polytope.dim:
-            raise ValueError(
+            raise InputError(
                 f"need exactly {self.polytope.dim} divisors, got {len(self.divisors)}"
             )
 
@@ -301,10 +302,14 @@ def avoidance_certificate(p: SimplePolytope, h: Divisor, touched):
 
     H' = H + div(v) where v solves <u_F, v> = -coeff_F(H) for F touched; when
     the system is underdetermined the free components of v are set to zero.
+    A touched id outside 0..m-1 raises InputError.
     """
     touched = sorted(touched)
     if not touched:
         return h
+    for f in (touched[0], touched[-1]):
+        if not 0 <= f < p.num_facets:
+            raise InputError(f"touched facet id {f} not in 0..{p.num_facets - 1}")
     rows = [p.normals[f] for f in touched]
     rhs = [-h.coeffs[f] for f in touched]
     v = linalg.solve(rows, rhs)

@@ -1,7 +1,8 @@
 """Command-line front end.  JSON in, JSON out, stable exit codes.
 
 Exit codes: 0 success or witness found; 2 hypothesis violated; 3
-counterexample candidate (or selftest failure); 4 input or processing error.
+counterexample candidate (or selftest failure); 4 input rejected by an
+InputError.  Any other exception is a library bug and ends in a traceback.
 JSON goes to stdout, a short human summary to stderr.
 """
 
@@ -10,16 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import acceptance, chow, covering, harness, jsonio, polytope
+from . import acceptance, chow, covering, harness, jsonio
 from .covering import (
     COUNTEREXAMPLE_CANDIDATE,
     HYPOTHESIS_VIOLATED,
     WITNESS_FOUND,
     LatticeModel,
 )
-from .jsonio import JSON_TYPES, InputError, _field, _ints
+from .jsonio import JSON_TYPES, InputError, _field, _frac, _ints
 from .polytope import moment_map_eval
 
 EXIT_OK = 0
@@ -50,6 +50,8 @@ def _load_json(spec: str) -> dict:
         raise InputError(f"malformed JSON near line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise InputError(f"cannot read input {spec!r}: {exc}")
+    except ValueError as exc:  # bad UTF-8, a NUL in the path, an over-long integer
+        raise InputError(str(exc)) from None
     if not isinstance(data, dict):
         raise InputError(f"input must be a JSON object, got {JSON_TYPES[type(data)]}")
     return data
@@ -119,7 +121,7 @@ def _cmd_verify(args) -> int:
     if args.theorem == "kkm-lebesgue":
         p, cover, eps = jsonio.point_cover_from_json(data)
         if args.eps is not None:
-            eps = Fraction(args.eps)
+            eps = _frac(args.eps, "--eps")
         report = covering.kkm_lebesgue_witness(p, cover, eps)
     else:
         cover = jsonio.cover_from_json(data)
@@ -174,22 +176,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    data = _load_json(args.input)
-    raw = _field(data, "input")
-    if args.kind == "cpn":
-        value = [
-            (jsonio.frac_from_str(re), jsonio.frac_from_str(im)) for re, im in raw
-        ]
-    elif args.kind == "product_cp1":
-        value = [
-            tuple(
-                (jsonio.frac_from_str(re), jsonio.frac_from_str(im))
-                for re, im in pair
-            )
-            for pair in raw
-        ]
-    else:
-        value = [jsonio.frac_from_str(x) for x in raw]
+    value = jsonio.moment_input_from_json(_load_json(args.input), args.kind)
     point = moment_map_eval(args.kind, value)
     _emit({"point": [jsonio.frac_to_str(x) for x in point]},
           f"moment image: {tuple(map(str, point))}", args.output)
@@ -274,22 +261,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (
-        covering.BadSampleError,
-        covering.WrongArityError,
-        harness.BadResolutionError,
-        polytope.NotSimpleError,
-        polytope.UnboundedError,
-        polytope.EmptyPolytopeError,
-        polytope.ZeroVectorError,
-        polytope.BudgetExhaustedError,
-    ) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        label = "input error" if type(exc) is InputError else f"error: {type(exc).__name__}"
+        print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -22,14 +22,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import chow
-from .polytope import SimplePolytope
+from .polytope import InputError, SimplePolytope
 
 
-class BadSampleError(Exception):
+class BadSampleError(InputError):
     """Point-cloud cover violates the sample structure preconditions."""
 
 
-class WrongArityError(Exception):
+class WrongArityError(InputError):
     """axes verifier needs exactly n covering sets."""
 
 
@@ -46,9 +46,9 @@ class LatticeModel:
 
     def __post_init__(self):
         if self.kind not in ("cube", "simplex"):
-            raise ValueError(f"unknown lattice model kind: {self.kind!r}")
+            raise InputError(f"unknown lattice model kind: {self.kind!r}")
         if self.n < 1 or self.r < 1:
-            raise ValueError("need n >= 1 and r >= 1")
+            raise InputError("need n >= 1 and r >= 1")
 
     @property
     def ncoords(self) -> int:
@@ -101,7 +101,7 @@ class LatticeModel:
         free axes and fixed assigns 0 or r to every other axis.
         """
         if not 0 <= k <= self.n:
-            raise ValueError(f"face dimension {k} out of range 0..{self.n}")
+            raise InputError(f"face dimension {k} out of range 0..{self.n}")
         if self.kind == "simplex":
             return [
                 frozenset(c)
@@ -149,7 +149,7 @@ class LatticeCover:
         for name, pts in coerced.items():
             bad = [p for p in pts if not self.model.contains(p)]
             if bad:
-                raise ValueError(f"set {name!r} has points outside the model: {bad[:3]}")
+                raise InputError(f"set {name!r} has points outside the model: {bad[:3]}")
 
     def names(self):
         return list(self.sets)
@@ -191,7 +191,7 @@ def touches_facet(cover: LatticeCover, set_id, facet) -> bool:
 def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
     """True iff the set touches both facets of the given cube axis."""
     if cover.model.kind != "cube":
-        raise ValueError("spans_pair is a cube-model notion")
+        raise InputError("spans_pair is a cube-model notion")
     return touches_facet(cover, set_id, (axis, 0)) and touches_facet(
         cover, set_id, (axis, cover.model.r)
     )
@@ -276,7 +276,7 @@ def lebesgue_witness(cover: LatticeCover) -> WitnessReport:
     touches two opposite facets."""
     model = cover.model
     if model.kind != "cube":
-        raise ValueError("lebesgue_witness runs on the cube model")
+        raise InputError("lebesgue_witness runs on the cube model")
     if complement_points(cover):
         return _not_a_cover_report(cover)
     mult = multiplicity(cover)
@@ -300,9 +300,9 @@ def kkm_witness(cover: LatticeCover, k: int) -> WitnessReport:
     """
     model = cover.model
     if model.kind != "simplex":
-        raise ValueError("kkm_witness runs on the simplex model")
+        raise InputError("kkm_witness runs on the simplex model")
     if not 0 <= k <= model.n:
-        raise ValueError(f"k must be in 0..{model.n}")
+        raise InputError(f"k must be in 0..{model.n}")
     for name in cover.sets:
         if cover.sets[name] and all(
             touches_facet(cover, name, f) for f in model.facets()
@@ -336,9 +336,9 @@ def complement_witness(cover: LatticeCover, k: int) -> WitnessReport:
     """
     model = cover.model
     if model.kind != "cube":
-        raise ValueError("complement_witness runs on the cube model")
+        raise InputError("complement_witness runs on the cube model")
     if not 0 <= k <= model.n:
-        raise ValueError(f"k must be in 0..{model.n}")
+        raise InputError(f"k must be in 0..{model.n}")
     for name in cover.sets:
         for axis in range(model.n):
             if spans_pair(cover, name, axis):
@@ -376,7 +376,7 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
     in the cover's set order."""
     model = cover.model
     if model.kind != "cube":
-        raise ValueError("axes_witness runs on the cube model")
+        raise InputError("axes_witness runs on the cube model")
     names = cover.names()
     if len(names) != model.n:
         raise WrongArityError(f"need exactly {model.n} sets, got {len(names)}")
@@ -424,7 +424,7 @@ def sample_spacing(sample) -> Fraction:
             if best is None or d < best:
                 best = d
     if best is None:
-        raise ValueError("sample needs at least two distinct points")
+        raise InputError("sample needs at least two distinct points")
     return best
 
 

@@ -23,10 +23,10 @@ from .covering import (
     LatticeModel,
     PointCloudCover,
 )
-from .polytope import SimplePolytope
+from .polytope import InputError, SimplePolytope
 
 
-class BadResolutionError(Exception):
+class BadResolutionError(InputError):
     """Resolution incompatible with the requested structured cover."""
 
 
@@ -52,7 +52,7 @@ def shifted_brick_cover(n: int, r: int) -> LatticeCover:
     the bricks stay strictly smaller than the cube.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if r % (2 * n) != 0:
         raise BadResolutionError(f"r={r} must be divisible by 2n={2 * n}")
     if r <= 2 ** (n - 1):
@@ -155,7 +155,7 @@ def random_low_multiplicity_cover(
     multiplicity m is actually attained.
     """
     if m < 1:
-        raise ValueError("target multiplicity must be >= 1")
+        raise InputError("target multiplicity must be >= 1")
     rng = random.Random(seed)
     points = list(model.points())
     sets = {}
@@ -261,7 +261,7 @@ def lattice_sample(p: SimplePolytope, resolution: int):
     lexicographic order of a.  Fractions are built once per grid value.
     """
     if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+        raise InputError("resolution must be >= 1")
     r = resolution
     lo = [min(v.coords[i] for v in p.vertices) for i in range(p.dim)]
     hi = [max(v.coords[i] for v in p.vertices) for i in range(p.dim)]
@@ -308,7 +308,7 @@ def polytope_sample_cover(
     rng = random.Random(seed)
     sample = lattice_sample(p, resolution)
     if not sample:
-        raise ValueError("empty sample; raise the resolution")
+        raise InputError("empty sample; raise the resolution")
     grid = [
         tuple(x.numerator * (resolution // x.denominator) for x in pt)
         for pt in sample
@@ -405,7 +405,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.instances < 1:
-            raise ValueError("instances must be positive")
+            raise InputError("instances must be positive")
 
 
 def _validate_coloring(cover: LatticeCover, classes) -> bool:
@@ -516,7 +516,7 @@ def _run_instance(config: SuiteConfig, iseed: int):
                 and any(q[axis] == model.r for q in comp)
             )
         return report.verdict, ok
-    raise ValueError(f"unknown suite verifier: {v!r}")
+    raise InputError(f"unknown suite verifier: {v!r}")
 
 
 def run_property_suite(config: SuiteConfig) -> dict:

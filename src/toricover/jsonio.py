@@ -2,25 +2,26 @@
 
 Rationals travel as strings "p/q" (plain integers allowed), never as floats.
 Facet ids are the positions in the polytope's facet list; JSON object keys
-are their decimal strings.  Stable facet ordering is the input ordering.
+are their canonical decimal strings.  Stable facet ordering is the input
+ordering.
 
 The loaders check every field they read: a missing field, a value of the
 wrong JSON type, or a float or boolean where an integer belongs raises
-InputError with the field's path, such as `facets[0].normal[1]`.
+InputError (polytope's one input-error class) with the field's path, such as
+`facets[0].normal[1]`.  Sample points must have the polytope's dimension and
+lie in it.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
+from operator import mul
 
 from .chow import Divisor, RingPresentation
 from .covering import LatticeCover, LatticeModel, PointCloudCover, WitnessReport
-from .polytope import SimplePolytope, from_halfspaces
-
-
-class InputError(Exception):
-    """Malformed input; the message names the offending field."""
-
+from .polytope import InputError, SimplePolytope, from_halfspaces
 
 JSON_TYPES = {
     dict: "object", list: "array", str: "string", int: "number", float: "number",
@@ -29,18 +30,24 @@ JSON_TYPES = {
 
 def frac_from_str(s) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
-        raise ValueError(f"rationals must be strings or integers, got {s!r}")
+        raise InputError(f"rationals must be strings or integers, got {s!r}")
     return Fraction(s)
 
 
 def frac_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:  # more digits than Python writes by default
+        raise InputError(str(exc)) from None
 
 
 def _at(path: str, key) -> str:
-    """The path of a member: `a.b` for a key, `a[0]` for an index."""
+    """The path of a member: `a.b` for a key, `a[0]` for an index.  A key
+    with unprintable characters is quoted, so a message stays one line."""
     if isinstance(key, int):
         return f"{path}[{key}]"
+    if not key.isprintable():
+        key = repr(key)
     return f"{path}.{key}" if path else key
 
 
@@ -83,6 +90,18 @@ def _frac(value, path: str) -> Fraction:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _pair(value, path: str, read) -> tuple:
+    """An array of exactly two entries, each read by read(entry, path)."""
+    if len(_check(value, list, path)) != 2:
+        raise InputError(f"{path} must have 2 entries, got {len(value)}")
+    return tuple(read(x, _at(path, i)) for i, x in enumerate(value))
+
+
+def _complex(value, path: str) -> tuple:
+    """A complex number as its [re, im] pair of rationals."""
+    return _pair(value, path, _frac)
+
+
 def polytope_to_json(p: SimplePolytope) -> dict:
     return {
         "dim": p.dim,
@@ -117,8 +136,18 @@ def divisor_from_json(p: SimplePolytope, data: dict, path: str = "") -> Divisor:
     coeffs = _field(_check(data, dict, path), "coeffs", path, dict)
     at = _at(path, "coeffs")
     return Divisor.from_map(
-        p, {int(k): _frac(v, _at(at, k)) for k, v in coeffs.items()}
+        p, {_facet_id(k, _at(at, k)): _frac(v, _at(at, k)) for k, v in coeffs.items()}
     )
+
+
+def _facet_id(key: str, path: str) -> int:
+    """A facet id from an object key, which must be its decimal string."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise InputError(f"{path}: a facet id is a decimal integer, got {key!r}")
+    try:
+        return int(key)
+    except ValueError as exc:  # more digits than Python reads by default
+        raise InputError(f"{path}: {exc}") from None
 
 
 def presentation_to_json(pres: RingPresentation) -> dict:
@@ -174,8 +203,12 @@ def point_cover_from_json(data: dict):
     sample = []
     for i, pt in enumerate(_field(data, "sample", kind=list)):
         at = _at("sample", i)
-        sample.append(tuple(_frac(x, _at(at, j)) for j, x in enumerate(_check(pt, list, at))))
+        point = tuple(_frac(x, _at(at, j)) for j, x in enumerate(_check(pt, list, at)))
+        if len(point) != p.dim:
+            raise InputError(f"{at} has {len(point)} coordinates, the polytope has {p.dim}")
+        sample.append(point)
     sample = tuple(sample)
+    _check_inside(p, sample)
     sets = {}
     for name, idxs in _field(data, "sets", kind=dict).items():
         at = _at("sets", name)
@@ -185,6 +218,30 @@ def point_cover_from_json(data: dict):
         sets[name] = frozenset(sample[i] for i in idxs)
     eps = _frac(data["eps"], "eps") if "eps" in data else None
     return p, PointCloudCover(sample, sets), eps
+
+
+def _check_inside(p: SimplePolytope, sample) -> None:
+    """Every sample point lies in P, tested in integers: with the points'
+    numerators a over their common denominator L and c_F = N_F / D_F,
+    <u_F, a> / L + c_F >= 0 becomes <u_F, a> D_F >= -N_F L."""
+    den = math.lcm(*(x.denominator for pt in sample for x in pt))
+    ints = [[x.numerator * (den // x.denominator) for x in pt] for pt in sample]
+    for u, c in zip(p.normals, p.offsets):
+        bound = -c.numerator * den
+        for i, a in enumerate(ints):
+            if sum(map(mul, u, a)) * c.denominator < bound:
+                raise InputError(f"{_at('sample', i)} lies outside the polytope")
+
+
+def moment_input_from_json(data: dict, kind: str) -> list:
+    """The `input` of a moment-map payload: rationals for real_sphere,
+    [re, im] pairs for cpn, pairs of those for product_cp1."""
+    read = {
+        "real_sphere": _frac,
+        "cpn": _complex,
+        "product_cp1": lambda z, path: _pair(z, path, _complex),
+    }[kind]
+    return [read(x, _at("input", i)) for i, x in enumerate(_field(data, "input", kind=list))]
 
 
 def to_jsonable(obj):

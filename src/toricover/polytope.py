@@ -23,19 +23,27 @@ from fractions import Fraction
 from . import linalg
 
 
-class NotSimpleError(Exception):
+class InputError(ValueError):
+    """A value the caller passed in is rejected; the message names it.
+
+    Raised where the bad value is found, so that any other exception is a bug
+    of the library.  The subclasses name particular refusals.
+    """
+
+
+class NotSimpleError(InputError):
     """Some vertex lies on more than dim-many facets."""
 
 
-class UnboundedError(Exception):
+class UnboundedError(InputError):
     """The facet normals do not positively span the ambient space."""
 
 
-class EmptyPolytopeError(Exception):
+class EmptyPolytopeError(InputError):
     """The half-space system has no feasible point."""
 
 
-class BudgetExhaustedError(Exception):
+class BudgetExhaustedError(InputError):
     """perturb() ran out of retries without finding a good perturbation."""
 
 
@@ -167,16 +175,18 @@ def from_halfspaces(normals, offsets) -> SimplePolytope:
     the round trip between the H-representation and the vertex set.
     """
     if len(normals) != len(offsets):
-        raise ValueError("normals and offsets must have the same length")
+        raise InputError("normals and offsets must have the same length")
     if not normals:
-        raise ValueError("at least one half-space is required")
+        raise InputError("at least one half-space is required")
     n = len(normals[0])
     if n < 1:
-        raise ValueError("ambient dimension must be >= 1")
+        raise InputError("ambient dimension must be >= 1")
     if any(len(u) != n for u in normals):
-        raise ValueError("all normals must have the same length")
+        raise InputError("all normals must have the same length")
     if len(normals) < n + 1:
         raise UnboundedError("fewer than n+1 facets cannot bound a polytope")
+    if not all(any(u) for u in normals):
+        raise InputError("zero vector has no primitive form")
 
     prim = [_primitivize(u, c) for u, c in zip(normals, offsets)]
     unormals = tuple(p[0] for p in prim)
@@ -194,7 +204,7 @@ def from_halfspaces(normals, offsets) -> SimplePolytope:
         covered |= v.facets
     missing = [i for i in range(len(unormals)) if i not in covered]
     if missing:
-        raise ValueError(
+        raise InputError(
             f"half-spaces {missing} carry no vertex; inputs must all be facets"
         )
     return SimplePolytope(n, unormals, uoffsets, tuple(vertices))
@@ -210,7 +220,7 @@ def construct_standard(kind: str, n: int) -> SimplePolytope:
                1 - sum(x) >= 0.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if kind == "cube":
         normals = []
         offsets = []
@@ -227,13 +237,13 @@ def construct_standard(kind: str, n: int) -> SimplePolytope:
         normals.append(tuple(-1 for _ in range(n)))
         offsets.append(Fraction(1))
         return from_halfspaces(normals, offsets)
-    raise ValueError(f"unknown standard polytope kind: {kind!r}")
+    raise InputError(f"unknown standard polytope kind: {kind!r}")
 
 
 def cube_facet_id(axis: int, sign: str) -> int:
     """Facet id of the cube facet on `axis` (0-based): '-' lower, '+' upper."""
     if sign not in ("-", "+"):
-        raise ValueError("sign must be '-' or '+'")
+        raise InputError("sign must be '-' or '+'")
     return 2 * axis + (0 if sign == "-" else 1)
 
 
@@ -266,7 +276,7 @@ def faces(p: SimplePolytope, k: int):
     dimension exactly n - |S|.
     """
     if not 0 <= k <= p.dim:
-        raise ValueError(f"face dimension {k} out of range 0..{p.dim}")
+        raise InputError(f"face dimension {k} out of range 0..{p.dim}")
     size = p.dim - k
     found = set()
     for v in p.vertices:
@@ -300,7 +310,7 @@ def perturb(p: SimplePolytope, budget, *, seed: int = 0) -> SimplePolytope:
     """
     budget = Fraction(budget)
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise InputError("budget must be positive")
     if p.dim == 1:
         return p
     rng = random.Random(seed)
@@ -318,7 +328,7 @@ def perturb(p: SimplePolytope, budget, *, seed: int = 0) -> SimplePolytope:
             new_offsets.append(c * scale)
         try:
             candidate = from_halfspaces(new_normals, new_offsets)
-        except (NotSimpleError, UnboundedError, EmptyPolytopeError, ValueError):
+        except InputError:
             step = step / 2
             continue
         if candidate.incidence_pattern() == pattern and generic_normals_check(
@@ -331,7 +341,7 @@ def perturb(p: SimplePolytope, budget, *, seed: int = 0) -> SimplePolytope:
     )
 
 
-class ZeroVectorError(Exception):
+class ZeroVectorError(InputError):
     """Moment map evaluated on an all-zero input."""
 
 
@@ -375,4 +385,4 @@ def moment_map_eval(kind: str, value):
         if total == 0:
             raise ZeroVectorError("real sphere moment map needs a nonzero vector")
         return tuple(s / total for s in squares)
-    raise ValueError(f"unknown moment map kind: {kind!r}")
+    raise InputError(f"unknown moment map kind: {kind!r}")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from toricover import (
     Divisor,
+    InputError,
     IntersectionQuery,
     ample_from_offsets,
     avoidance_certificate,
@@ -355,6 +356,11 @@ class TestAvoidanceCertificates:
     def test_empty_touched_returns_h(self, q2):
         h = ample_from_offsets(q2)
         assert avoidance_certificate(q2, h, []) == h
+
+    @pytest.mark.parametrize("touched", [[-1], [4], [0, 99]])
+    def test_facet_ids_out_of_range(self, q2, touched):
+        with pytest.raises(InputError, match="not in 0..3"):
+            avoidance_certificate(q2, ample_from_offsets(q2), touched)
 
     def test_generic_subsets_have_certificates(self, q3):
         p = perturb(q3, Fraction(1, 100), seed=9)

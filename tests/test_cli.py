@@ -1,11 +1,17 @@
+import contextlib
 import io
 import json
+import pathlib
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from toricover import cli, construct_standard, harness, jsonio, perturb
+from toricover import acceptance, chow, cli, construct_standard, harness, jsonio, perturb
+
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
 
 def run(capsys, *argv):
@@ -493,3 +499,308 @@ class TestInnerFieldTypes:
         code, out, err = run(capsys, "intersect", "--input", json.dumps(payload))
         assert code == 4
         assert err.startswith("input error: divisors[1].coeffs.2: ")
+
+
+def schema(name):
+    return json.loads((SCHEMAS / name).read_text())
+
+
+def expect_field_error(capsys, argv, field):
+    """Exit 4, nothing on stdout, one stderr line that names the field."""
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+    assert field in lines[0]
+    return lines[0]
+
+
+class TestMomentFields:
+    """moment reads `input` through the path-naming checks of jsonio."""
+
+    def test_zero_denominator(self, capsys):
+        line = expect_field_error(
+            capsys, ["moment", "--kind", "real_sphere", "--input", '{"input": ["1/0", "1"]}'],
+            "input[0]",
+        )
+        assert line == "input error: input[0]: Fraction(1, 0)"
+
+    def test_short_pair(self, capsys):
+        line = expect_field_error(
+            capsys, ["moment", "--kind", "cpn", "--input", '{"input": [["1"]]}'], "input[0]"
+        )
+        assert line == "input error: input[0] must have 2 entries, got 1"
+
+    def test_not_an_array(self, capsys):
+        line = expect_field_error(
+            capsys, ["moment", "--kind", "cpn", "--input", '{"input": 5}'], "input"
+        )
+        assert line == "input error: input must be an array, got number"
+
+    def test_string_is_not_an_array(self, capsys):
+        expect_field_error(
+            capsys, ["moment", "--kind", "real_sphere", "--input", '{"input": "1"}'], "input"
+        )
+
+    def test_product_entry(self, capsys):
+        line = expect_field_error(
+            capsys,
+            ["moment", "--kind", "product_cp1", "--input", '{"input": [[["1", "0"], ["0", "1/0"]]]}'],
+            "input[0][1][1]",
+        )
+        assert line == "input error: input[0][1][1]: Fraction(1, 0)"
+
+    def test_product_cp1(self, capsys):
+        code, out, err = run(
+            capsys, "moment", "--kind", "product_cp1",
+            "--input", '{"input": [[["1", "0"], ["1", "0"]], [["1", "0"], ["0", "0"]]]}',
+        )
+        assert code == 0
+        assert out == {"point": ["1/2", "0"]}
+
+
+class TestEpsOption:
+    @pytest.mark.parametrize("eps", ["1/0", "x"])
+    def test_bad_eps_names_the_option(self, capsys, eps):
+        expect_field_error(
+            capsys,
+            ["verify", "--theorem", "kkm-lebesgue", f"--eps={eps}",
+             "--input", str(SCHEMAS / "verify-kkm-lebesgue.json")],
+            "--eps: ",
+        )
+
+    def test_good_eps(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--theorem", "kkm-lebesgue", "--eps", "1/4",
+            "--input", str(SCHEMAS / "verify-kkm-lebesgue.json"),
+        )
+        assert code == 0
+        assert out["payload"]["eps"] == "1/4"
+
+
+class TestDivisorKeys:
+    """Facet-id keys are canonical decimal strings: int() would read "1_0"
+    as facet 10 and " 1" as facet 1."""
+
+    @pytest.mark.parametrize("key", ["1_0", " 1", "x", "01", "+1", "-0", ""])
+    def test_non_canonical_key(self, capsys, key):
+        payload = with_field(schema("principal.json"), ["divisor", "coeffs"], {key: "1"})
+        line = expect_field_error(
+            capsys, ["principal", "--input", json.dumps(payload)], f"divisor.coeffs.{key}:"
+        )
+        assert line.endswith(f"a facet id is a decimal integer, got {key!r}")
+
+    def test_out_of_range_keys_keep_their_message(self, capsys):
+        for key in ("-1", "4"):
+            payload = with_field(schema("principal.json"), ["divisor", "coeffs"], {key: "1"})
+            code, out, err = run(capsys, "principal", "--input", json.dumps(payload))
+            assert code == 4
+            assert err.strip() == f"input error: facet id {key} not in 0..3"
+
+    def test_canonical_keys(self, capsys):
+        payload = with_field(schema("principal.json"), ["divisor", "coeffs"],
+                             {"0": "-1", "1": "1", "2": "0"})
+        code, out, err = run(capsys, "principal", "--input", json.dumps(payload))
+        assert code == 0
+        assert out == {"principal": True, "vector": ["-1", "0"]}
+
+
+class TestBoundaryValueErrors:
+    """Python refuses some values at the JSON boundary with a plain
+    ValueError; the boundary turns those into input errors itself."""
+
+    def test_integer_past_the_digit_limit(self, capsys):
+        segment = '{"dim": 1, "facets": [{"normal": [' + "1" * 5000 + '], "offset": "0"}]}'
+        code, out, err = run(capsys, "ring", "--input", segment)
+        assert code == 4
+        assert err.startswith("input error: Exceeds the limit (4300 digits)")
+
+    def test_result_past_the_digit_limit(self, capsys):
+        big = "9" * 4000
+        payload = with_field(schema("intersect.json"), ["divisors"],
+                             [{"coeffs": {"0": big}}, {"coeffs": {"2": big}}])
+        code, out, err = run(capsys, "intersect", "--input", json.dumps(payload))
+        assert code == 4
+        assert out is None
+        assert err.startswith("input error: Exceeds the limit (4300 digits)")
+
+    def test_facet_id_past_the_digit_limit(self, capsys):
+        key = "1" + "0" * 5000
+        payload = with_field(schema("principal.json"), ["divisor", "coeffs"], {key: "1"})
+        expect_field_error(capsys, ["principal", "--input", json.dumps(payload)],
+                           f"divisor.coeffs.{key}: Exceeds the limit")
+
+    def test_bad_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        code, out, err = run(capsys, "ring", "--input", str(path))
+        assert code == 4
+        assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+
+
+class TestAvoidFacetIds:
+    @pytest.mark.parametrize("touched, bad", [([-1], -1), ([99], 99), ([1, 4], 4)])
+    def test_out_of_range(self, capsys, touched, bad):
+        payload = with_field(schema("avoid.json"), ["touched"], touched)
+        line = expect_field_error(capsys, ["avoid", "--input", json.dumps(payload)], "touched")
+        assert line == f"input error: touched facet id {bad} not in 0..3"
+
+
+class TestSamplePoints:
+    """kkm-lebesgue sample points have dim coordinates and lie in the
+    polytope; facet contact zips a point with each normal and would cut a
+    short or long point silently."""
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            (["0"], "sample[0] has 1 coordinates, the polytope has 2"),
+            (["0", "0", "0"], "sample[0] has 3 coordinates, the polytope has 2"),
+            (["100", "100"], "sample[0] lies outside the polytope"),
+        ],
+    )
+    def test_bad_point(self, capsys, point, message):
+        payload = with_field(schema("verify-kkm-lebesgue.json"), ["sample", 0], point)
+        line = expect_field_error(
+            capsys, ["verify", "--theorem", "kkm-lebesgue", "--input", json.dumps(payload)],
+            "sample[0]",
+        )
+        assert line == f"input error: {message}"
+
+    def test_boundary_point_is_inside(self, capsys):
+        data = kkm_lebesgue_payload()
+        p = jsonio.polytope_from_json(data["polytope"])
+        data["sample"][0] = [jsonio.frac_to_str(x) for x in p.vertices[0].coords]
+        code, out, err = run(capsys, "verify", "--theorem", "kkm-lebesgue",
+                             "--input", json.dumps(data))
+        assert code != 4, err
+        assert out is not None
+
+
+# Arbitrary JSON values.  Integers stay small: a large model.r or --n is
+# legitimate input whose lattice (r+1)^n the CLI enumerates.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
+    | st.sampled_from(["1/0", "-1/2", "7", " 1", "1_0", "cube", "simplex"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=5,
+)
+
+PAYLOAD_COMMANDS = [
+    (["ring"], "ring.json"),
+    (["intersect"], "intersect.json"),
+    (["principal"], "principal.json"),
+    (["avoid"], "avoid.json"),
+    (["verify", "--theorem", "lebesgue"], "verify.json"),
+    (["verify", "--theorem", "kkm", "--k", "1"], "verify.json"),
+    (["verify", "--theorem", "complement", "--k", "1"], "verify.json"),
+    (["verify", "--theorem", "axes"], "verify.json"),
+    (["verify", "--theorem", "kkm-lebesgue"], "verify-kkm-lebesgue.json"),
+    (["color"], "color.json"),
+    (["moment", "--kind", "cpn"], "moment.json"),
+    (["moment", "--kind", "product_cp1"], "moment.json"),
+    (["moment", "--kind", "real_sphere"], "moment.json"),
+]
+
+OPTION_COMMANDS = [
+    (["verify", "--theorem", "kkm", "--input", str(SCHEMAS / "verify.json")], {"--k": "1"}),
+    (["verify", "--theorem", "complement", "--input", str(SCHEMAS / "verify.json")], {"--k": "1"}),
+    (["verify", "--theorem", "kkm-lebesgue", "--input", str(SCHEMAS / "verify-kkm-lebesgue.json")],
+     {"--eps": "1/4"}),
+] + [
+    (["generate", "--pattern", pattern], {"--n": "2", "--r": "8", "--m": "2"})
+    for pattern in ("bricks", "kkm", "random")
+]
+
+
+def member_paths(value, path=()):
+    """The path of value itself and of every member below it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, member in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from member_paths(member, path + (key,))
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of cli.main; an exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the option value
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def small_or_not_an_integer(text):
+    try:
+        return abs(int(text)) <= 5
+    except ValueError:
+        return True
+
+
+def check_outcome(argv):
+    code, out, err = outcome(argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code == 4:
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+
+
+class TestFuzz:
+    """Any one field or option replaced by an arbitrary JSON value ends in
+    exit 0, 2, 3 or 4, never in a traceback."""
+
+    @pytest.mark.parametrize("argv, name", PAYLOAD_COMMANDS,
+                             ids=lambda x: "-".join(a.lstrip("-") for a in x)
+                             if isinstance(x, list) else x)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_payload_field(self, argv, name, data):
+        payload = schema(name)
+        path = data.draw(st.sampled_from(list(member_paths(payload))), label="path")
+        value = data.draw(JSON_VALUES, label="value")
+        payload = with_field(payload, path, value) if path else value
+        check_outcome(argv + ["--input", json.dumps(payload)])
+
+    @pytest.mark.parametrize("argv, options", OPTION_COMMANDS,
+                             ids=lambda x: "-".join(a.lstrip("-") for a in x[:3])
+                             if isinstance(x, list) else "")
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_option(self, argv, options, data):
+        option = data.draw(st.sampled_from(sorted(options)), label="option")
+        value = data.draw(JSON_VALUES, label="value")
+        text = value if isinstance(value, str) else json.dumps(value)
+        # argparse reads strings such as "1_0" as integers too; keep generate
+        # sizes as small as the integers of JSON_VALUES
+        assume(argv[0] != "generate" or small_or_not_an_integer(text))
+        options = {**options, option: text}
+        check_outcome(argv + [f"{k}={v}" for k, v in options.items()])
+
+
+class TestLibraryBugsPropagate:
+    """Only InputError means bad input; any other exception from inside the
+    library leaves cli.main as it is, never as `input error`."""
+
+    @pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError])
+    def test_selftest_criterion(self, capsys, monkeypatch, exc):
+        def broken():
+            raise exc("missing")
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", (broken,))
+        with pytest.raises(exc, match="missing"):
+            cli.main(["selftest"])
+        assert "input error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError])
+    def test_presentation(self, capsys, monkeypatch, exc):
+        def broken(p):
+            raise exc("missing")
+
+        monkeypatch.setattr(chow, "presentation", broken)
+        with pytest.raises(exc, match="missing"):
+            cli.main(["ring", "--input", CUBE2])
+        assert "input error" not in capsys.readouterr().err

@@ -6,18 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricover
 from toricover import (
+    BadResolutionError,
+    BadSampleError,
+    BudgetExhaustedError,
     EmptyPolytopeError,
+    InputError,
     NotSimpleError,
     UnboundedError,
+    WrongArityError,
     ZeroVectorError,
+    cli,
     construct_standard,
     cube_facet_id,
     faces,
     from_halfspaces,
     generic_normals_check,
     moment_map_eval,
+    jsonio,
     perturb,
+    polytope,
     product,
 )
 
@@ -87,6 +96,10 @@ class TestFromHalfspaces:
     def test_empty(self):
         with pytest.raises(EmptyPolytopeError):
             from_halfspaces([(1,), (-1,)], [-2, 1])
+
+    def test_zero_normal_rejected(self):
+        with pytest.raises(InputError, match="zero vector"):
+            from_halfspaces([(1, 0), (0, 0), (-1, -1)], [0, 0, 1])
 
     def test_redundant_halfspace_rejected(self):
         normals, offsets = cube_data(2)
@@ -308,3 +321,40 @@ class TestMomentMap:
             return
         y = moment_map_eval("cpn", z)
         assert y[j] == 0
+
+
+class TestInputError:
+    """One class marks a value the caller passed in as bad."""
+
+    def test_one_class_under_every_name(self):
+        assert jsonio.InputError is cli.InputError is toricover.InputError is InputError
+        assert issubclass(InputError, ValueError)
+
+    @pytest.mark.parametrize(
+        "cls",
+        [BadSampleError, WrongArityError, BadResolutionError, NotSimpleError,
+         UnboundedError, EmptyPolytopeError, ZeroVectorError, BudgetExhaustedError],
+    )
+    def test_named_errors_are_input_errors(self, cls):
+        assert issubclass(cls, InputError)
+
+    def test_perturb_retries_only_input_errors(self, q2, monkeypatch):
+        def broken(normals, offsets):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(polytope, "from_halfspaces", broken)
+        with pytest.raises(ValueError, match="bug"):
+            perturb(q2, Fraction(1, 100), seed=1)
+
+    def test_perturb_retries_a_rejected_tilt(self, q2, monkeypatch):
+        calls = []
+
+        def first_not_simple(normals, offsets):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NotSimpleError("tilt")
+            return from_halfspaces(normals, offsets)
+
+        monkeypatch.setattr(polytope, "from_halfspaces", first_not_simple)
+        assert generic_normals_check(perturb(q2, Fraction(1, 100), seed=1))
+        assert len(calls) >= 2
