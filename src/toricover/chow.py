@@ -317,8 +317,3 @@ def avoidance_certificate(p: SimplePolytope, h: Divisor, touched):
         return None
     return h + principal_divisor(p, v)
 
-
-def inessential_touch_set(p: SimplePolytope, h: Divisor, touched) -> bool:
-    """Sufficient certificate that a set touching exactly `touched` pulls back
-    to a subset on which the ample class vanishes."""
-    return avoidance_certificate(p, h, touched) is not None

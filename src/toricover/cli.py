@@ -58,11 +58,16 @@ def _load_json(spec: str) -> dict:
 
 
 def _emit(data: dict, summary: str, out_path=None) -> None:
+    """Write the output file first, so that a path that cannot be written is
+    an input error before anything reaches stdout."""
     text = json.dumps(data, indent=2)
-    print(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write output {out_path!r}: {exc}") from None
+    print(text)
     print(summary, file=sys.stderr)
 
 

@@ -50,19 +50,8 @@ class LatticeModel:
         if self.n < 1 or self.r < 1:
             raise InputError("need n >= 1 and r >= 1")
 
-    @property
-    def ncoords(self) -> int:
-        return self.n if self.kind == "cube" else self.n + 1
-
     def points(self):
         return _model_points(self)
-
-    def contains(self, p) -> bool:
-        if len(p) != self.ncoords:
-            return False
-        if self.kind == "cube":
-            return all(0 <= a <= self.r for a in p)
-        return all(a >= 0 for a in p) and sum(p) == self.r
 
     def neighbors(self, p):
         if self.kind == "cube":
@@ -146,8 +135,9 @@ class LatticeCover:
     def __post_init__(self):
         coerced = {name: frozenset(pts) for name, pts in self.sets.items()}
         object.__setattr__(self, "sets", coerced)
+        model_points = frozenset(self.model.points())
         for name, pts in coerced.items():
-            bad = [p for p in pts if not self.model.contains(p)]
+            bad = [p for p in pts if p not in model_points]
             if bad:
                 raise InputError(f"set {name!r} has points outside the model: {bad[:3]}")
 

@@ -1,6 +1,7 @@
 """JSON formats for every CLI surface.
 
-Rationals travel as strings "p/q" (plain integers allowed), never as floats.
+Rationals travel as JSON integers or strings "p/q" (an optional minus sign
+and ASCII digits), never as floats, decimals or exponents.
 Facet ids are the positions in the polytope's facet list; JSON object keys
 are their canonical decimal strings.  Stable facet ordering is the input
 ordering.
@@ -27,10 +28,13 @@ JSON_TYPES = {
     dict: "object", list: "array", str: "string", int: "number", float: "number",
     bool: "boolean", type(None): "null",
 }
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def frac_from_str(s) -> Fraction:
-    if isinstance(s, bool) or isinstance(s, float):
-        raise InputError(f"rationals must be strings or integers, got {s!r}")
+    """A rational from a JSON integer or a "p/q" string of ASCII digits with
+    an optional minus sign; floats, decimals and exponents are refused."""
+    if type(s) is not int and not (isinstance(s, str) and RATIONAL.fullmatch(s)):
+        raise InputError(f'rationals must be integers or "p/q" strings, got {s!r}')
     return Fraction(s)
 
 

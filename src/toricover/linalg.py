@@ -8,9 +8,9 @@ Gauss-Jordan style) then works on those integer rows: every intermediate entry
 is a minor of the scaled matrix, so each division is exact.  A Fraction is
 built only for the values a public function returns.
 
-int_row clears one row; the other int_* functions take integer rows and
-return integers, for callers that keep their own denominators (polytope
-vertex solving and sign tests).
+int_row clears one row; int_det and int_solve_unique take integer rows and
+return integers, for callers that keep their own denominators (polytope's
+vertex solving and genericity test).
 """
 
 from __future__ import annotations
@@ -94,28 +94,6 @@ def int_solve_unique(rows, rhs):
     return tuple(v // g for v in x), d // g
 
 
-def _kernel(a, n):
-    """(x, d) with x / d the kernel vector nullspace_vector returns, or None."""
-    if not a:
-        return ([1] + [0] * (n - 1), 1) if n else None
-    pivots, d, _ = _eliminate(a, n)
-    if len(pivots) == n:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    x = [0] * n
-    x[free] = d
-    for r, col in enumerate(pivots):
-        x[col] = -a[r][free]
-    return x, d
-
-
-def int_nullspace_vector(rows, n):
-    """A nonzero integer multiple of nullspace_vector(rows, n) for integer
-    rows, or None."""
-    kernel = _kernel([list(row) for row in rows], n)
-    return None if kernel is None else tuple(kernel[0])
-
-
 def _augmented(rows, rhs):
     return [int_row(list(row) + [b])[0] for row, b in zip(rows, rhs)]
 
@@ -169,15 +147,22 @@ def solve_unique(rows, rhs):
 def nullspace_vector(rows, n):
     """A nonzero rational vector orthogonal to every row, or None.
 
-    Returns a spanning vector of the kernel when the kernel is exactly one
-    dimensional (the case needed for extreme-ray enumeration); for larger
-    kernels an arbitrary nonzero kernel vector is returned.
+    The kernel vector has 1 at the first non-pivot column and 0 at every
+    other non-pivot column, so a one-dimensional kernel gets its spanning
+    vector.
     """
-    kernel = _kernel([int_row(row)[0] for row in rows], n)
-    if kernel is None:
+    if not rows:
+        return (Fraction(1),) + (Fraction(0),) * (n - 1) if n else None
+    a = [int_row(row)[0] for row in rows]
+    pivots, d, _ = _eliminate(a, n)
+    if len(pivots) == n:
         return None
-    x, d = kernel
-    return tuple(Fraction(v, d) for v in x)
+    free = next(c for c in range(n) if c not in pivots)
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        x[col] = Fraction(-a[r][free], d)
+    return tuple(x)
 
 
 def primitive_int_vector(vec):

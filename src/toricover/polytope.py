@@ -3,10 +3,11 @@
 A polytope is stored as P = {x : <normal_F, x> + offset_F >= 0} with primitive
 integer inward normals and rational offsets.  Vertices are always derived from
 the half-spaces by exhaustive n-subset solving; this is exact and fast enough
-at desk scale (n <= 4, a dozen facets).  The solving, the slack signs, the
-spanning test and the genericity test all run in integers on the cleared
-half-space data (linalg's int_* functions); Fraction is only the type of the
-stored offsets and vertex coordinates.
+at desk scale (n <= 4, a dozen facets).  Boundedness is read off that vertex
+enumeration: every edge of a bounded simple polytope has two vertices.  The
+solving, the slack signs and the genericity test all run in integers on the
+cleared half-space data (linalg's int_* functions); Fraction is only the type
+of the stored offsets and vertex coordinates.
 
 Facet ids are the integer positions 0..m-1 in the facet list; that ordering is
 the one serialized to JSON and referenced by divisor coefficient maps.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +38,10 @@ class NotSimpleError(InputError):
 
 
 class UnboundedError(InputError):
-    """The facet normals do not positively span the ambient space."""
+    """The facet normals do not positively span the ambient space.
+
+    Read off the vertex enumeration: some edge has only one vertex, or there
+    is no vertex and the normals have rank below the dimension."""
 
 
 class EmptyPolytopeError(InputError):
@@ -110,24 +115,18 @@ def _primitivize(normal, offset):
     return prim, Fraction(offset) * scale
 
 
-def _positively_spanning(normals, n) -> bool:
-    """True iff {d : <u,d> >= 0 for all u} = {0} (the recession cone is trivial).
+def _bounded(vertices) -> bool:
+    """True iff the simple polyhedron with these vertices is bounded.
 
-    The cone is pointed once the normals have full rank; a nontrivial pointed
-    cone contains an extreme ray tight on n-1 of the constraints, so checking
-    the kernel directions of all (n-1)-subsets is exhaustive.  The normals are
-    integer vectors, so the kernel directions and sign tests stay in integers.
+    An edge set is a vertex's tight set less one facet; the points tight on
+    it form an edge.  In a simple polyhedron a bounded edge has exactly two
+    vertices, its endpoints.  A pointed polyhedron that is unbounded has an
+    edge that is a ray from one vertex (the simplex method's ray
+    certificate; Avis and Fukuda 1992 walk the same graph), so some edge set
+    is tight at only one vertex.
     """
-    if linalg.rank(normals) < n:
-        return False
-    for subset in itertools.combinations(normals, n - 1):
-        d = linalg.int_nullspace_vector(subset, n)
-        if d is None:
-            continue
-        dots = [sum(a * b for a, b in zip(u, d)) for u in normals]
-        if all(s >= 0 for s in dots) or all(s <= 0 for s in dots):
-            return False
-    return True
+    edges = Counter(v.facets - {f} for v in vertices for f in v.facets)
+    return all(count == 2 for count in edges.values())
 
 
 def solve_region_vertices(normals, offsets, *, require_simple):
@@ -192,12 +191,11 @@ def from_halfspaces(normals, offsets) -> SimplePolytope:
     unormals = tuple(p[0] for p in prim)
     uoffsets = tuple(p[1] for p in prim)
 
-    if not _positively_spanning(unormals, n):
-        raise UnboundedError("facet normals do not positively span the space")
-
     vertices = solve_region_vertices(unormals, uoffsets, require_simple=True)
-    if not vertices:
+    if not vertices and linalg.rank(unormals) == n:
         raise EmptyPolytopeError("no feasible vertex: the system is empty")
+    if not vertices or not _bounded(vertices):
+        raise UnboundedError("facet normals do not positively span the space")
 
     covered = set()
     for v in vertices:

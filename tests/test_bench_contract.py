@@ -3,6 +3,8 @@ would break its traced runs, so every name it relies on is pinned here."""
 
 import importlib
 import importlib.util
+import inspect
+import math
 import os
 
 import pytest
@@ -34,3 +36,22 @@ def test_nef_lift_error_still_importable():
     from toricover import chow
 
     assert issubclass(chow.NefLiftFailedError, Exception)
+
+
+def test_vertex_enumerator_has_the_shape_the_tracer_reads():
+    """Tracer._count reads the normals of solve_region_vertices from its
+    first positional argument and the vertex count from len(result)."""
+    from toricover import construct_standard, polytope
+
+    params = inspect.signature(polytope.solve_region_vertices).parameters
+    assert next(iter(params)) == "normals"
+    q = construct_standard("cube", 2)
+    assert isinstance(polytope.solve_region_vertices(q.normals, q.offsets, require_simple=True), list)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        construct_standard("cube", 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["polytope.solve_region_vertices.subsets"] == math.comb(6, 3)
+    assert tracer.counts["polytope.solve_region_vertices.vertices"] == 8

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -468,6 +469,49 @@ class TestRationalFields:
         assert code == 4
         assert err.startswith("input error: facets[1].offset: ")
 
+    @pytest.mark.parametrize(
+        "offset",
+        ["0.5e1", "1e3", "0.5", "+1", " 1", "1 ", "1_0", "1/-2", "1/2/3", "\u0661", "", True],
+    )
+    def test_only_integers_and_p_over_q(self, capsys, offset):
+        cube = with_field(json.loads(CUBE2), ["facets", 1, "offset"], offset)
+        line = expect_field_error(capsys, ["ring", "--input", json.dumps(cube)],
+                                  "facets[1].offset: ")
+        assert line.endswith(f'rationals must be integers or "p/q" strings, got {offset!r}')
+
+    def test_huge_exponent_is_refused_at_once(self, capsys):
+        cube = with_field(json.loads(CUBE2), ["facets", 1, "offset"], "1e100000000")
+        start = time.perf_counter()
+        expect_field_error(capsys, ["ring", "--input", json.dumps(cube)], "facets[1].offset: ")
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("offset", ["-3/4", "007/2", "-0", "2"])
+    def test_p_over_q_accepted(self, capsys, offset):
+        cube = with_field(json.loads(CUBE2), ["facets", 0, "offset"], offset)
+        code, out, err = run(capsys, "ring", "--input", json.dumps(cube))
+        assert code == 0
+
+    def test_moment_entry(self, capsys):
+        expect_field_error(
+            capsys, ["moment", "--kind", "real_sphere", "--input", '{"input": ["1", "0.5"]}'],
+            "input[1]: ",
+        )
+
+
+class TestOutputPath:
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        expect_field_error(
+            capsys, ["ring", "--input", str(SCHEMAS / "ring.json"), "--output", str(target)],
+            f"cannot write output {str(target)!r}: ",
+        )
+        assert not target.exists()
+
+    def test_output_file_holds_stdout(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        assert cli.main(["ring", "--input", str(SCHEMAS / "ring.json"), "--output", str(target)]) == 0
+        assert capsys.readouterr().out == target.read_text()
+
 
 class TestInnerFieldTypes:
     """A wrong JSON type below the top level names the field's path and the
@@ -561,7 +605,7 @@ class TestMomentFields:
 
 
 class TestEpsOption:
-    @pytest.mark.parametrize("eps", ["1/0", "x"])
+    @pytest.mark.parametrize("eps", ["1/0", "x", "0.25", "1e-2"])
     def test_bad_eps_names_the_option(self, capsys, eps):
         expect_field_error(
             capsys,

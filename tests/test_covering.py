@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from toricover import (
     spans_pair,
     touches_facet,
 )
-from toricover import covering, harness
+from toricover import InputError, covering, harness
 
 
 small_coords = st.fractions(
@@ -56,6 +57,66 @@ class TestModel:
         for model in (LatticeModel("cube", 2, 3), LatticeModel("simplex", 3, 5)):
             comps = covering.connected_components(set(model.points()), model)
             assert len(comps) == 1
+
+
+def ref_contains(model, p) -> bool:
+    """Membership as the models defined it beside their point lists."""
+    ncoords = model.n if model.kind == "cube" else model.n + 1
+    if len(p) != ncoords:
+        return False
+    if model.kind == "cube":
+        return all(0 <= a <= model.r for a in p)
+    return all(a >= 0 for a in p) and sum(p) == model.r
+
+
+MODELS = [
+    LatticeModel("cube", 1, 2),
+    LatticeModel("cube", 2, 3),
+    LatticeModel("simplex", 1, 2),
+    LatticeModel("simplex", 2, 3),
+]
+
+
+class TestMembership:
+    """A cover's sets are checked against the model's point list."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_integer_points_against_reference(self, model):
+        # every integer point of length ncoords-1..ncoords+1 with coordinates
+        # in -1..r+1: wrong lengths, negative entries, entries above r, and
+        # simplex points of the wrong sum
+        ncoords = model.n + (model.kind == "simplex")
+        for length in (ncoords - 1, ncoords, ncoords + 1):
+            for p in itertools.product(range(-1, model.r + 2), repeat=length):
+                if ref_contains(model, p):
+                    LatticeCover(model, {"X": [p]})
+                else:
+                    with pytest.raises(InputError):
+                        LatticeCover(model, {"X": [p]})
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_message_lists_bad_points_in_set_order(self, model):
+        ncoords = model.n + (model.kind == "simplex")
+        pts = frozenset(model.points()[:2]) | {
+            (-1,) * ncoords, (model.r + 1,) * ncoords, (0,) * (ncoords + 1),
+            (1,) * ncoords, (0,) * (ncoords - 1),
+        }
+        bad = [p for p in pts if not ref_contains(model, p)]
+        with pytest.raises(InputError) as info:
+            LatticeCover(model, {"X": pts})
+        assert str(info.value) == f"set 'X' has points outside the model: {bad[:3]}"
+
+    @pytest.mark.parametrize(
+        "model, point",
+        [
+            (LatticeModel("cube", 2, 4), (1.5, 2)),
+            (LatticeModel("simplex", 2, 3), (0.5, 0.5, 2)),
+            (LatticeModel("cube", 2, 4), ("a", "b")),
+        ],
+    )
+    def test_non_lattice_points_rejected(self, model, point):
+        with pytest.raises(InputError, match="outside the model"):
+            LatticeCover(model, {"X": [point]})
 
 
 class TestMultiplicity:

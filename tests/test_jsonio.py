@@ -5,6 +5,7 @@ import pytest
 
 from toricover import (
     Divisor,
+    InputError,
     LatticeCover,
     LatticeModel,
     construct_standard,
@@ -72,6 +73,11 @@ class TestRationals:
     def test_floats_rejected(self):
         with pytest.raises(ValueError):
             jsonio.frac_from_str(0.5)
+
+    @pytest.mark.parametrize("value", [None, [1], Fraction(1, 2)])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(InputError, match="rationals must be integers"):
+            jsonio.frac_from_str(value)
 
     def test_report_payload_jsonable(self):
         cover = harness.shifted_brick_cover(1, 4)

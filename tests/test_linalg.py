@@ -251,21 +251,6 @@ class TestIntegerEntryPoints:
         assert d > 0 and math.gcd(d, *x) == 1
         assert tuple(Fraction(v, d) for v in x) == want
 
-    @settings(max_examples=150, deadline=None)
-    @given(matrices(entry=ints))
-    def test_int_nullspace_vector(self, rows):
-        n = len(rows[0])
-        got = linalg.int_nullspace_vector(rows, n)
-        want = ref_nullspace_vector(rows, n)
-        if want is None:
-            assert got is None
-            return
-        assert all(type(v) is int for v in got)
-        free = next(i for i, w in enumerate(want) if w)
-        scale = Fraction(got[free]) / want[free]
-        assert scale != 0
-        assert tuple(scale * w for w in want) == got
-
 
 # ------------------------------------------------------ polytope routes
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -25,6 +27,7 @@ from toricover import (
     generic_normals_check,
     moment_map_eval,
     jsonio,
+    linalg,
     perturb,
     polytope,
     product,
@@ -97,6 +100,32 @@ class TestFromHalfspaces:
         with pytest.raises(EmptyPolytopeError):
             from_halfspaces([(1,), (-1,)], [-2, 1])
 
+    def test_strip_without_vertex_is_unbounded(self):
+        # 0 <= x <= 1 in the plane: no vertex, normals of rank 1
+        with pytest.raises(UnboundedError):
+            from_halfspaces([(1, 0), (-1, 0), (1, 0)], [0, 1, 2])
+
+    def test_unbounded_and_empty_reports_empty(self):
+        # {x >= 0, y >= 0, -x - 1 >= 0}: no vertex, normals of full rank
+        with pytest.raises(EmptyPolytopeError):
+            from_halfspaces([(1, 0), (0, 1), (-1, 0)], [0, 0, -1])
+
+    def test_unbounded_and_not_simple_reports_not_simple(self):
+        # {x >= 0, y >= 0, x + y >= 0}: the one vertex lies on all three
+        with pytest.raises(NotSimpleError):
+            from_halfspaces([(1, 0), (0, 1), (1, 1)], [0, 0, 0])
+
+    def test_rank_only_without_vertices(self, monkeypatch):
+        def no_rank(rows):
+            raise AssertionError("rank called")
+
+        monkeypatch.setattr(linalg, "rank", no_rank)
+        construct_standard("cube", 3)
+        with pytest.raises(UnboundedError):
+            from_halfspaces([(1, 0), (0, 1), (1, 1)], [0, 0, 1])
+        with pytest.raises(AssertionError, match="rank called"):
+            from_halfspaces([(1,), (-1,)], [-2, 1])
+
     def test_zero_normal_rejected(self):
         with pytest.raises(InputError, match="zero vector"):
             from_halfspaces([(1, 0), (0, 0), (-1, -1)], [0, 0, 1])
@@ -157,6 +186,60 @@ class TestFromHalfspaces:
                 )
                 recovered.add((prim, -offset * scale))
         assert recovered == set(zip(p.normals, p.offsets))
+
+
+def ref_positively_spanning(normals, n):
+    """True iff {d : <u,d> >= 0 for all u} = {0}, by the scan from_halfspaces
+    ran before it read boundedness off the vertices.
+
+    The cone is pointed once the normals have full rank; a nontrivial pointed
+    cone contains an extreme ray tight on n-1 of the constraints, so checking
+    the kernel directions of all (n-1)-subsets is exhaustive.
+    """
+    if linalg.rank(normals) < n:
+        return False
+    for subset in itertools.combinations(normals, n - 1):
+        d = linalg.nullspace_vector(subset, n)
+        if d is None:
+            continue
+        dots = [linalg.dot(u, d) for u in normals]
+        if all(s >= 0 for s in dots) or all(s <= 0 for s in dots):
+            return False
+    return True
+
+
+def random_system(rng, n):
+    """n+1..n+4 half-spaces with nonzero normals and offsets in -2..2."""
+    m = rng.randint(n + 1, n + 4)
+    normals = []
+    while len(normals) < m:
+        u = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(u):
+            normals.append(u)
+    return normals, [rng.randint(-2, 2) for _ in range(m)]
+
+
+class TestBoundednessAgainstSpanning:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_seeded_systems(self, n):
+        rng = random.Random(n)
+        outcomes = Counter()
+        for _ in range(300):
+            normals, offsets = random_system(rng, n)
+            spanning = ref_positively_spanning(normals, n)
+            try:
+                from_halfspaces(normals, offsets)
+                outcome = None
+            except InputError as exc:
+                outcome = type(exc)
+            outcomes[spanning, outcome] += 1
+            if outcome is None or outcome is UnboundedError:
+                assert spanning == (outcome is None), (normals, offsets)
+            elif not spanning:
+                assert outcome in (EmptyPolytopeError, NotSimpleError), (normals, offsets)
+        # the seeds reach acceptance and both ways of failing the reference
+        assert outcomes[True, None] and outcomes[False, UnboundedError]
+        assert outcomes[False, NotSimpleError]
 
 
 class TestConstructStandard:
