@@ -9,8 +9,10 @@ adjacency come from one flood fill.  Verifiers search for the witness a
 covering theorem promises and report a counterexample candidate verbatim when
 none exists; they never assert the continuous statement.
 
-Cube facets are (axis, value) pairs with value 0 or r; simplex facets are the
-coordinate indices 0..n (facet j is {a_j = 0}).
+A facet is a coordinate equation (coordinate, value): the cube has (axis, 0)
+and (axis, r) for each axis, the simplex (j, 0) for each coordinate j.  A face
+is the tuple of the facets that cut it out, as in polytope.faces.  A model
+holds at most MAX_MODEL_POINTS points.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ WITNESS_FOUND = "witness_found"
 HYPOTHESIS_VIOLATED = "hypothesis_violated"
 COUNTEREXAMPLE_CANDIDATE = "counterexample_candidate"
 
+MAX_MODEL_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class LatticeModel:
@@ -49,6 +53,18 @@ class LatticeModel:
             raise InputError(f"unknown lattice model kind: {self.kind!r}")
         if self.n < 1 or self.r < 1:
             raise InputError("need n >= 1 and r >= 1")
+        # (r+1)^n or C(n+r, n) as a running product, stopped once past the
+        # cap; the binomial runs over the smaller of n and r
+        if self.kind == "cube":
+            factors = ((self.r + 1, 1) for _ in range(self.n))
+        else:
+            lo, hi = sorted((self.n, self.r))
+            factors = ((hi + i, i) for i in range(1, lo + 1))
+        count = 1
+        for num, den in factors:
+            count = count * num // den
+            if count > MAX_MODEL_POINTS:
+                raise InputError(f"{self} has more than {MAX_MODEL_POINTS} points")
 
     def points(self):
         return _model_points(self)
@@ -72,42 +88,29 @@ class LatticeModel:
                         yield tuple(q)
 
     def facets(self):
+        """The facet equations (coordinate, value): (axis, 0) and (axis, r)
+        for each cube axis, (j, 0) for each simplex coordinate."""
         if self.kind == "cube":
             return [(axis, val) for axis in range(self.n) for val in (0, self.r)]
-        return list(range(self.n + 1))
-
-    def facet_contains(self, facet, p) -> bool:
-        if self.kind == "cube":
-            axis, val = facet
-            return p[axis] == val
-        return p[facet] == 0
+        return [(j, 0) for j in range(self.n + 1)]
 
     def k_faces(self, k: int):
-        """Descriptors of k-faces.
-
-        Simplex: the (k+1)-subsets K of coordinates; the face holds the points
-        supported inside K.  Cube: pairs (I, fixed) where I is the k-set of
-        free axes and fixed assigns 0 or r to every other axis.
-        """
+        """The k-faces, each the tuple of the n-k facets that cut it out: the
+        (n-k)-subsets of facets() whose equations sit on distinct
+        coordinates, enumerated as n-k coordinates and one equation on each."""
         if not 0 <= k <= self.n:
             raise InputError(f"face dimension {k} out of range 0..{self.n}")
-        if self.kind == "simplex":
-            return [
-                frozenset(c)
-                for c in itertools.combinations(range(self.n + 1), k + 1)
-            ]
-        faces = []
-        for free in itertools.combinations(range(self.n), k):
-            rest = [a for a in range(self.n) if a not in free]
-            for vals in itertools.product((0, self.r), repeat=len(rest)):
-                faces.append((frozenset(free), tuple(zip(rest, vals))))
-        return faces
+        by_coord = [
+            list(eqs) for _, eqs in itertools.groupby(self.facets(), key=lambda f: f[0])
+        ]
+        return [
+            face
+            for chosen in itertools.combinations(by_coord, self.n - k)
+            for face in itertools.product(*chosen)
+        ]
 
     def face_contains(self, face, p) -> bool:
-        if self.kind == "simplex":
-            return all(p[i] == 0 for i in range(self.n + 1) if i not in face)
-        _, fixed = face
-        return all(p[axis] == val for axis, val in fixed)
+        return all(p[c] == v for c, v in face)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +178,8 @@ def multiplicity(cover: LatticeCover) -> int:
 
 
 def touches_facet(cover: LatticeCover, set_id, facet) -> bool:
-    return any(cover.model.facet_contains(facet, p) for p in cover.sets[set_id])
+    coord, value = facet
+    return any(p[coord] == value for p in cover.sets[set_id])
 
 
 def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
@@ -231,7 +235,6 @@ def palais_coloring(cover: LatticeCover):
     refinement drops empty pieces, keeps every piece inside each of its
     covering sets, and preserves the union of the cover.
     """
-    k = multiplicity(cover)
     membership = {}
     for name, pts in cover.sets.items():
         for p in pts:
@@ -239,14 +242,14 @@ def palais_coloring(cover: LatticeCover):
     pieces = {}
     for p, names in membership.items():
         pieces.setdefault(tuple(sorted(names)), set()).add(p)
-    classes = [[] for _ in range(k)]
+    classes = [[] for _ in range(max(map(len, pieces), default=0))]
     for names, pts in sorted(pieces.items()):
         classes[len(names) - 1].append(RefinementPiece(names, frozenset(pts)))
     return classes
 
 
-def _not_a_cover_report(cover: LatticeCover):
-    missing = sorted(complement_points(cover))
+def _not_a_cover_report(missing):
+    missing = sorted(missing)
     return WitnessReport(
         HYPOTHESIS_VIOLATED,
         {
@@ -267,8 +270,9 @@ def lebesgue_witness(cover: LatticeCover) -> WitnessReport:
     model = cover.model
     if model.kind != "cube":
         raise InputError("lebesgue_witness runs on the cube model")
-    if complement_points(cover):
-        return _not_a_cover_report(cover)
+    missing = complement_points(cover)
+    if missing:
+        return _not_a_cover_report(missing)
     mult = multiplicity(cover)
     if mult > model.n:
         return WitnessReport(
@@ -294,9 +298,7 @@ def kkm_witness(cover: LatticeCover, k: int) -> WitnessReport:
     if not 0 <= k <= model.n:
         raise InputError(f"k must be in 0..{model.n}")
     for name in cover.sets:
-        if cover.sets[name] and all(
-            touches_facet(cover, name, f) for f in model.facets()
-        ):
+        if all(touches_facet(cover, name, f) for f in model.facets()):
             return WitnessReport(
                 HYPOTHESIS_VIOLATED,
                 {"reason": "set_touches_every_facet", "set": name},
@@ -343,10 +345,9 @@ def complement_witness(cover: LatticeCover, k: int) -> WitnessReport:
             {"reason": "multiplicity_exceeds_k", "multiplicity": mult, "k": k},
         )
     components = complement_components(cover)
+    all_faces = model.k_faces(k)
     for free in itertools.combinations(range(model.n), k):
-        faces = [
-            face for face in model.k_faces(k) if face[0] == frozenset(free)
-        ]
+        faces = [face for face in all_faces if all(c not in free for c, _ in face)]
         for comp in components:
             if all(any(model.face_contains(face, p) for p in comp) for face in faces):
                 return WitnessReport(
@@ -370,8 +371,9 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
     names = cover.names()
     if len(names) != model.n:
         raise WrongArityError(f"need exactly {model.n} sets, got {len(names)}")
-    if complement_points(cover):
-        return _not_a_cover_report(cover)
+    missing = complement_points(cover)
+    if missing:
+        return _not_a_cover_report(missing)
     for axis, name in enumerate(names):
         for comp in set_components(cover, name):
             touches_low = any(p[axis] == 0 for p in comp)

@@ -291,6 +291,25 @@ class TestGenerate:
         assert code == 0
         assert len(out["sets"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--pattern", "random", "--n", "10", "--r", "8"],
+        ["generate", "--pattern", "random", "--n", "1_0", "--r", "8"],
+        ["generate", "--pattern", "bricks", "--n", "1000000000", "--r", "2000000000"],
+        ["generate", "--pattern", "kkm", "--n", "3", "--r", "1000"],
+        ["verify", "--theorem", "lebesgue", "--input",
+         json.dumps({"model": {"kind": "cube", "n": 2, "r": 10**9}, "sets": {}})],
+        ["color", "--input",
+         json.dumps({"model": {"kind": "simplex", "n": 2, "r": 10**9}, "sets": {}})],
+    ])
+    def test_oversized_model_exits_four_at_once(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 4
+        assert out is None
+        assert err.startswith("input error: LatticeModel(")
+        assert err.strip().endswith("has more than 1000000 points")
+
     def test_bad_resolution_exit_four(self, capsys):
         code, out, err = run(
             capsys, "generate", "--pattern", "bricks", "--n", "2", "--r", "7"

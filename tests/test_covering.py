@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,83 @@ class TestModel:
         for model in (LatticeModel("cube", 2, 3), LatticeModel("simplex", 3, 5)):
             comps = covering.connected_components(set(model.points()), model)
             assert len(comps) == 1
+
+
+class TestModelSizeCap:
+    """A model holds at most MAX_MODEL_POINTS points; the count is a running
+    product, so a refused size is never enumerated or built as an integer."""
+
+    @pytest.mark.parametrize("kind, n, r", [
+        ("cube", 3, 99), ("cube", 19, 1), ("simplex", 3, 179), ("simplex", 1, 999_999),
+    ])
+    def test_largest_models_accepted(self, kind, n, r):
+        assert covering.MAX_MODEL_POINTS == 10**6
+        LatticeModel(kind, n, r)
+
+    @pytest.mark.parametrize("kind, n, r", [
+        ("cube", 3, 100), ("cube", 20, 1), ("cube", 10**9, 10**9),
+        ("simplex", 3, 180), ("simplex", 1, 10**6), ("simplex", 10**9, 1),
+        ("simplex", 1, 10**9),
+    ])
+    def test_larger_models_refused(self, kind, n, r):
+        with pytest.raises(InputError, match="has more than 1000000 points"):
+            LatticeModel(kind, n, r)
+
+
+def ref_k_faces(model, k):
+    """The earlier face descriptors: simplex faces as the coordinate sets
+    that support them, cube faces as (free axes, fixed (axis, value) pairs)."""
+    if model.kind == "simplex":
+        return [frozenset(c) for c in itertools.combinations(range(model.n + 1), k + 1)]
+    faces = []
+    for free in itertools.combinations(range(model.n), k):
+        rest = [a for a in range(model.n) if a not in free]
+        for vals in itertools.product((0, model.r), repeat=len(rest)):
+            faces.append((frozenset(free), tuple(zip(rest, vals))))
+    return faces
+
+
+def ref_face_contains(model, face, p) -> bool:
+    if model.kind == "simplex":
+        return all(p[i] == 0 for i in range(model.n + 1) if i not in face)
+    _, fixed = face
+    return all(p[axis] == val for axis, val in fixed)
+
+
+class TestFacesAgainstReference:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["cube", "simplex"])
+    def test_same_point_sets(self, kind, n, r):
+        model = LatticeModel(kind, n, r)
+        points = model.points()
+
+        def cut(faces, contains):
+            return Counter(frozenset(p for p in points if contains(f, p)) for f in faces)
+
+        for k in range(n + 1):
+            faces = model.k_faces(k)
+            ref = ref_k_faces(model, k)
+            assert cut(faces, model.face_contains) == cut(
+                ref, lambda f, p: ref_face_contains(model, f, p)
+            )
+            if kind == "cube":
+                assert len(faces) == math.comb(n, k) * 2 ** (n - k)
+                for free in itertools.combinations(range(n), k):
+                    parallel = [f for f in faces if all(c not in free for c, _ in f)]
+                    ref_parallel = [f for f in ref if f[0] == frozenset(free)]
+                    assert cut(parallel, model.face_contains) == cut(
+                        ref_parallel, lambda f, p: ref_face_contains(model, f, p)
+                    )
+            else:
+                assert len(faces) == math.comb(n + 1, k + 1)
+
+    def test_facets_are_coordinate_equations(self):
+        assert LatticeModel("cube", 2, 3).facets() == [(0, 0), (0, 3), (1, 0), (1, 3)]
+        assert LatticeModel("simplex", 2, 3).facets() == [(0, 0), (1, 0), (2, 0)]
+        assert LatticeModel("simplex", 2, 3).k_faces(0) == [
+            ((0, 0), (1, 0)), ((0, 0), (2, 0)), ((1, 0), (2, 0)),
+        ]
 
 
 def ref_contains(model, p) -> bool:
@@ -156,8 +235,8 @@ class TestTouchAndSpan:
     def test_simplex_missing_facet(self):
         model = LatticeModel("simplex", 2, 4)
         cov = LatticeCover(model, {"X": {p for p in model.points() if p[0] >= 1}})
-        assert not touches_facet(cov, "X", 0)
-        assert touches_facet(cov, "X", 1)
+        assert not touches_facet(cov, "X", (0, 0))
+        assert touches_facet(cov, "X", (1, 0))
 
 
 class TestComponents:
@@ -305,6 +384,10 @@ class TestPalais:
         assert len(classes) == 1
         assert {piece.cover_sets for piece in classes[0]} == {("A",), ("B",)}
 
+    @pytest.mark.parametrize("sets", [{}, {"A": set()}])
+    def test_empty_cover_no_classes(self, sets):
+        assert palais_coloring(cube_cover(1, 3, sets)) == []
+
     def test_two_interval_example(self):
         cov = cube_cover(1, 2, {"X1": {(0,), (1,)}, "X2": {(1,), (2,)}})
         classes = palais_coloring(cov)
@@ -405,6 +488,23 @@ class TestLebesgueWitness:
         assert spans_pair(bigger, name, axis)
 
 
+class TestNotACover:
+    @pytest.mark.parametrize("witness", [lebesgue_witness, axes_witness])
+    def test_complement_computed_once(self, monkeypatch, witness):
+        calls = []
+        original = covering.complement_points
+
+        def counting(cover):
+            calls.append(cover)
+            return original(cover)
+
+        monkeypatch.setattr(covering, "complement_points", counting)
+        rep = witness(cube_cover(2, 2, {"A": {(0, 0)}, "B": {(2, 2)}}))
+        assert rep.payload["reason"] == "union_does_not_cover"
+        assert rep.payload["missing_count"] == 7
+        assert len(calls) == 1
+
+
 class TestKKMWitness:
     def test_single_vertex_region(self):
         model = LatticeModel("simplex", 2, 4)
@@ -452,7 +552,7 @@ class TestComplementWitness:
         assert rep.verdict == "witness_found"
         comp = {tuple(p) for p in rep.payload["component"]}
         free = rep.payload["axes"]
-        model_faces = [f for f in model.k_faces(1) if f[0] == frozenset(free)]
+        model_faces = [f for f in model.k_faces(1) if all(c not in free for c, _ in f)]
         for face in model_faces:
             assert any(model.face_contains(face, p) for p in comp)
 

@@ -1,4 +1,8 @@
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricover import (
     BadResolutionError,
@@ -69,7 +73,7 @@ class TestKKMStandard:
                 for f in cover.model.facets()
                 if not touches_facet(cover, name, f)
             ]
-            assert missed == [i]
+            assert missed == [(i, 0)]
 
 
 class TestRandomLowMultiplicity:
@@ -115,6 +119,74 @@ class TestRandomSmallSetFamily:
             for name in cover.sets
             for axis in range(2)
         )
+
+
+def ref_bfs_partition(model, sources):
+    """The earlier queue-based Voronoi cells; ties go to the earlier source."""
+    owner = {}
+    queue = deque()
+    for idx, s in enumerate(sources):
+        if s not in owner:
+            owner[s] = idx
+            queue.append(s)
+    while queue:
+        p = queue.popleft()
+        for nb in model.neighbors(p):
+            if nb not in owner:
+                owner[nb] = owner[p]
+                queue.append(nb)
+    cells = [set() for _ in sources]
+    for p, idx in owner.items():
+        cells[idx].add(p)
+    return [frozenset(c) for c in cells]
+
+
+def ref_bfs_ball(model, center, radius, allowed=None):
+    """The earlier graph ball of the given radius, confined to `allowed`."""
+    if allowed is not None and not allowed(center):
+        return frozenset()
+    seen = {center}
+    frontier = [center]
+    for _ in range(radius):
+        nxt = []
+        for p in frontier:
+            for nb in model.neighbors(p):
+                if nb in seen:
+                    continue
+                if allowed is not None and not allowed(nb):
+                    continue
+                seen.add(nb)
+                nxt.append(nb)
+        frontier = nxt
+    return frozenset(seen)
+
+
+class TestBFSAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cells_and_balls(self, data):
+        kind = data.draw(st.sampled_from(["cube", "simplex"]))
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        r = data.draw(st.integers(min_value=1, max_value=4))
+        model = LatticeModel(kind, n, r)
+        points = list(model.points())
+        sources = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6))
+        assert harness._bfs_partition(model, sources) == ref_bfs_partition(model, sources)
+
+        center = data.draw(st.sampled_from(points))
+        radius = data.draw(st.integers(min_value=0, max_value=r))
+        coord, value = data.draw(st.sampled_from(model.facets()))
+        blocked = set(data.draw(st.lists(st.sampled_from(points), max_size=4)))
+
+        def allowed(q):
+            return q[coord] != value and q not in blocked
+
+        assert frozenset(harness._bfs(model, [center], radius)) == ref_bfs_ball(
+            model, center, radius
+        )
+        assert frozenset(
+            harness._bfs(model, [center], radius, allowed=allowed)
+        ) == ref_bfs_ball(model, center, radius, allowed)
 
 
 class TestDilatedPartition:
