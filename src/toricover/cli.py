@@ -149,7 +149,7 @@ def _cmd_color(args) -> int:
     data = {
         "classes": [
             [
-                {"sets": list(piece.cover_sets), "points": sorted(map(list, piece.points))}
+                {"sets": list(piece.cover_sets), "points": [list(p) for p in piece.points]}
                 for piece in cls
             ]
             for cls in classes

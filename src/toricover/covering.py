@@ -4,24 +4,37 @@ Points of the cube model are integer tuples in {0..r}^n with +-1 adjacency in
 one coordinate; points of the simplex model are the nonnegative integer
 (n+1)-tuples summing to r, adjacent when one unit moves between two
 coordinates.  Covering sets are arbitrary point sets; "closed" has no separate
-encoding, membership is the whole story.  Connected components under this
-adjacency come from one flood fill.  Verifiers search for the witness a
+encoding, membership is the whole story.  Verifiers search for the witness a
 covering theorem promises and report a counterexample candidate verbatim when
 none exists; they never assert the continuous statement.
 
 A facet is a coordinate equation (coordinate, value): the cube has (axis, 0)
 and (axis, r) for each axis, the simplex (j, 0) for each coordinate j.  A face
-is the tuple of the facets that cut it out, as in polytope.faces.  A model
-holds at most MAX_MODEL_POINTS points.
+is the tuple of the facets that cut it out, as in polytope.faces.
+
+Point sets are bitmasks over the model's Grid, built on first use and shared
+by equal models.  Bit i is the mixed-radix index sum_j p_j (r+1)^(n-1-j) of
+the first n coordinates, so the simplex sits in (r+1)^n and in both models
+bit order is the lexicographic point order.  Adjacency is a table of moves
+(shift, source mask): each cell of the source mask has the neighbour `shift`
+bits away, so the neighbours of a whole set come from a few shifts and ANDs.
+Each facet is one mask and a face is the AND of its facets.  A cover's sets
+are PointSets: immutable sets of point tuples, iterated in sorted order, whose
+operations with sets of the same model are int operations on the masks.
+Unions and complements are ORs and AND-NOTs, components a frontier flood
+fill.  A model holds at most MAX_MODEL_POINTS points and its grid at most
+MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 
 from . import chow
 from .polytope import InputError, SimplePolytope
@@ -40,6 +53,7 @@ HYPOTHESIS_VIOLATED = "hypothesis_violated"
 COUNTEREXAMPLE_CANDIDATE = "counterexample_candidate"
 
 MAX_MODEL_POINTS = 10**6
+MAX_GRID_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -65,27 +79,20 @@ class LatticeModel:
             count = count * num // den
             if count > MAX_MODEL_POINTS:
                 raise InputError(f"{self} has more than {MAX_MODEL_POINTS} points")
+        if self.kind == "simplex":
+            # the grid has (r+1)^n cells for the C(n+r, n) points
+            cells = 1
+            for _ in range(self.n):
+                cells *= self.r + 1
+                if cells > MAX_GRID_CELLS:
+                    raise InputError(f"{self} needs a grid of more than {MAX_GRID_CELLS} cells")
 
     def points(self):
         return _model_points(self)
 
-    def neighbors(self, p):
-        if self.kind == "cube":
-            for j in range(self.n):
-                if p[j] > 0:
-                    yield p[:j] + (p[j] - 1,) + p[j + 1:]
-                if p[j] < self.r:
-                    yield p[:j] + (p[j] + 1,) + p[j + 1:]
-        else:
-            for i in range(self.n + 1):
-                if p[i] == 0:
-                    continue
-                for j in range(self.n + 1):
-                    if i != j:
-                        q = list(p)
-                        q[i] -= 1
-                        q[j] += 1
-                        yield tuple(q)
+    def grid(self) -> Grid:
+        """The model's Grid, built on first use and shared by equal models."""
+        return _model_grid(self)
 
     def facets(self):
         """The facet equations (coordinate, value): (axis, 0) and (axis, r)
@@ -130,28 +137,254 @@ def _model_points(model: LatticeModel):
     return tuple(pts)
 
 
+@lru_cache(maxsize=None)
+def _model_grid(model: LatticeModel):
+    return Grid(model)
+
+
+_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
+_DIGIT_OF_BYTE = bytes.maketrans(b"\0\1", b"01")
+
+
+def _digits(mask: int) -> str:
+    """The binary digits of mask, lowest bit first."""
+    return bin(mask)[:1:-1]
+
+
+def _mask(bits) -> int:
+    """The int with exactly the given bits set, built from one byte per
+    cell of the span the bits cover."""
+    if not bits:
+        return 0
+    low = min(bits)
+    cells = bytearray(max(bits) - low + 1)
+    for b in bits:
+        cells[b - low] = 1
+    return int(cells[::-1].translate(_DIGIT_OF_BYTE), 2) << low
+
+
+def _repunit(period: int, count: int) -> int:
+    """Bit 0 of each of count blocks of period bits, built by doubling."""
+    out, block, width, shift = 0, 1, period, 0
+    while count:
+        if count & 1:
+            out |= block << shift
+            shift += width
+        block |= block << width
+        width *= 2
+        count >>= 1
+    return out
+
+
+class Grid:
+    """A model's points as the bits of one int, its adjacency as a move
+    table and its facets as masks; see the module docstring."""
+
+    def __init__(self, model: LatticeModel):
+        n, r = model.n, model.r
+        side = r + 1
+        self.model = model
+        self.points = model.points()
+        self.strides = tuple(side ** (n - 1 - j) for j in range(n))
+        cells = side ** n
+        self._repunits = [_repunit(side * s, cells // (side * s)) for s in self.strides]
+        self._index = None
+        if model.kind == "cube":
+            # the points are the cells, in order
+            self.full = (1 << cells) - 1
+            self._valid = None
+            facets = {(j, v): self.slab(j, v, v) for j, v in model.facets()}
+            moves = []
+            for j, s in enumerate(self.strides):
+                moves.append((s, self.full ^ facets[(j, r)]))
+                moves.append((-s, self.full ^ facets[(j, 0)]))
+        else:
+            bits = self._cells()
+            self.full = _mask(bits)
+            # one byte per cell, 1 for the cells of self.points
+            self._valid = _digits(self.full).encode().translate(_BYTE_OF_DIGIT)
+            facets = {(j, 0): self.slab(j, 0, 0) for j in range(n)}
+            facets[(n, 0)] = _mask([b for b, p in zip(bits, self.points) if p[n] == 0])
+            # moving a unit from coordinate i to j shifts by stride_j - stride_i
+            ext = self.strides + (0,)
+            moves = [
+                (ext[j] - ext[i], self.full ^ facets[(i, 0)])
+                for i in range(n + 1)
+                for j in range(n + 1)
+                if i != j
+            ]
+        self.facets = facets
+        self.moves = moves
+
+    def _cells(self):
+        """The cell of each point, in point order."""
+        return [sum(map(mul, p, self.strides)) for p in self.points]
+
+    def slab(self, axis: int, lo: int, hi: int) -> int:
+        """The cells with lo <= p[axis] <= hi, for an axis below n: an
+        interval of the axis's digit times the axis's repunit."""
+        s = self.strides[axis]
+        unit = ((1 << ((hi - lo + 1) * s)) - 1) << (lo * s)
+        return unit * self._repunits[axis] & self.full
+
+    def face(self, face) -> int:
+        out = self.full
+        for f in face:
+            out &= self.facets[f]
+        return out
+
+    def expand(self, mask: int) -> int:
+        """The cells one move away from a cell of mask."""
+        out = 0
+        for shift, src in self.moves:
+            if shift > 0:
+                out |= (mask & src) << shift
+            else:
+                out |= (mask & src) >> -shift
+        return out
+
+    def bit(self, p):
+        """The cell of point p, or None when p is not a point of the model."""
+        try:
+            i = sum(map(mul, p, self.strides))
+            if self._valid is None:
+                # the point of cube cell i is self.points[i]
+                return i if i >= 0 and self.points[i] == p else None
+            ok = type(p) is tuple and len(p) == self.model.n + 1 and min(p) >= 0
+            ok = ok and sum(p) == self.model.r and type(i) is int
+        except (TypeError, IndexError):
+            return None
+        return i if ok else None
+
+    def set_of(self, pts):
+        """The PointSet of a collection of points and the list of those that
+        are not points of the model, in the order of pts.  Outside sets are
+        read through a {point: cell} index, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self.points, self._cells()))
+        bits = list(map(self._index.get, pts))
+        if None in bits:
+            return PointSet(self, 0), [p for p, b in zip(pts, bits) if b is None]
+        return PointSet(self, _mask(bits)), []
+
+    def points_of(self, mask: int):
+        """The points of the cells of mask, in cell (= sorted) order."""
+        if self._valid is None:
+            return map(self.points.__getitem__, _bits_of(mask))
+        if not mask:
+            return iter(())
+        # keep the digits of the cells that are points, from the lowest set
+        # bit on; their positions count in self.points
+        low = (mask & -mask).bit_length() - 1
+        digits = _digits(mask >> low)
+        digits = "".join(itertools.compress(digits, self._valid[low:low + len(digits)]))
+        return map(self.points.__getitem__, _ones(digits, self._valid.count(1, 0, low)))
+
+
+def _ones(digits: str, offset: int):
+    """offset plus the position of each 1 in digits, in order: the running
+    sum of the gaps between the 1s, plus one per 1."""
+    gaps = digits.split("1")
+    gaps.pop()
+    steps = map(add, map(len, gaps), itertools.repeat(1))
+    positions = itertools.accumulate(steps, initial=offset - 1)
+    next(positions)
+    return positions
+
+
+def _bits_of(mask: int):
+    """The set bits of mask, lowest first."""
+    if not mask:
+        return iter(())
+    low = (mask & -mask).bit_length() - 1
+    return _ones(_digits(mask >> low), low)
+
+
+class PointSet(Set):
+    """An immutable set of points of one model, held as a mask over the
+    model's grid.  Iteration yields the points in sorted order and membership
+    takes a point as a tuple of ints.  Comparisons and & | - with a PointSet
+    of the same model are int operations; with any other set they go point
+    by point (collections.abc.Set), and & | - ^ return frozensets."""
+
+    __slots__ = ("grid", "mask")
+
+    def __init__(self, grid: Grid, mask: int):
+        self.grid = grid
+        self.mask = mask
+
+    def __contains__(self, p):
+        i = self.grid.bit(p)
+        return i is not None and self.mask >> i & 1 == 1
+
+    def __iter__(self):
+        return self.grid.points_of(self.mask)
+
+    def __len__(self):
+        return self.mask.bit_count()
+
+    def __repr__(self):
+        return f"PointSet({list(self)})"
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def _peer(self, other) -> bool:
+        return isinstance(other, PointSet) and other.grid is self.grid
+
+    def __le__(self, other):
+        if self._peer(other):
+            return self.mask & other.mask == self.mask
+        return super().__le__(other)
+
+    def __ge__(self, other):
+        if self._peer(other):
+            return self.mask & other.mask == other.mask
+        return super().__ge__(other)
+
+    def __and__(self, other):
+        if self._peer(other):
+            return PointSet(self.grid, self.mask & other.mask)
+        return super().__and__(other)
+
+    def __or__(self, other):
+        if self._peer(other):
+            return PointSet(self.grid, self.mask | other.mask)
+        return super().__or__(other)
+
+    def __sub__(self, other):
+        if self._peer(other):
+            return PointSet(self.grid, self.mask & ~other.mask)
+        return super().__sub__(other)
+
+
 @dataclass(frozen=True)
 class LatticeCover:
     model: LatticeModel
     sets: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        coerced = {name: frozenset(pts) for name, pts in self.sets.items()}
+        grid = self.model.grid()
+        coerced = {}
+        for name, pts in self.sets.items():
+            if not (isinstance(pts, PointSet) and pts.grid is grid):
+                pts, bad = grid.set_of(frozenset(pts))
+                if bad:
+                    raise InputError(f"set {name!r} has points outside the model: {bad[:3]}")
+            coerced[name] = pts
         object.__setattr__(self, "sets", coerced)
-        model_points = frozenset(self.model.points())
-        for name, pts in coerced.items():
-            bad = [p for p in pts if p not in model_points]
-            if bad:
-                raise InputError(f"set {name!r} has points outside the model: {bad[:3]}")
 
     def names(self):
         return list(self.sets)
 
-    def union(self):
-        out = set()
+    def union(self) -> PointSet:
+        out = 0
         for pts in self.sets.values():
-            out |= pts
-        return out
+            out |= pts.mask
+        return PointSet(self.model.grid(), out)
 
 
 @dataclass(frozen=True)
@@ -166,20 +399,32 @@ class RefinementPiece:
     named sets."""
 
     cover_sets: tuple
-    points: frozenset
+    points: PointSet
+
+
+def _layers(masks):
+    """layers[j]: the cells in more than j of the masks."""
+    layers = []
+    for m in masks:
+        for j in range(len(layers) - 1, -1, -1):
+            common = layers[j] & m
+            if common and j + 1 == len(layers):
+                layers.append(common)
+            elif common:
+                layers[j + 1] |= common
+        if layers:
+            layers[0] |= m
+        elif m:
+            layers.append(m)
+    return layers
 
 
 def multiplicity(cover: LatticeCover) -> int:
-    counts = {}
-    for pts in cover.sets.values():
-        for p in pts:
-            counts[p] = counts.get(p, 0) + 1
-    return max(counts.values(), default=0)
+    return len(_layers(pts.mask for pts in cover.sets.values()))
 
 
 def touches_facet(cover: LatticeCover, set_id, facet) -> bool:
-    coord, value = facet
-    return any(p[coord] == value for p in cover.sets[set_id])
+    return cover.sets[set_id].mask & cover.model.grid().facets[facet] != 0
 
 
 def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
@@ -192,31 +437,33 @@ def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
 
 
 def connected_components(points, model: LatticeModel):
-    """Components of a point set under the model adjacency, by flood fill.
+    """Components of a point set under the model adjacency, as PointSets.
 
-    Deterministic: a fill starts from each point not yet reached, taken in
-    sorted order, so components come out sorted by their smallest point.
+    A bit-parallel flood fill grows each component from the lowest cell not
+    yet reached, one move layer at a time, so components come out sorted by
+    their smallest point.
     """
-    remaining = set(points)
+    grid = model.grid()
+    if not (isinstance(points, PointSet) and points.grid is grid):
+        points, bad = grid.set_of(list(points))
+        if bad:
+            raise InputError(f"points outside the model: {bad[:3]}")
+    rest = points.mask
     components = []
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        remaining.remove(start)
-        comp = [start]
-        frontier = [start]
+    while rest:
+        comp = frontier = rest & -rest
+        rest ^= frontier
         while frontier:
-            for q in model.neighbors(frontier.pop()):
-                if q in remaining:
-                    remaining.remove(q)
-                    comp.append(q)
-                    frontier.append(q)
-        components.append(frozenset(comp))
+            frontier = grid.expand(frontier) & rest
+            rest ^= frontier
+            comp |= frontier
+        components.append(PointSet(grid, comp))
     return components
 
 
-def complement_points(cover: LatticeCover):
-    return frozenset(cover.model.points()) - cover.union()
+def complement_points(cover: LatticeCover) -> PointSet:
+    grid = cover.model.grid()
+    return PointSet(grid, grid.full ^ cover.union().mask)
 
 
 def complement_components(cover: LatticeCover):
@@ -234,34 +481,49 @@ def palais_coloring(cover: LatticeCover):
     class |S|; class i is the i-th entry (1-based) of the returned list.  The
     refinement drops empty pieces, keeps every piece inside each of its
     covering sets, and preserves the union of the cover.
+
+    A cell in one set is in that set's piece; the cells in two or more sets
+    are grouped by the sets that hold them.  The piece of S is then the AND
+    of the sets in S with the cells in exactly |S| sets.
     """
+    grid = cover.model.grid()
+    layers = _layers(pts.mask for pts in cover.sets.values())
+    # exact[j]: the cells in exactly j + 1 sets
+    exact = [a & ~b for a, b in zip(layers, layers[1:] + [0])]
+    single = exact[0] if exact else 0
+    multi = layers[1] if len(layers) > 1 else 0
+    signatures = {(name,) for name, pts in cover.sets.items() if pts.mask & single}
     membership = {}
     for name, pts in cover.sets.items():
-        for p in pts:
-            membership.setdefault(p, []).append(name)
-    pieces = {}
-    for p, names in membership.items():
-        pieces.setdefault(tuple(sorted(names)), set()).add(p)
-    classes = [[] for _ in range(max(map(len, pieces), default=0))]
-    for names, pts in sorted(pieces.items()):
-        classes[len(names) - 1].append(RefinementPiece(names, frozenset(pts)))
+        for b in _bits_of(pts.mask & multi):
+            membership.setdefault(b, []).append(name)
+    signatures.update(map(tuple, membership.values()))
+    classes = [[] for _ in exact]
+    for names in sorted(map(sorted, signatures)):
+        mask = exact[len(names) - 1]
+        for name in names:
+            mask &= cover.sets[name].mask
+        classes[len(names) - 1].append(RefinementPiece(tuple(names), PointSet(grid, mask)))
     return classes
 
 
-def _not_a_cover_report(missing):
-    missing = sorted(missing)
+def _not_a_cover_report(missing: PointSet):
     return WitnessReport(
         HYPOTHESIS_VIOLATED,
         {
             "reason": "union_does_not_cover",
             "missing_count": len(missing),
-            "missing_sample": [list(p) for p in missing[:16]],
+            "missing_sample": [list(p) for p in itertools.islice(missing, 16)],
         },
     )
 
 
 def _echo_cover(cover: LatticeCover):
-    return {name: sorted(map(list, pts)) for name, pts in cover.sets.items()}
+    return {name: [list(p) for p in pts] for name, pts in cover.sets.items()}
+
+
+def _meets_all(comp: PointSet, face_masks) -> bool:
+    return all(comp.mask & m for m in face_masks)
 
 
 def lebesgue_witness(cover: LatticeCover) -> WitnessReport:
@@ -293,10 +555,9 @@ def kkm_witness(cover: LatticeCover, k: int) -> WitnessReport:
     Preconditions (verified): every set misses some facet; multiplicity <= k.
     """
     model = cover.model
+    faces = model.k_faces(k)
     if model.kind != "simplex":
         raise InputError("kkm_witness runs on the simplex model")
-    if not 0 <= k <= model.n:
-        raise InputError(f"k must be in 0..{model.n}")
     for name in cover.sets:
         if all(touches_facet(cover, name, f) for f in model.facets()):
             return WitnessReport(
@@ -309,12 +570,13 @@ def kkm_witness(cover: LatticeCover, k: int) -> WitnessReport:
             HYPOTHESIS_VIOLATED,
             {"reason": "multiplicity_exceeds_k", "multiplicity": mult, "k": k},
         )
-    faces = model.k_faces(k)
+    grid = model.grid()
+    face_masks = [grid.face(face) for face in faces]
     for comp in complement_components(cover):
-        if all(any(model.face_contains(face, p) for p in comp) for face in faces):
+        if _meets_all(comp, face_masks):
             return WitnessReport(
                 WITNESS_FOUND,
-                {"component": sorted(map(list, comp)), "k": k},
+                {"component": [list(p) for p in comp], "k": k},
             )
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover), "k": k})
 
@@ -327,10 +589,9 @@ def complement_witness(cover: LatticeCover, k: int) -> WitnessReport:
     multiplicity is at most k.
     """
     model = cover.model
+    all_faces = model.k_faces(k)
     if model.kind != "cube":
         raise InputError("complement_witness runs on the cube model")
-    if not 0 <= k <= model.n:
-        raise InputError(f"k must be in 0..{model.n}")
     for name in cover.sets:
         for axis in range(model.n):
             if spans_pair(cover, name, axis):
@@ -345,15 +606,17 @@ def complement_witness(cover: LatticeCover, k: int) -> WitnessReport:
             {"reason": "multiplicity_exceeds_k", "multiplicity": mult, "k": k},
         )
     components = complement_components(cover)
-    all_faces = model.k_faces(k)
+    grid = model.grid()
     for free in itertools.combinations(range(model.n), k):
-        faces = [face for face in all_faces if all(c not in free for c, _ in face)]
+        face_masks = [
+            grid.face(face) for face in all_faces if all(c not in free for c, _ in face)
+        ]
         for comp in components:
-            if all(any(model.face_contains(face, p) for p in comp) for face in faces):
+            if _meets_all(comp, face_masks):
                 return WitnessReport(
                     WITNESS_FOUND,
                     {
-                        "component": sorted(map(list, comp)),
+                        "component": [list(p) for p in comp],
                         "axes": sorted(free),
                         "k": k,
                     },
@@ -374,17 +637,17 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
     missing = complement_points(cover)
     if missing:
         return _not_a_cover_report(missing)
+    grid = model.grid()
     for axis, name in enumerate(names):
+        ends = [grid.facets[(axis, 0)], grid.facets[(axis, model.r)]]
         for comp in set_components(cover, name):
-            touches_low = any(p[axis] == 0 for p in comp)
-            touches_high = any(p[axis] == model.r for p in comp)
-            if touches_low and touches_high:
+            if _meets_all(comp, ends):
                 return WitnessReport(
                     WITNESS_FOUND,
                     {
                         "set": name,
                         "axis": axis,
-                        "component": sorted(map(list, comp)),
+                        "component": [list(p) for p in comp],
                     },
                 )
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover)})

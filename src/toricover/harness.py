@@ -18,9 +18,11 @@ from . import covering
 from .covering import (
     HYPOTHESIS_VIOLATED,
     WITNESS_FOUND,
+    Grid,
     LatticeCover,
     LatticeModel,
     PointCloudCover,
+    PointSet,
 )
 from .polytope import InputError, SimplePolytope
 
@@ -47,6 +49,9 @@ def shifted_brick_cover(n: int, r: int) -> LatticeCover:
     axis (so none spans an opposite facet pair) and the closed pattern meets
     in at most n+1 bricks at any point, with n+1 attained.
 
+    Each brick meeting the cube is the AND of its per-axis slabs
+    [start_j, start_j + s_j], clipped to 0..r.
+
     Requires r divisible by 2n (documented precondition) and r > 2^(n-1) so
     the bricks stay strictly smaller than the cube.
     """
@@ -57,29 +62,32 @@ def shifted_brick_cover(n: int, r: int) -> LatticeCover:
         raise BadResolutionError(f"r={r} too coarse for staggered bricks in n={n}")
     t = max(1, r // (2 ** n))
     sides = [2 ** (n - 1 - j) * t for j in range(n)]
+    grid = model.grid()
+    slabs = {}
 
-    def containing_bricks(p):
-        found = []
+    def slab(axis, lo, hi):
+        key = (axis, max(lo, 0), min(hi, r))
+        if key not in slabs:
+            slabs[key] = grid.slab(*key)
+        return slabs[key]
 
-        def descend(axis, running, idx):
-            if axis < 0:
-                found.append(tuple(reversed(idx)))
-                return
-            q, rem = divmod(p[axis] - running, sides[axis])
-            candidates = [q] + ([q - 1] if rem == 0 else [])
-            for i in candidates:
-                descend(axis - 1, running + i * sides[axis], idx + [i])
+    bricks = []
 
-        descend(n - 1, 0, [])
-        return found
+    def descend(axis, running, idx, mask):
+        # translates i along axis whose slab [running + i s, running + (i+1) s]
+        # meets 0..r
+        if axis < 0:
+            bricks.append((tuple(reversed(idx)), mask))
+            return
+        s = sides[axis]
+        for i in range(-((running + s) // s), (r - running) // s + 1):
+            lo = running + i * s
+            descend(axis - 1, lo, idx + [i], mask & slab(axis, lo, lo + s))
 
-    members = {}
-    for p in model.points():
-        for idx in containing_bricks(p):
-            members.setdefault(idx, set()).add(p)
+    descend(n - 1, 0, [], grid.full)
     sets = {
-        "brick_" + "_".join(map(str, idx)): frozenset(pts)
-        for idx, pts in sorted(members.items())
+        "brick_" + "_".join(map(str, idx)): PointSet(grid, mask)
+        for idx, mask in sorted(bricks)
     }
     return LatticeCover(model, sets)
 
@@ -100,34 +108,29 @@ def kkm_standard_cover(n: int, r: int) -> LatticeCover:
     return LatticeCover(model, sets)
 
 
-def _bfs(model: LatticeModel, sources, radius=None, allowed=None):
-    """Layered multi-source BFS: {point: index of the first source reaching
-    it}, ties going to the earlier source.  The search stops after `radius`
-    layers (None: no bound) and enters only the points `allowed` accepts."""
-    owner = {}
-    for idx, s in enumerate(sources):
-        if s not in owner and (allowed is None or allowed(s)):
-            owner[s] = idx
-    frontier = list(owner)
-    while frontier and radius != 0:
-        nxt = []
-        for p in frontier:
-            for nb in model.neighbors(p):
-                if nb not in owner and (allowed is None or allowed(nb)):
-                    owner[nb] = owner[p]
-                    nxt.append(nb)
-        frontier = nxt
+def _bfs(grid: Grid, sources, radius=None, allowed=None):
+    """Layered multi-source BFS from the bits `sources`: the mask of the
+    cells each source reaches first.  In each layer the sources claim cells
+    in source order, so ties go to the earlier source.  The search stops
+    after `radius` layers (None: no bound) and enters only the cells of the
+    mask `allowed` (None: every cell)."""
+    free = grid.full if allowed is None else allowed
+    cells = []
+    for s in sources:
+        cell = free & (1 << s)
+        free ^= cell
+        cells.append(cell)
+    frontier = list(cells)
+    while radius != 0 and any(frontier):
+        for idx, front in enumerate(frontier):
+            if front:
+                front = grid.expand(front) & free
+                free ^= front
+                cells[idx] |= front
+                frontier[idx] = front
         if radius is not None:
             radius -= 1
-    return owner
-
-
-def _bfs_partition(model: LatticeModel, sources):
-    """Multi-source BFS Voronoi cells; ties go to the earlier source."""
-    cells = [set() for _ in sources]
-    for p, idx in _bfs(model, sources).items():
-        cells[idx].add(p)
-    return [frozenset(c) for c in cells]
+    return cells
 
 
 def random_low_multiplicity_cover(
@@ -144,7 +147,8 @@ def random_low_multiplicity_cover(
     if m < 1:
         raise InputError("target multiplicity must be >= 1")
     rng = random.Random(seed)
-    points = list(model.points())
+    points = model.points()
+    grid = model.grid()
     sets = {}
 
     if model.kind == "cube" and m >= 2 and model.n >= 2:
@@ -156,19 +160,19 @@ def random_low_multiplicity_cover(
     else:
         count = rng.randint(2, min(len(points), 2 * model.n + 2))
         sources = rng.sample(points, count)
-    for i, cell in enumerate(_bfs_partition(model, sources)):
+    for i, cell in enumerate(_bfs(grid, [grid.bit(s) for s in sources])):
         if cell:
-            sets[f"cell_{i}"] = cell
+            sets[f"cell_{i}"] = PointSet(grid, cell)
 
     anchor = rng.choice(points)
     for layer in range(1, m):
-        used = set()
+        used = 0
         for b in range(rng.randint(1, 3)):
             center = anchor if b == 0 else rng.choice(points)
             radius = rng.randint(1, max(1, model.r // 3))
-            ball = _bfs(model, [center], radius).keys() - used
+            ball = _bfs(grid, [grid.bit(center)], radius)[0] & ~used
             if ball:
-                sets[f"ball_{layer}_{b}"] = frozenset(ball)
+                sets[f"ball_{layer}_{b}"] = PointSet(grid, ball)
                 used |= ball
 
     cover = LatticeCover(model, sets)
@@ -190,30 +194,36 @@ def random_small_set_family(model: LatticeModel, k: int, seed: int) -> LatticeCo
     gap between them, which no pair of disjoint closed sets can imitate.
     """
     rng = random.Random(seed)
-    points = list(model.points())
+    grid = model.grid()
     radius_cap = max(1, model.r // 4)
     sets = {}
     for layer in range(k):
-        blocked = set()
+        blocked = 0
         for b in range(rng.randint(1, 2)):
-            coord, value = rng.choice(model.facets())
-            candidates = [
-                p for p in points if p[coord] != value and p not in blocked
-            ]
-            if not candidates:
+            facet = rng.choice(model.facets())
+            allowed = grid.full & ~grid.facets[facet] & ~blocked
+            if not allowed:
                 continue
-            center = rng.choice(candidates)
+            # the same draw as rng.choice over the list of allowed points
+            center = _nth_bit(allowed, rng.choice(range(allowed.bit_count())))
             radius = rng.randint(1, radius_cap)
-            ball = frozenset(_bfs(
-                model, [center], radius,
-                allowed=lambda q: q[coord] != value and q not in blocked,
-            ))
-            if ball:
-                sets[f"set_{layer}_{b}"] = ball
-                blocked |= ball
-                for p in ball:
-                    blocked.update(model.neighbors(p))
+            ball = _bfs(grid, [center], radius, allowed)[0]
+            sets[f"set_{layer}_{b}"] = PointSet(grid, ball)
+            blocked |= ball | grid.expand(ball)
     return LatticeCover(model, sets)
+
+
+def _nth_bit(mask: int, j: int) -> int:
+    """The position of the j-th (from 0) set bit of mask, by bisection on
+    the count of set bits below a position."""
+    lo, hi = 0, mask.bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() > j:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def dilated_partition_cover(model: LatticeModel, parts: int, seed: int) -> LatticeCover:
@@ -221,15 +231,12 @@ def dilated_partition_cover(model: LatticeModel, parts: int, seed: int) -> Latti
     its graph neighbors.  The overlaps mimic a closed cover; the union is the
     whole model."""
     rng = random.Random(seed)
-    points = list(model.points())
-    sources = rng.sample(points, parts)
-    cells = _bfs_partition(model, sources)
-    sets = {}
-    for i, cell in enumerate(cells):
-        grown = set(cell)
-        for p in cell:
-            grown.update(model.neighbors(p))
-        sets[f"part_{i}"] = frozenset(grown)
+    grid = model.grid()
+    sources = rng.sample(model.points(), parts)
+    cells = _bfs(grid, [grid.bit(s) for s in sources])
+    sets = {
+        f"part_{i}": PointSet(grid, cell | grid.expand(cell)) for i, cell in enumerate(cells)
+    }
     return LatticeCover(model, sets)
 
 
@@ -394,19 +401,21 @@ def _validate_coloring(cover: LatticeCover, classes) -> bool:
     mult = covering.multiplicity(cover)
     if len(classes) != mult:
         return False
-    union = set()
+    union = 0
     for idx, cls in enumerate(classes):
+        seen = 0
         for piece in cls:
             if len(piece.cover_sets) != idx + 1:
                 return False
             for name in piece.cover_sets:
                 if not piece.points <= cover.sets[name]:
                     return False
-            union |= piece.points
-        for a, b in itertools.combinations(cls, 2):
-            if a.points & b.points:
+            # disjoint from every earlier piece of the class
+            if piece.points.mask & seen:
                 return False
-    return union == cover.union()
+            seen |= piece.points.mask
+        union |= seen
+    return union == cover.union().mask
 
 
 def _run_instance(config: SuiteConfig, iseed: int):

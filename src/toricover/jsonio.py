@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Set as AbstractSet
 from fractions import Fraction
 from operator import mul
 
@@ -167,7 +168,7 @@ def cover_to_json(cover: LatticeCover, **extra) -> dict:
     data = {
         "model": {"kind": model.kind, "n": model.n, "r": model.r},
         "sets": {
-            name: sorted(list(p) for p in pts) for name, pts in cover.sets.items()
+            name: [list(p) for p in pts] for name, pts in cover.sets.items()
         },
     }
     data.update(extra)
@@ -256,7 +257,7 @@ def to_jsonable(obj):
         return divisor_to_json(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (frozenset, set)):
+    if isinstance(obj, AbstractSet):
         return sorted(to_jsonable(v) for v in obj)
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]

@@ -55,3 +55,25 @@ def test_vertex_enumerator_has_the_shape_the_tracer_reads():
         tracer.uninstall()
     assert tracer.counts["polytope.solve_region_vertices.subsets"] == math.comb(6, 3)
     assert tracer.counts["polytope.solve_region_vertices.vertices"] == 8
+
+
+def test_component_input_has_the_length_the_tracer_reads():
+    """Tracer._count adds len(args[0]) of each connected_components call to
+    covering.connected_components.points; the verifiers pass a cover's
+    sets and complements there, which must keep a length."""
+    from toricover import covering, harness
+
+    params = inspect.signature(covering.connected_components).parameters
+    assert next(iter(params)) == "points"
+    cover = harness.random_small_set_family(covering.LatticeModel("cube", 2, 8), 2, 0)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for name in cover.sets:
+            covering.set_components(cover, name)
+        covering.complement_components(cover)
+    finally:
+        tracer.uninstall()
+    want = sum(map(len, cover.sets.values())) + len(covering.complement_points(cover))
+    assert want > 0
+    assert tracer.counts["covering.connected_components.points"] == want

@@ -30,6 +30,8 @@ from toricover import (
 )
 from toricover import InputError, covering, harness
 
+import lattice_reference as ref
+
 
 small_coords = st.fractions(
     min_value=Fraction(-2), max_value=Fraction(2), max_denominator=4
@@ -51,9 +53,10 @@ class TestModel:
 
     def test_adjacency_symmetric(self):
         for model in (LatticeModel("cube", 2, 3), LatticeModel("simplex", 2, 4)):
+            grid = model.grid()
             for p in model.points():
-                for q in model.neighbors(p):
-                    assert p in set(model.neighbors(q))
+                for q in covering.PointSet(grid, grid.expand(1 << grid.bit(p))):
+                    assert p in covering.PointSet(grid, grid.expand(1 << grid.bit(q)))
 
     def test_point_graph_connected(self):
         for model in (LatticeModel("cube", 2, 3), LatticeModel("simplex", 3, 5)):
@@ -289,7 +292,7 @@ class TestComponents:
             frontier = [start]
             while frontier:
                 p = frontier.pop()
-                for q in model.neighbors(p):
+                for q in ref.neighbors(model, p):
                     if q in remaining and q not in comp:
                         comp.add(q)
                         frontier.append(q)
@@ -315,7 +318,7 @@ def union_find_components(points, model):
         return root
 
     for p, i in index.items():
-        for q in model.neighbors(p):
+        for q in ref.neighbors(model, p):
             j = index.get(q)
             if j is not None:
                 ri, rj = find(i), find(j)

@@ -15,7 +15,9 @@ from toricover import (
     spans_pair,
     touches_facet,
 )
-from toricover import harness
+from toricover import covering, harness
+
+import lattice_reference as ref
 
 
 class TestShiftedBricks:
@@ -131,7 +133,7 @@ def ref_bfs_partition(model, sources):
             queue.append(s)
     while queue:
         p = queue.popleft()
-        for nb in model.neighbors(p):
+        for nb in ref.neighbors(model, p):
             if nb not in owner:
                 owner[nb] = owner[p]
                 queue.append(nb)
@@ -150,7 +152,7 @@ def ref_bfs_ball(model, center, radius, allowed=None):
     for _ in range(radius):
         nxt = []
         for p in frontier:
-            for nb in model.neighbors(p):
+            for nb in ref.neighbors(model, p):
                 if nb in seen:
                     continue
                 if allowed is not None and not allowed(nb):
@@ -171,7 +173,13 @@ class TestBFSAgainstReference:
         model = LatticeModel(kind, n, r)
         points = list(model.points())
         sources = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6))
-        assert harness._bfs_partition(model, sources) == ref_bfs_partition(model, sources)
+        grid = model.grid()
+
+        def point_sets(masks):
+            return [covering.PointSet(grid, m) for m in masks]
+
+        bits = [grid.bit(s) for s in sources]
+        assert point_sets(harness._bfs(grid, bits)) == ref_bfs_partition(model, sources)
 
         center = data.draw(st.sampled_from(points))
         radius = data.draw(st.integers(min_value=0, max_value=r))
@@ -181,12 +189,14 @@ class TestBFSAgainstReference:
         def allowed(q):
             return q[coord] != value and q not in blocked
 
-        assert frozenset(harness._bfs(model, [center], radius)) == ref_bfs_ball(
-            model, center, radius
-        )
-        assert frozenset(
-            harness._bfs(model, [center], radius, allowed=allowed)
-        ) == ref_bfs_ball(model, center, radius, allowed)
+        allowed_mask = grid.full & ~grid.facets[(coord, value)]
+        allowed_mask &= ~covering.LatticeCover(model, {"B": blocked}).sets["B"].mask
+        assert point_sets(harness._bfs(grid, [grid.bit(center)], radius)) == [
+            ref_bfs_ball(model, center, radius)
+        ]
+        assert point_sets(
+            harness._bfs(grid, [grid.bit(center)], radius, allowed=allowed_mask)
+        ) == [ref_bfs_ball(model, center, radius, allowed)]
 
 
 class TestDilatedPartition:
