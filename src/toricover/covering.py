@@ -22,12 +22,13 @@ Each facet is one mask and a face is the AND of its facets.  A cover's sets
 are PointSets: immutable sets of point tuples, iterated in sorted order, whose
 operations with sets of the same model are int operations on the masks.
 Unions and complements are ORs and AND-NOTs, components a frontier flood
-fill.  A model holds at most MAX_MODEL_POINTS points and its grid at most
-MAX_GRID_CELLS cells.
+fill.  A model holds at most MAX_MODEL_POINTS points, and its grid's cells
+times its moves, the bits one expand shifts, are at most MAX_EXPAND_BITS.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections.abc import Set
@@ -53,7 +54,7 @@ HYPOTHESIS_VIOLATED = "hypothesis_violated"
 COUNTEREXAMPLE_CANDIDATE = "counterexample_candidate"
 
 MAX_MODEL_POINTS = 10**6
-MAX_GRID_CELLS = 2**24
+MAX_EXPAND_BITS = 2**27
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,17 @@ class LatticeModel:
             count = count * num // den
             if count > MAX_MODEL_POINTS:
                 raise InputError(f"{self} has more than {MAX_MODEL_POINTS} points")
-        if self.kind == "simplex":
-            # the grid has (r+1)^n cells for the C(n+r, n) points
-            cells = 1
-            for _ in range(self.n):
-                cells *= self.r + 1
-                if cells > MAX_GRID_CELLS:
-                    raise InputError(f"{self} needs a grid of more than {MAX_GRID_CELLS} cells")
+        # an expand shifts the grid's (r+1)^n cells once per move: 2n moves
+        # on the cube, n(n+1) on the simplex
+        moves = 2 * self.n if self.kind == "cube" else self.n * (self.n + 1)
+        work = moves
+        for _ in range(self.n):
+            work *= self.r + 1
+            if work > MAX_EXPAND_BITS:
+                raise InputError(
+                    f"{self} has (r+1)^n grid cells times {moves} moves,"
+                    f" more than {MAX_EXPAND_BITS}"
+                )
 
     def points(self):
         return _model_points(self)
@@ -188,7 +193,6 @@ class Grid:
         self.strides = tuple(side ** (n - 1 - j) for j in range(n))
         cells = side ** n
         self._repunits = [_repunit(side * s, cells // (side * s)) for s in self.strides]
-        self._index = None
         if model.kind == "cube":
             # the points are the cells, in order
             self.full = (1 << cells) - 1
@@ -196,10 +200,10 @@ class Grid:
             facets = {(j, v): self.slab(j, v, v) for j, v in model.facets()}
             moves = []
             for j, s in enumerate(self.strides):
-                moves.append((s, self.full ^ facets[(j, r)]))
-                moves.append((-s, self.full ^ facets[(j, 0)]))
+                moves.append((self.full ^ facets[(j, r)], (s,)))
+                moves.append((self.full ^ facets[(j, 0)], (-s,)))
         else:
-            bits = self._cells()
+            bits = [sum(map(mul, p, self.strides)) for p in self.points]
             self.full = _mask(bits)
             # one byte per cell, 1 for the cells of self.points
             self._valid = _digits(self.full).encode().translate(_BYTE_OF_DIGIT)
@@ -207,18 +211,12 @@ class Grid:
             facets[(n, 0)] = _mask([b for b, p in zip(bits, self.points) if p[n] == 0])
             # moving a unit from coordinate i to j shifts by stride_j - stride_i
             ext = self.strides + (0,)
-            moves = [
-                (ext[j] - ext[i], self.full ^ facets[(i, 0)])
-                for i in range(n + 1)
-                for j in range(n + 1)
-                if i != j
-            ]
+            moves = []
+            for i in range(n + 1):
+                shifts = tuple(ext[j] - ext[i] for j in range(n + 1) if j != i)
+                moves.append((self.full ^ facets[(i, 0)], shifts))
         self.facets = facets
         self.moves = moves
-
-    def _cells(self):
-        """The cell of each point, in point order."""
-        return [sum(map(mul, p, self.strides)) for p in self.points]
 
     def slab(self, axis: int, lo: int, hi: int) -> int:
         """The cells with lo <= p[axis] <= hi, for an axis below n: an
@@ -236,11 +234,11 @@ class Grid:
     def expand(self, mask: int) -> int:
         """The cells one move away from a cell of mask."""
         out = 0
-        for shift, src in self.moves:
-            if shift > 0:
-                out |= (mask & src) << shift
-            else:
-                out |= (mask & src) >> -shift
+        for src, shifts in self.moves:
+            m = mask & src
+            if m:
+                for shift in shifts:
+                    out |= m << shift if shift > 0 else m >> -shift
         return out
 
     def bit(self, p):
@@ -258,11 +256,8 @@ class Grid:
 
     def set_of(self, pts):
         """The PointSet of a collection of points and the list of those that
-        are not points of the model, in the order of pts.  Outside sets are
-        read through a {point: cell} index, built on first use."""
-        if self._index is None:
-            self._index = dict(zip(self.points, self._cells()))
-        bits = list(map(self._index.get, pts))
+        are not points of the model, in the order of pts."""
+        bits = list(map(self.bit, pts))
         if None in bits:
             return PointSet(self, 0), [p for p, b in zip(pts, bits) if b is None]
         return PointSet(self, _mask(bits)), []
@@ -437,28 +432,31 @@ def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
 
 
 def connected_components(points, model: LatticeModel):
-    """Components of a point set under the model adjacency, as PointSets.
+    """Components of a point set under the model adjacency, as PointSets,
+    sorted by their smallest point.
 
-    A bit-parallel flood fill grows each component from the lowest cell not
-    yet reached, one move layer at a time, so components come out sorted by
-    their smallest point.
+    The cells with no neighbour in the set come out of one expand; every
+    other component grows by a bit-parallel flood fill from the lowest cell
+    not yet reached, one move layer at a time.
     """
     grid = model.grid()
     if not (isinstance(points, PointSet) and points.grid is grid):
         points, bad = grid.set_of(list(points))
         if bad:
             raise InputError(f"points outside the model: {bad[:3]}")
-    rest = points.mask
-    components = []
+    single = points.mask & ~grid.expand(points.mask)
+    rest = points.mask ^ single
+    grown = []
     while rest:
-        comp = frontier = rest & -rest
+        seed = comp = frontier = rest & -rest
         rest ^= frontier
         while frontier:
             frontier = grid.expand(frontier) & rest
             rest ^= frontier
             comp |= frontier
-        components.append(PointSet(grid, comp))
-    return components
+        grown.append((seed.bit_length(), comp))
+    singles = ((b + 1, 1 << b) for b in _bits_of(single))
+    return [PointSet(grid, comp) for _, comp in heapq.merge(grown, singles)]
 
 
 def complement_points(cover: LatticeCover) -> PointSet:

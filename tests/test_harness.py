@@ -1,5 +1,3 @@
-from collections import deque
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,50 +121,12 @@ class TestRandomSmallSetFamily:
         )
 
 
-def ref_bfs_partition(model, sources):
-    """The earlier queue-based Voronoi cells; ties go to the earlier source."""
-    owner = {}
-    queue = deque()
-    for idx, s in enumerate(sources):
-        if s not in owner:
-            owner[s] = idx
-            queue.append(s)
-    while queue:
-        p = queue.popleft()
-        for nb in ref.neighbors(model, p):
-            if nb not in owner:
-                owner[nb] = owner[p]
-                queue.append(nb)
-    cells = [set() for _ in sources]
-    for p, idx in owner.items():
-        cells[idx].add(p)
-    return [frozenset(c) for c in cells]
-
-
-def ref_bfs_ball(model, center, radius, allowed=None):
-    """The earlier graph ball of the given radius, confined to `allowed`."""
-    if allowed is not None and not allowed(center):
-        return frozenset()
-    seen = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for p in frontier:
-            for nb in ref.neighbors(model, p):
-                if nb in seen:
-                    continue
-                if allowed is not None and not allowed(nb):
-                    continue
-                seen.add(nb)
-                nxt.append(nb)
-        frontier = nxt
-    return frozenset(seen)
-
-
 class TestBFSAgainstReference:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_cells_and_balls(self, data):
+        """Cells, balls of every radius (None: unbounded) and balls from
+        several sources confined to an `allowed` mask, against the tuple BFS."""
         kind = data.draw(st.sampled_from(["cube", "simplex"]))
         n = data.draw(st.integers(min_value=1, max_value=3))
         r = data.draw(st.integers(min_value=1, max_value=4))
@@ -178,11 +138,14 @@ class TestBFSAgainstReference:
         def point_sets(masks):
             return [covering.PointSet(grid, m) for m in masks]
 
+        def owned(owner, count):
+            return [frozenset(p for p, i in owner.items() if i == idx) for idx in range(count)]
+
         bits = [grid.bit(s) for s in sources]
-        assert point_sets(harness._bfs(grid, bits)) == ref_bfs_partition(model, sources)
+        assert point_sets(harness._bfs(grid, bits)) == ref.bfs_partition(model, sources)
 
         center = data.draw(st.sampled_from(points))
-        radius = data.draw(st.integers(min_value=0, max_value=r))
+        radius = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=r)))
         coord, value = data.draw(st.sampled_from(model.facets()))
         blocked = set(data.draw(st.lists(st.sampled_from(points), max_size=4)))
 
@@ -192,11 +155,14 @@ class TestBFSAgainstReference:
         allowed_mask = grid.full & ~grid.facets[(coord, value)]
         allowed_mask &= ~covering.LatticeCover(model, {"B": blocked}).sets["B"].mask
         assert point_sets(harness._bfs(grid, [grid.bit(center)], radius)) == [
-            ref_bfs_ball(model, center, radius)
+            frozenset(ref.bfs(model, [center], radius))
         ]
         assert point_sets(
             harness._bfs(grid, [grid.bit(center)], radius, allowed=allowed_mask)
-        ) == [ref_bfs_ball(model, center, radius, allowed)]
+        ) == [frozenset(ref.bfs(model, [center], radius, allowed))]
+        assert point_sets(harness._bfs(grid, bits, radius, allowed=allowed_mask)) == owned(
+            ref.bfs(model, sources, radius, allowed), len(sources)
+        )
 
 
 class TestDilatedPartition:

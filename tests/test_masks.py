@@ -67,36 +67,20 @@ class TestComponents:
         cover = LatticeCover(model, {"X": points})
         assert covering.set_components(cover, "X") == got
 
-
-class TestBFS:
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_cells_balls_and_allowed_balls(self, data):
-        model = data.draw(models())
-        grid = model.grid()
-        points = model.points()
-        sources = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6))
-        cells = harness._bfs(grid, [grid.bit(s) for s in sources])
-        assert [point_set(model, c) for c in cells] == ref.bfs_partition(model, sources)
-
-        center = data.draw(st.sampled_from(points))
-        radius = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=model.r)))
-        ball = harness._bfs(grid, [grid.bit(center)], radius)[0]
-        assert point_set(model, ball) == frozenset(ref.bfs(model, [center], radius))
-
-        coord, value = data.draw(st.sampled_from(model.facets()))
-        blocked = LatticeCover(
-            model, {"B": data.draw(st.sets(st.sampled_from(points), max_size=4))}
-        ).sets["B"]
-        allowed = grid.full & ~grid.facets[(coord, value)] & ~blocked.mask
-        got = harness._bfs(grid, [grid.bit(s) for s in sources], radius, allowed)
-        owner = ref.bfs(
-            model, sources, radius, lambda q: q[coord] != value and q not in blocked
+    @pytest.mark.parametrize("kind", ["cube", "simplex"])
+    @pytest.mark.parametrize("shape", [
+        lambda p: sum(p[:3]) % 2 == 0,
+        lambda p: p[0] % 3 != 2 and p[1] % 2 == 0 and p[2] % 2 == 0,
+        lambda p: p[0] % 2 == 0,
+    ], ids=["checkerboard", "dominoes", "slabs"])
+    def test_many_small_components(self, kind, shape):
+        """Sets made of many isolated cells or small pieces, where the
+        components outnumber the cells of each."""
+        model = LatticeModel(kind, 3, 8)
+        points = {p for p in model.points() if shape(p)}
+        assert covering.connected_components(points, model) == ref.connected_components(
+            points, model
         )
-        want = [
-            frozenset(p for p, i in owner.items() if i == idx) for idx in range(len(sources))
-        ]
-        assert [point_set(model, c) for c in got] == want
 
 
 @st.composite
@@ -248,17 +232,25 @@ class TestKRange:
 
 
 class TestGridCap:
-    """The simplex grid has (r+1)^n cells; a model whose grid would pass
-    MAX_GRID_CELLS is refused before anything is built."""
+    """An expand shifts the grid's (r+1)^n cells once per move, 2n moves on
+    the cube and n(n+1) on the simplex; a model whose cells times moves pass
+    MAX_EXPAND_BITS is refused before anything is built."""
 
-    @pytest.mark.parametrize("n, r", [(4, 63), (24, 1), (3, 179), (6, 15)])
+    @pytest.mark.parametrize("n, r", [(18, 1), (12, 2), (8, 5), (6, 11)])
     def test_largest_grids_accepted(self, n, r):
-        assert (r + 1) ** n <= covering.MAX_GRID_CELLS == 2**24
-        LatticeModel("simplex", n, r)
+        assert covering.MAX_EXPAND_BITS == 2**27
+        assert (r + 1) ** n * n * (n + 1) <= covering.MAX_EXPAND_BITS
+        grid = LatticeModel("simplex", n, r).grid()
+        # one source mask per coordinate, shared by its n moves
+        assert len(grid.moves) == n + 1
+        assert sum(len(shifts) for _, shifts in grid.moves) == n * (n + 1)
+        masks = [grid.full, *grid.facets.values(), *(src for src, _ in grid.moves)]
+        assert sum(m.bit_length() for m in masks) <= covering.MAX_EXPAND_BITS
+        assert grid.expand(grid.full) == grid.full
 
-    @pytest.mark.parametrize("n, r", [(4, 64), (25, 1), (6, 16), (200, 1)])
+    @pytest.mark.parametrize("n, r", [(19, 1), (12, 3), (8, 6), (6, 12), (4, 50), (200, 1)])
     def test_larger_grids_refused(self, n, r):
-        with pytest.raises(InputError, match="needs a grid of more than 16777216 cells"):
+        with pytest.raises(InputError, match="grid cells times .* moves, more than 134217728"):
             LatticeModel("simplex", n, r)
 
 
