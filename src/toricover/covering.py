@@ -398,7 +398,8 @@ class RefinementPiece:
 
 
 def _layers(masks):
-    """layers[j]: the cells in more than j of the masks."""
+    """layers[j]: the cells in more than j of the masks, which are ints or
+    sets; the first nonempty set becomes layers[0] and is updated in place."""
     layers = []
     for m in masks:
         for j in range(len(layers) - 1, -1, -1):
@@ -524,6 +525,39 @@ def _meets_all(comp: PointSet, face_masks) -> bool:
     return all(comp.mask & m for m in face_masks)
 
 
+def _spanning(cover: LatticeCover):
+    """The first {"set", "axis"} whose set touches both facets of the cube
+    axis, in set then axis order, or None."""
+    for name in cover.sets:
+        for axis in range(cover.model.n):
+            if spans_pair(cover, name, axis):
+                return {"set": name, "axis": axis}
+    return None
+
+
+def _component_witness(cover: LatticeCover, k: int, families) -> WitnessReport:
+    """Report a multiplicity above k, else search the complement components
+    for one that meets every face of a family.  families yields (fields,
+    faces) pairs in search order; the fields go into the witness payload."""
+    mult = multiplicity(cover)
+    if mult > k:
+        return WitnessReport(
+            HYPOTHESIS_VIOLATED,
+            {"reason": "multiplicity_exceeds_k", "multiplicity": mult, "k": k},
+        )
+    grid = cover.model.grid()
+    components = complement_components(cover)
+    for fields, faces in families:
+        face_masks = [grid.face(face) for face in faces]
+        for comp in components:
+            if _meets_all(comp, face_masks):
+                return WitnessReport(
+                    WITNESS_FOUND,
+                    {"component": [list(p) for p in comp], **fields, "k": k},
+                )
+    return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover), "k": k})
+
+
 def lebesgue_witness(cover: LatticeCover) -> WitnessReport:
     """Search a full cover of the cube with multiplicity <= n for a set that
     touches two opposite facets."""
@@ -539,10 +573,9 @@ def lebesgue_witness(cover: LatticeCover) -> WitnessReport:
             HYPOTHESIS_VIOLATED,
             {"reason": "multiplicity_exceeds_dimension", "multiplicity": mult},
         )
-    for name in cover.sets:
-        for axis in range(model.n):
-            if spans_pair(cover, name, axis):
-                return WitnessReport(WITNESS_FOUND, {"set": name, "axis": axis})
+    span = _spanning(cover)
+    if span:
+        return WitnessReport(WITNESS_FOUND, span)
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover)})
 
 
@@ -553,30 +586,16 @@ def kkm_witness(cover: LatticeCover, k: int) -> WitnessReport:
     Preconditions (verified): every set misses some facet; multiplicity <= k.
     """
     model = cover.model
-    faces = model.k_faces(k)
     if model.kind != "simplex":
         raise InputError("kkm_witness runs on the simplex model")
+    faces = model.k_faces(k)
     for name in cover.sets:
         if all(touches_facet(cover, name, f) for f in model.facets()):
             return WitnessReport(
                 HYPOTHESIS_VIOLATED,
                 {"reason": "set_touches_every_facet", "set": name},
             )
-    mult = multiplicity(cover)
-    if mult > k:
-        return WitnessReport(
-            HYPOTHESIS_VIOLATED,
-            {"reason": "multiplicity_exceeds_k", "multiplicity": mult, "k": k},
-        )
-    grid = model.grid()
-    face_masks = [grid.face(face) for face in faces]
-    for comp in complement_components(cover):
-        if _meets_all(comp, face_masks):
-            return WitnessReport(
-                WITNESS_FOUND,
-                {"component": [list(p) for p in comp], "k": k},
-            )
-    return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover), "k": k})
+    return _component_witness(cover, k, [({}, faces)])
 
 
 def complement_witness(cover: LatticeCover, k: int) -> WitnessReport:
@@ -587,39 +606,17 @@ def complement_witness(cover: LatticeCover, k: int) -> WitnessReport:
     multiplicity is at most k.
     """
     model = cover.model
-    all_faces = model.k_faces(k)
     if model.kind != "cube":
         raise InputError("complement_witness runs on the cube model")
-    for name in cover.sets:
-        for axis in range(model.n):
-            if spans_pair(cover, name, axis):
-                return WitnessReport(
-                    HYPOTHESIS_VIOLATED,
-                    {"reason": "set_spans_pair", "set": name, "axis": axis},
-                )
-    mult = multiplicity(cover)
-    if mult > k:
-        return WitnessReport(
-            HYPOTHESIS_VIOLATED,
-            {"reason": "multiplicity_exceeds_k", "multiplicity": mult, "k": k},
-        )
-    components = complement_components(cover)
-    grid = model.grid()
-    for free in itertools.combinations(range(model.n), k):
-        face_masks = [
-            grid.face(face) for face in all_faces if all(c not in free for c, _ in face)
-        ]
-        for comp in components:
-            if _meets_all(comp, face_masks):
-                return WitnessReport(
-                    WITNESS_FOUND,
-                    {
-                        "component": [list(p) for p in comp],
-                        "axes": sorted(free),
-                        "k": k,
-                    },
-                )
-    return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover), "k": k})
+    faces = model.k_faces(k)
+    span = _spanning(cover)
+    if span:
+        return WitnessReport(HYPOTHESIS_VIOLATED, {"reason": "set_spans_pair", **span})
+    families = (
+        ({"axes": list(free)}, [f for f in faces if all(c not in free for c, _ in f)])
+        for free in itertools.combinations(range(model.n), k)
+    )
+    return _component_witness(cover, k, families)
 
 
 def axes_witness(cover: LatticeCover) -> WitnessReport:
@@ -717,30 +714,20 @@ def kkm_lebesgue_witness(
     a divisor equivalent to the ample class avoiding its touched facets, or
     null when the flux system is inconsistent.
     """
+    eps = None if eps is None else Fraction(eps)
+    if eps is not None and eps < 0:
+        raise InputError(f"eps must be >= 0, got {eps}")
+    if not cover.sample:
+        raise BadSampleError("the sample is empty")
     sample = set(cover.sample)
     for name, pts in cover.sets.items():
         if not set(pts) <= sample:
             raise BadSampleError(f"set {name!r} has points outside the sample")
-    union = set()
-    for pts in cover.sets.values():
-        union |= set(pts)
-    if union != sample:
+    # set operations reuse the stored hashes of the points; the copies keep
+    # the in-place updates off the cover's sets
+    layers = _layers(map(set, cover.sets.values()))
+    if not layers or layers[0] != sample:
         raise BadSampleError("the sets do not cover the sample")
-
-    # layers[j]: the points in more than j of the sets seen so far; set
-    # operations reuse the stored hashes of the points
-    layers = []
-    for pts in cover.sets.values():
-        for j in range(len(layers) - 1, -1, -1):
-            common = layers[j].intersection(pts)
-            if common and j + 1 == len(layers):
-                layers.append(common)
-            elif common:
-                layers[j + 1] |= common
-        if layers:
-            layers[0].update(pts)
-        elif pts:
-            layers.append(set(pts))
     mult = len(layers)
     if mult > p.dim:
         return WitnessReport(
@@ -749,8 +736,7 @@ def kkm_lebesgue_witness(
         )
 
     if eps is None:
-        eps = sample_spacing(cover.sample)
-    eps = Fraction(eps)
+        eps = Fraction(sample_spacing(cover.sample))
 
     touched_by = {
         name: sorted(facet_touch_set(p, pts, eps)) for name, pts in cover.sets.items()

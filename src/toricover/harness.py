@@ -26,6 +26,11 @@ from .covering import (
 )
 from .polytope import InputError, SimplePolytope
 
+# random_low_multiplicity_cover holds at most m times the model's points and
+# counts its multiplicity m layers deep; 20 * MAX_MODEL_POINTS admits m <= n+1
+# on every model the covering caps accept (cube n <= 19, simplex n <= 18).
+MAX_LAYERED_POINTS = 20 * covering.MAX_MODEL_POINTS
+
 
 class BadResolutionError(InputError):
     """Resolution incompatible with the requested structured cover."""
@@ -142,12 +147,20 @@ def random_low_multiplicity_cover(
     sit on a random axis-parallel line, which makes every cell contain a full
     slice of the cube); layers 2..m are families of disjoint BFS balls, the
     first ball of every layer anchored at a common point so that the stamped
-    multiplicity m is actually attained.
+    multiplicity m is actually attained.  The balls of a layer are disjoint,
+    so the sets hold at most m times the model's points, and the layering
+    that counts their multiplicity runs over up to m layers per set; m times
+    the larger of m and the model's points is at most MAX_LAYERED_POINTS.
     """
     if m < 1:
         raise InputError("target multiplicity must be >= 1")
-    rng = random.Random(seed)
     points = model.points()
+    if m * max(m, len(points)) > MAX_LAYERED_POINTS:
+        raise InputError(
+            f"target multiplicity m={m} times max(m, {len(points)} model points)"
+            f" is more than {MAX_LAYERED_POINTS}"
+        )
+    rng = random.Random(seed)
     grid = model.grid()
     sets = {}
 

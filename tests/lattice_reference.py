@@ -5,7 +5,8 @@ Points are tuples and sets are frozensets: the neighbour generator, the
 layered BFS, the set flood fill, the count-dict multiplicity, the
 membership-dict Palais refinement, the per-point brick descent, and the
 three random generators on top of them.  Each generator makes the same RNG
-draws as the library's and returns its sets as {name: frozenset}.
+draws as the library's and returns its sets as {name: frozenset}.  The
+sample-cover check and layering run on sets of Fraction points.
 """
 
 import random
@@ -199,3 +200,34 @@ def dilated_partition_cover(model, parts, seed):
             grown.update(neighbors(model, p))
         sets[f"part_{i}"] = frozenset(grown)
     return sets
+
+
+def sample_cover_multiplicity(sample, sets):
+    """The multiplicity of a cover of a point sample by named point sets, or
+    None when a set has a point outside the sample or the sets miss a sample
+    point: a union loop and a layering loop over point sets."""
+    sample = set(sample)
+    for name, pts in sets.items():
+        if not set(pts) <= sample:
+            return None
+    union = set()
+    for pts in sets.values():
+        union |= set(pts)
+    if union != sample:
+        return None
+
+    # layers[j]: the points in more than j of the sets seen so far; set
+    # operations reuse the stored hashes of the points
+    layers = []
+    for pts in sets.values():
+        for j in range(len(layers) - 1, -1, -1):
+            common = layers[j].intersection(pts)
+            if common and j + 1 == len(layers):
+                layers.append(common)
+            elif common:
+                layers[j + 1] |= common
+        if layers:
+            layers[0].update(pts)
+        elif pts:
+            layers.append(set(pts))
+    return len(layers)

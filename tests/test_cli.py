@@ -310,6 +310,16 @@ class TestGenerate:
         assert err.startswith("input error: LatticeModel(")
         assert err.strip().endswith("has more than 1000000 points")
 
+    def test_huge_m_exits_four_at_once(self, capsys):
+        t0 = time.perf_counter()
+        line = expect_field_error(
+            capsys,
+            ["generate", "--pattern", "random", "--n", "1", "--r", "2", "--m", "1000000000"],
+            "m=1000000000",
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert line.endswith("times max(m, 3 model points) is more than 20000000")
+
     def test_bad_resolution_exit_four(self, capsys):
         code, out, err = run(
             capsys, "generate", "--pattern", "bricks", "--n", "2", "--r", "7"
@@ -623,6 +633,54 @@ class TestMomentFields:
         assert out == {"point": ["1/2", "0"]}
 
 
+def sample_cover_edge(data, edge):
+    """The kkm-lebesgue payload data with one edge of the cover check or the
+    layering: a repeated sample point that no set lists or that one set lists
+    alone, or an empty set."""
+    if edge in ("repeat", "repeat_alone"):
+        data["sample"].append(data["sample"][0])
+    if edge == "repeat_alone":
+        data["sets"]["repeat"] = [len(data["sample"]) - 1]
+    if edge == "empty_set":
+        data["sets"]["empty"] = []
+    return data
+
+
+class TestSampleCoverEdges:
+    @pytest.mark.parametrize("edge, code, verdict", [
+        ("repeat", 0, "witness_found"),
+        ("repeat_alone", 2, "hypothesis_violated"),
+        ("empty_set", 0, "witness_found"),
+    ])
+    def test_verdict(self, capsys, edge, code, verdict):
+        data = sample_cover_edge(schema("verify-kkm-lebesgue.json"), edge)
+        got, out, err = run(capsys, "verify", "--theorem", "kkm-lebesgue",
+                            "--input", json.dumps(data))
+        assert (got, out["verdict"]) == (code, verdict)
+        if edge == "repeat_alone":
+            assert out["payload"] == {
+                "reason": "multiplicity_exceeds_dimension", "multiplicity": 3,
+            }
+
+    def test_empty_sample_without_eps(self, capsys):
+        # the golden case kkm-lebesgue-empty-sample pins it with eps
+        data = schema("verify-kkm-lebesgue.json")
+        data.update(sample=[], sets={})
+        del data["eps"]
+        code, out, err = run(capsys, "verify", "--theorem", "kkm-lebesgue",
+                             "--input", json.dumps(data))
+        assert (code, out) == (4, None)
+        assert err == "error: BadSampleError: the sample is empty\n"
+
+    def test_no_sets(self, capsys):
+        data = schema("verify-kkm-lebesgue.json")
+        data["sets"] = {}
+        code, out, err = run(capsys, "verify", "--theorem", "kkm-lebesgue",
+                             "--input", json.dumps(data))
+        assert (code, out) == (4, None)
+        assert err == "error: BadSampleError: the sets do not cover the sample\n"
+
+
 class TestEpsOption:
     @pytest.mark.parametrize("eps", ["1/0", "x", "0.25", "1e-2"])
     def test_bad_eps_names_the_option(self, capsys, eps):
@@ -632,6 +690,15 @@ class TestEpsOption:
              "--input", str(SCHEMAS / "verify-kkm-lebesgue.json")],
             "--eps: ",
         )
+
+    def test_negative_eps_field(self, capsys):
+        # the golden case kkm-lebesgue-eps-negative pins --eps -1
+        payload = with_field(schema("verify-kkm-lebesgue.json"), ["eps"], "-1/4")
+        line = expect_field_error(
+            capsys, ["verify", "--theorem", "kkm-lebesgue", "--input", json.dumps(payload)],
+            "eps",
+        )
+        assert line == "input error: eps must be >= 0, got -1/4"
 
     def test_good_eps(self, capsys):
         code, out, err = run(

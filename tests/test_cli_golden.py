@@ -58,6 +58,9 @@ CASES = {
     "generate-random-cube-m3": [
         "generate", "--pattern", "random", "--n", "3", "--r", "3", "--m", "3", "--seed", "5",
     ],
+    "generate-random-huge-m": [
+        "generate", "--pattern", "random", "--n", "1", "--r", "2", "--m", "1000000000",
+    ],
     "generate-random-simplex": [
         "generate", "--pattern", "random", "--kind", "simplex", "--n", "2", "--r", "3",
         "--m", "3", "--seed", "2",
@@ -87,6 +90,10 @@ CASES = {
     "kkm-lebesgue-eps0": _verify(
         "kkm-lebesgue", "schemas/verify-kkm-lebesgue.json", "--eps", "0"
     ),
+    "kkm-lebesgue-eps-negative": _verify(
+        "kkm-lebesgue", "schemas/verify-kkm-lebesgue.json", "--eps", "-1"
+    ),
+    "kkm-lebesgue-empty-sample": _verify("kkm-lebesgue", INPUTS + "empty-sample.json"),
 }
 
 

@@ -36,6 +36,7 @@ import lattice_reference as ref
 small_coords = st.fractions(
     min_value=Fraction(-2), max_value=Fraction(2), max_denominator=4
 )
+segment_points = st.sampled_from([(Fraction(i, 4),) for i in range(5)])
 
 
 def cube_cover(n, r, sets):
@@ -531,6 +532,16 @@ class TestKKMWitness:
         assert rep.verdict == "hypothesis_violated"
         assert rep.payload["reason"] == "set_touches_every_facet"
 
+    @pytest.mark.parametrize("witness, kind", [
+        (kkm_witness, "simplex"), (complement_witness, "cube"),
+    ])
+    def test_model_kind_checked_before_k(self, witness, kind):
+        other = "cube" if kind == "simplex" else "simplex"
+        cov = LatticeCover(LatticeModel(other, 2, 2), {})
+        with pytest.raises(InputError) as info:
+            witness(cov, 5)
+        assert str(info.value) == f"{witness.__name__} runs on the {kind} model"
+
     def test_multiplicity_violation(self):
         cov = harness.kkm_standard_cover(2, 9)
         rep = kkm_witness(cov, 2)
@@ -671,6 +682,48 @@ class TestKKMLebesgue:
                 segment,
                 PointCloudCover(sample, {"X": frozenset({sample[0]})}),
             )
+
+
+    @pytest.mark.parametrize("eps", [-1, Fraction(-1, 4)])
+    def test_negative_eps_rejected(self, segment, eps):
+        sample = harness.lattice_sample(segment, 4)
+        cov = PointCloudCover(sample, {"all": frozenset(sample)})
+        with pytest.raises(InputError, match=r"^eps must be >= 0, got -1"):
+            kkm_lebesgue_witness(segment, cov, eps)
+        assert kkm_lebesgue_witness(segment, cov, 0).verdict == "witness_found"
+        # eps is converted by Fraction before its sign is read
+        assert kkm_lebesgue_witness(segment, cov, "1/4").verdict == "witness_found"
+        with pytest.raises(InputError, match=r"^eps must be >= 0, got -1/4$"):
+            kkm_lebesgue_witness(segment, cov, "-1/4")
+
+    @pytest.mark.parametrize("eps", [None, Fraction(1, 4)])
+    def test_empty_sample_rejected(self, segment, eps):
+        with pytest.raises(BadSampleError, match="^the sample is empty$"):
+            kkm_lebesgue_witness(segment, PointCloudCover((), {}), eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(segment_points, min_size=1, max_size=8), st.data())
+    def test_multiplicity_matches_point_set_loop(self, sample, data):
+        # set points come from the sample or the whole segment grid, so
+        # repeats, empty sets, missed and stray points all occur
+        pool = st.sampled_from(sample) | segment_points
+        sets = data.draw(st.dictionaries(
+            st.sampled_from("XYZW"), st.frozensets(pool, max_size=5), max_size=4
+        ))
+        segment = construct_standard("cube", 1)
+        cover = PointCloudCover(tuple(sample), sets)
+        want = ref.sample_cover_multiplicity(sample, sets)
+        if want is None:
+            with pytest.raises(BadSampleError):
+                kkm_lebesgue_witness(segment, cover, Fraction(1, 4))
+            return
+        rep = kkm_lebesgue_witness(segment, cover, Fraction(1, 4))
+        if want > segment.dim:
+            assert rep.payload == {
+                "reason": "multiplicity_exceeds_dimension", "multiplicity": want,
+            }
+        else:
+            assert rep.verdict != "hypothesis_violated"
 
 
 def brute_force_spacing(sample):

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricover import (
     BadResolutionError,
+    InputError,
     LatticeModel,
     SuiteConfig,
     kkm_standard_cover,
@@ -90,6 +93,47 @@ class TestRandomLowMultiplicity:
         assert stamped.multiplicity == multiplicity(stamped.cover)
         assert 1 <= stamped.multiplicity <= 2
         assert stamped.cover.union() == set(model.points())
+
+    def test_m_times_points_capped(self, monkeypatch):
+        model = LatticeModel("cube", 1, 2)
+        with pytest.raises(InputError) as info:
+            harness.random_low_multiplicity_cover(model, 10**9, 0)
+        assert str(info.value) == (
+            "target multiplicity m=1000000000 times max(m, 3 model points)"
+            " is more than 20000000"
+        )
+        monkeypatch.setattr(harness, "MAX_LAYERED_POINTS", 25)
+        assert harness.random_low_multiplicity_cover(model, 5, 0).multiplicity <= 5
+        with pytest.raises(InputError, match=r"m=6 times max\(m, 3 model points\)"):
+            harness.random_low_multiplicity_cover(model, 6, 0)
+        monkeypatch.setattr(harness, "MAX_LAYERED_POINTS", 12)
+        assert harness.random_low_multiplicity_cover(model, 3, 0).multiplicity <= 3
+        with pytest.raises(InputError, match="m=4 times"):
+            harness.random_low_multiplicity_cover(model, 4, 0)
+
+    def test_cap_admits_n_plus_one_on_every_accepted_model(self):
+        # the largest cube of each dimension and the largest simplex grids
+        # (tests/test_masks.py::TestGridCap) with m = n+1, the most any
+        # suite asks for
+        assert harness.MAX_LAYERED_POINTS == 20 * 10**6
+        models = [("simplex", 18, 1), ("simplex", 12, 2), ("simplex", 8, 5),
+                  ("simplex", 6, 11), ("simplex", 3, 179)]
+        for n in range(1, 20):
+            r = 1
+            while (r + 2) ** n <= 10**6:
+                r += 1
+            models.append(("cube", n, r))
+        for kind, n, r in models:
+            LatticeModel(kind, n, r)
+            points = (r + 1) ** n if kind == "cube" else math.comb(n + r, n)
+            assert (n + 1) * max(n + 1, points) <= harness.MAX_LAYERED_POINTS
+
+    @pytest.mark.parametrize("n, r", [(4, 24), (5, 12)])
+    def test_resolution_scan_rows_accepted(self, n, r):
+        # scripts/resolution_scan.py asks for multiplicity n on cube n, r
+        model = LatticeModel("cube", n, r)
+        stamped = harness.random_low_multiplicity_cover(model, n, 0)
+        assert 1 <= stamped.multiplicity <= n
 
     def test_deterministic_from_seed(self):
         model = LatticeModel("simplex", 2, 9)
