@@ -4,12 +4,13 @@
 Nothing is known a priori about the resolution needed for the discrete
 analogues to hold; this experiment scans r for the random suites and reports
 the verdict mix per resolution, so counterexample candidates (if any resolution
-produces them) show up with replayable seeds.
+produces them) show up with replayable seeds.  A verifier whose model the
+size caps refuse at some r is printed as skipped, with the cap's message.
 """
 
 import argparse
 
-from toricover import SuiteConfig, run_property_suite
+from toricover import InputError, SuiteConfig, run_property_suite
 
 
 def main():
@@ -30,7 +31,11 @@ def main():
                 verifier=verifier, kind=kind, n=args.n, r=r,
                 instances=args.instances, seed=args.seed, **extra,
             )
-            report = run_property_suite(config)
+            try:
+                report = run_property_suite(config)
+            except InputError as exc:
+                row.append(f"{verifier}: skipped ({exc})")
+                continue
             fails = len(report["failures"])
             row.append(f"{verifier}: {args.instances - fails}/{args.instances}")
             if fails:

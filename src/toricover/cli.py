@@ -3,7 +3,9 @@
 Exit codes: 0 success or witness found; 2 hypothesis violated; 3
 counterexample candidate (or selftest failure); 4 input rejected by an
 InputError.  Any other exception is a library bug and ends in a traceback.
-JSON goes to stdout, a short human summary to stderr.
+JSON goes to stdout, a short human summary to stderr.  Stdout is exactly
+`json.dumps(payload, indent=2)` plus a newline (written by `jsonio.dumps`),
+and an `--output` file holds the same bytes.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _load_json(spec: str) -> dict:
 def _emit(data: dict, summary: str, out_path=None) -> None:
     """Write the output file first, so that a path that cannot be written is
     an input error before anything reaches stdout."""
-    text = json.dumps(data, indent=2)
+    text = jsonio.dumps(data)
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -149,7 +151,7 @@ def _cmd_color(args) -> int:
     data = {
         "classes": [
             [
-                {"sets": list(piece.cover_sets), "points": [list(p) for p in piece.points]}
+                {"sets": list(piece.cover_sets), "points": piece.points}
                 for piece in cls
             ]
             for cls in classes
@@ -160,6 +162,11 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    fixed = {"bricks": "cube", "kkm": "simplex"}.get(args.pattern)
+    if args.kind is not None and fixed not in (None, args.kind):
+        raise InputError(
+            f"--kind {args.kind} does not apply: the {args.pattern} pattern covers the {fixed}"
+        )
     if args.pattern == "bricks":
         cover = harness.shifted_brick_cover(args.n, args.r)
         data = jsonio.cover_to_json(cover)
@@ -169,7 +176,7 @@ def _cmd_generate(args) -> int:
         data = jsonio.cover_to_json(cover)
         summary = f"kkm stars: {len(cover.sets)} sets"
     else:
-        model = LatticeModel(args.kind, args.n, args.r)
+        model = LatticeModel(args.kind or "cube", args.n, args.r)
         stamped = harness.random_low_multiplicity_cover(model, args.m, args.seed)
         data = jsonio.cover_to_json(stamped.cover, multiplicity=stamped.multiplicity)
         summary = (
@@ -245,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--pattern", required=True, choices=["bricks", "kkm", "random"])
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--r", type=int, required=True)
-    p_gen.add_argument("--kind", default="cube", choices=["cube", "simplex"])
+    p_gen.add_argument("--kind", choices=["cube", "simplex"],
+                       help="lattice model: random takes either (default cube), "
+                       "bricks only cube, kkm only simplex")
     p_gen.add_argument("--m", type=int, default=2, help="target multiplicity (random)")
     p_gen.add_argument("--seed", type=int, default=0)
 

@@ -11,18 +11,25 @@ wrong JSON type, or a float or boolean where an integer belongs raises
 InputError (polytope's one input-error class) with the field's path, such as
 `facets[0].normal[1]`.  Sample points must have the polytope's dimension and
 lie in it.
+
+`dumps` writes what the CLI prints: exactly `json.dumps(data, indent=2)`,
+with arrays of integers and of integer rows (and `PointSet`s) formatted by
+json's C encoder instead of its pure-Python indenting one.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections.abc import Set as AbstractSet
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import mul
 
 from .chow import Divisor, RingPresentation
-from .covering import LatticeCover, LatticeModel, PointCloudCover, WitnessReport
+from .covering import LatticeCover, LatticeModel, PointCloudCover, PointSet, WitnessReport
 from .polytope import InputError, SimplePolytope, from_halfspaces
 
 JSON_TYPES = {
@@ -266,3 +273,53 @@ def to_jsonable(obj):
 
 def report_to_json(report: WitnessReport) -> dict:
     return {"verdict": report.verdict, "payload": to_jsonable(report.payload)}
+
+
+def dumps(data) -> str:
+    """json.dumps(data, indent=2), byte for byte, for any value json.dumps
+    accepts, and with a PointSet written as the array of its points."""
+    out = []
+    _write(data, "\n", out)
+    return "".join(out)
+
+
+def _write(value, nl: str, out: list) -> None:
+    """Append the indented text of value to out; nl is the newline and
+    indent that the value's own line starts with."""
+    t = type(value)
+    if t is PointSet:
+        value, t = list(value), list
+    inner = nl + "  "
+    if t is str:
+        out.append(encode_basestring_ascii(value))
+    elif t is dict and value and all(type(k) is str for k in value):
+        sep = "{" + inner
+        for k, v in value.items():
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif (t is list or t is tuple) and value:
+        types = set(map(type, value))
+        if types == {int}:
+            out += "[", inner, ("," + inner).join(map(int.__repr__, value)), nl, "]"
+        elif types <= {list, tuple} and all(value) and set(
+            map(type, chain.from_iterable(value))
+        ) == {int}:
+            # rows of ints: written compactly by the C encoder, then indented
+            # by replacing separators; integer text holds no ',', '[' or ']'
+            row = inner + "  "
+            body = json.dumps(value, separators=(",", ":"))[2:-2].replace(",", "," + row)
+            body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+            out += "[", inner, "[", row, body, inner, "]", nl, "]"
+        else:
+            sep = "[" + inner
+            for v in value:
+                out.append(sep)
+                _write(v, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    else:
+        # a scalar, an empty container, non-str keys: json's own layout with
+        # the indent shifted, exact because JSON text holds no raw newline
+        out.append(json.dumps(value, indent=2).replace("\n", nl))

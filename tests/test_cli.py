@@ -542,6 +542,50 @@ class TestOutputPath:
         assert capsys.readouterr().out == target.read_text()
 
 
+class TestOutputBytes:
+    """Stdout is json.dumps(payload, indent=2) plus a newline, and the
+    --output file holds the same bytes."""
+
+    SCHEMA_CASES = {
+        "ring": ["ring", "--input", "ring.json"],
+        "intersect": ["intersect", "--input", "intersect.json"],
+        "principal": ["principal", "--input", "principal.json"],
+        "avoid": ["avoid", "--input", "avoid.json"],
+        "verify": ["verify", "--theorem", "lebesgue", "--input", "verify.json"],
+        "verify-kkm-lebesgue": [
+            "verify", "--theorem", "kkm-lebesgue", "--input", "verify-kkm-lebesgue.json",
+        ],
+        "color": ["color", "--input", "color.json"],
+        "moment": ["moment", "--kind", "cpn", "--input", "moment.json"],
+        "generate": ["generate", "--pattern", "bricks", "--n", "1", "--r", "4"],
+        "selftest": ["selftest", "--quick"],
+    }
+
+    def emit(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.json"
+        assert cli.main([*argv, "--output", str(target)]) in (0, 2, 3)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert target.read_text() == out
+        return out
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_CASES))
+    def test_schema_payloads(self, capsys, tmp_path, name):
+        argv = [str(SCHEMAS / a) if a.endswith(".json") else a for a in self.SCHEMA_CASES[name]]
+        self.emit(capsys, tmp_path, argv)
+
+    @pytest.mark.parametrize(
+        "pattern", [["bricks"], ["random", "--m", "3"]], ids=["bricks", "random"]
+    )
+    def test_large_cover_and_its_coloring(self, capsys, tmp_path, pattern):
+        cover = self.emit(
+            capsys, tmp_path, ["generate", "--pattern", *pattern, "--n", "3", "--r", "24"]
+        )
+        source = tmp_path / "cover.json"
+        source.write_text(cover)
+        self.emit(capsys, tmp_path, ["color", "--input", str(source)])
+
+
 class TestInnerFieldTypes:
     """A wrong JSON type below the top level names the field's path and the
     expected type."""

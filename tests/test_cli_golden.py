@@ -51,7 +51,13 @@ CASES = {
     "generate-bricks-1": ["generate", "--pattern", "bricks", "--n", "1", "--r", "4"],
     "generate-bricks-2": ["generate", "--pattern", "bricks", "--n", "2", "--r", "4"],
     "generate-bricks-bad-r": ["generate", "--pattern", "bricks", "--n", "2", "--r", "3"],
+    "generate-bricks-kind-simplex": [
+        "generate", "--pattern", "bricks", "--kind", "simplex", "--n", "2", "--r", "4",
+    ],
     "generate-kkm": ["generate", "--pattern", "kkm", "--n", "2", "--r", "3"],
+    "generate-kkm-kind-cube": [
+        "generate", "--pattern", "kkm", "--kind", "cube", "--n", "2", "--r", "3",
+    ],
     "generate-random-cube": [
         "generate", "--pattern", "random", "--n", "2", "--r", "4", "--seed", "1",
     ],

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricover import (
     Divisor,
@@ -14,6 +16,7 @@ from toricover import (
     perturb,
 )
 from toricover import harness
+from toricover.covering import PointSet
 
 
 class TestRoundTrips:
@@ -85,3 +88,60 @@ class TestRationals:
         encoded = jsonio.report_to_json(report)
         json.dumps(encoded)
         assert encoded["verdict"] == report.verdict
+
+
+INTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
+KEYS = st.one_of(
+    st.text(), st.sampled_from(['"', "\n", "\\", "é", "\u2028", "\ud800", "a\nb\"c"]),
+    st.integers(-5, 5), st.booleans(), st.none(), st.floats(),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, st.floats(), st.text())
+# [[]], ragged rows, and bools among ints (json writes them true/false)
+ROWS = st.lists(st.lists(INTS, max_size=4), max_size=5)
+BOOL_ROWS = st.lists(st.lists(st.one_of(INTS, st.booleans()), max_size=3), max_size=3)
+VALUES = st.recursive(
+    st.one_of(SCALARS, ROWS, BOOL_ROWS, st.lists(st.one_of(INTS, st.booleans()))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+        st.lists(st.lists(INTS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    """jsonio.dumps is json.dumps(..., indent=2), byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(VALUES)
+    def test_equals_json_dumps(self, value):
+        assert jsonio.dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[[]], [[1], []], [[1, 2], [3]], [1, True, 2], [True], [[1, True]], [[False]], {"a": {}}, {1: [2]},
+         [float("nan"), float("inf"), -0.0], {"k": [[-1, 2**100]]}, ((1, 2), [3])],
+    )
+    def test_edge_cases(self, value):
+        assert jsonio.dumps(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["cube", "simplex"]), st.integers(1, 3), st.integers(1, 4),
+        st.integers(min_value=0), st.booleans(),
+    )
+    def test_point_sets(self, kind, n, r, bits, empty):
+        grid = LatticeModel(kind, n, r).grid()
+        points = PointSet(grid, 0 if empty else bits & grid.full)
+        plain = list(map(list, points))
+        assert jsonio.dumps(points) == json.dumps(plain, indent=2)
+        assert jsonio.dumps({"sets": ["a"], "points": points}) == json.dumps(
+            {"sets": ["a"], "points": plain}, indent=2
+        )
+        assert jsonio.dumps([points, points]) == json.dumps([plain, plain], indent=2)
+
+    def test_cover_to_json_stays_plain(self):
+        data = jsonio.cover_to_json(harness.shifted_brick_cover(2, 8), multiplicity=3)
+        assert jsonio.dumps(data) == json.dumps(data, indent=2)
