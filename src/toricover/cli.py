@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import acceptance, chow, covering, harness, jsonio
@@ -61,7 +62,8 @@ def _load_json(spec: str) -> dict:
 
 def _emit(data: dict, summary: str, out_path=None) -> None:
     """Write the output file first, so that a path that cannot be written is
-    an input error before anything reaches stdout."""
+    an input error before anything reaches stdout.  A closed stdout (as with
+    `| head`) is pointed at the null device, so the exit flush stays quiet."""
     text = jsonio.dumps(data)
     if out_path:
         try:
@@ -69,7 +71,10 @@ def _emit(data: dict, summary: str, out_path=None) -> None:
                 fh.write(text + "\n")
         except OSError as exc:
             raise InputError(f"cannot write output {out_path!r}: {exc}") from None
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(summary, file=sys.stderr)
 
 

@@ -19,11 +19,14 @@ bit order is the lexicographic point order.  Adjacency is a table of moves
 (shift, source mask): each cell of the source mask has the neighbour `shift`
 bits away, so the neighbours of a whole set come from a few shifts and ANDs.
 Each facet is one mask and a face is the AND of its facets.  A cover's sets
-are PointSets: immutable sets of point tuples, iterated in sorted order, whose
-operations with sets of the same model are int operations on the masks.
+are PointSets: immutable sets of point tuples, iterated in bit order, whose
+operations with sets over the same Grid are int operations on the masks.
 Unions and complements are ORs and AND-NOTs, components a frontier flood
 fill.  A model holds at most MAX_MODEL_POINTS points, and its grid's cells
 times its moves, the bits one expand shifts, are at most MAX_EXPAND_BITS.
+
+A sample cover's sets are PointSets too, over the Sample of its rational
+point sample, whose bits are its distinct points.
 """
 
 from __future__ import annotations
@@ -296,11 +299,11 @@ def _bits_of(mask: int):
 
 
 class PointSet(Set):
-    """An immutable set of points of one model, held as a mask over the
-    model's grid.  Iteration yields the points in sorted order and membership
-    takes a point as a tuple of ints.  Comparisons and & | - with a PointSet
-    of the same model are int operations; with any other set they go point
-    by point (collections.abc.Set), and & | - ^ return frozensets."""
+    """An immutable set of points held as a mask over `grid`, a model's Grid
+    or a Sample.  Iteration yields the points in bit order: sorted on a Grid,
+    first occurrence on a Sample.  Comparisons and & | - with a PointSet over
+    the same grid are int operations; with any other set they go point by
+    point (collections.abc.Set), and & | - ^ return frozensets."""
 
     __slots__ = ("grid", "mask")
 
@@ -398,8 +401,7 @@ class RefinementPiece:
 
 
 def _layers(masks):
-    """layers[j]: the cells in more than j of the masks, which are ints or
-    sets; the first nonempty set becomes layers[0] and is updated in place."""
+    """layers[j]: the bits set in more than j of the int masks."""
     layers = []
     for m in masks:
         for j in range(len(layers) - 1, -1, -1):
@@ -648,22 +650,102 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover)})
 
 
+class Sample:
+    """A point sample as an index space: its distinct points in order of
+    first occurrence, point i at bit i, and their integer numerators over the
+    common denominator L of all coordinates, computed once.  at[i] is the bit
+    of the i-th input point.  Sets of sample points are PointSets over it."""
+
+    def __init__(self, points: tuple):
+        self.den = math.lcm(*(x.denominator for pt in points for x in pt))
+        ints = [tuple(x.numerator * (self.den // x.denominator) for x in pt) for pt in points]
+        self._index = {}
+        self.at = [self._index.setdefault(a, len(self._index)) for a in ints]
+        if len(self._index) < len(points):
+            # a point comes first where its bit exceeds every earlier bit
+            tops = itertools.accumulate(self.at, max, initial=-1)
+            points = tuple(pt for pt, b, top in zip(points, self.at, tops) if b > top)
+        self.points = points
+        self.ints = tuple(self._index)
+        self._cols = tuple(zip(*self.ints))
+        self.full = (1 << len(points)) - 1
+
+    def bit(self, p):
+        """The bit of point p, or None when p is not a sample point."""
+        try:
+            return self._index.get(tuple(x * self.den for x in p))
+        except TypeError:
+            return None
+
+    set_of = Grid.set_of
+
+    def points_of(self, mask: int):
+        return map(self.points.__getitem__, _bits_of(mask))
+
+    def set_at(self, positions) -> PointSet:
+        """The PointSet of the input points at the given positions."""
+        return PointSet(self, _mask([self.at[i] for i in positions]))
+
+    def _at_most(self, u, bound: int) -> int:
+        """The mask of the points whose numerators a have <u, a> <= bound."""
+        dots = itertools.repeat(0, len(self.points))
+        for w, col in zip(u, self._cols):
+            if w:
+                dots = map(add, dots, map(w.__mul__, col))
+        return _mask(list(itertools.compress(itertools.count(), map(bound.__ge__, dots))))
+
+    def near(self, p: SimplePolytope, eps) -> list:
+        """Per facet F of P, the mask of the points at slack <= eps |u_F|_1:
+        <u_F, x> + c_F <= t holds iff <u_F, a> <= floor(L (t - c_F))."""
+        eps = Fraction(eps)
+        return [
+            self._at_most(u, math.floor(self.den * (eps * sum(map(abs, u)) - c)))
+            for u, c in zip(p.normals, p.offsets)
+        ]
+
+    def outside(self, p: SimplePolytope):
+        """The input position of the first point outside P, facet by facet,
+        or None: <u_F, x> + c_F < 0 holds iff <u_F, a> <= ceil(-L c_F) - 1."""
+        for u, c in zip(p.normals, p.offsets):
+            mask = self._at_most(u, math.ceil(-self.den * c) - 1)
+            if mask:
+                return self.at.index((mask & -mask).bit_length() - 1)
+        return None
+
+
 @dataclass(frozen=True)
 class PointCloudCover:
     """Named sets of exact rational points drawn from a finite sample of a
-    polytope."""
+    polytope: PointSets over one Sample of it, or any point collections."""
 
     sample: tuple
     sets: dict
+
+    def indexed(self):
+        """The Sample and the sets as PointSets over it, as they are if they
+        are, else converted once.  A stray point raises BadSampleError."""
+        grids = {pts.grid if isinstance(pts, PointSet) else None for pts in self.sets.values()}
+        sample = grids.pop() if len(grids) == 1 else None
+        if isinstance(sample, Sample) and sample.points is self.sample:
+            return sample, self.sets
+        sample = Sample(tuple(self.sample))
+        sets = {}
+        for name, pts in self.sets.items():
+            sets[name], bad = sample.set_of(pts)
+            if bad:
+                raise BadSampleError(f"set {name!r} has points outside the sample")
+        return sample, sets
 
 
 def sample_spacing(sample) -> Fraction:
     """Smallest positive max-norm distance between two sample points.
 
-    Sweeps the distinct points in sorted order: once the first coordinates
-    differ by at least the best distance so far, no later point comes closer.
+    Sweeps the numerators in sorted order: once the first coordinates differ
+    by at least the best distance so far, no later point comes closer.
     """
-    pts = sorted(set(sample))
+    if not isinstance(sample, Sample):
+        sample = Sample(tuple(sample))
+    pts = sorted(sample.ints)
     best = None
     for i, p in enumerate(pts):
         for j in range(i + 1, len(pts)):
@@ -675,30 +757,16 @@ def sample_spacing(sample) -> Fraction:
                 best = d
     if best is None:
         raise InputError("sample needs at least two distinct points")
-    return best
+    return Fraction(best, sample.den)
 
 
 def facet_touch_set(p: SimplePolytope, points, eps: Fraction):
-    """Facets F with some point at slack <= eps * |u_F|_1.
-
-    Every point is read once as integer numerators a over the common
-    denominator L of all coordinates.  With c_F = N_F / D_F and
-    eps = e / q the test <u_F, a> / L + c_F <= eps |u_F|_1 becomes
-    <u_F, a> D_F q <= L (e |u_F|_1 D_F - N_F q), in integers.
-    """
-    den = math.lcm(*(x.denominator for pt in points for x in pt))
-    ints = [
-        [x.numerator * (den // x.denominator) for x in pt] for pt in points
-    ]
-    eps = Fraction(eps)
-    e, q = eps.numerator, eps.denominator
-    touched = set()
-    for f, (u, c) in enumerate(zip(p.normals, p.offsets)):
-        scale = c.denominator * q
-        bound = den * (e * sum(abs(x) for x in u) * c.denominator - c.numerator * q)
-        if any(sum(w * a for w, a in zip(u, pt)) * scale <= bound for pt in ints):
-            touched.add(f)
-    return touched
+    """Facets F with some point at slack <= eps * |u_F|_1: the near masks
+    (Sample.near) that the points meet."""
+    if not (isinstance(points, PointSet) and isinstance(points.grid, Sample)):
+        sample = Sample(tuple(points))
+        points = PointSet(sample, sample.full)
+    return {f for f, near in enumerate(points.grid.near(p, eps)) if near & points.mask}
 
 
 def kkm_lebesgue_witness(
@@ -719,14 +787,9 @@ def kkm_lebesgue_witness(
         raise InputError(f"eps must be >= 0, got {eps}")
     if not cover.sample:
         raise BadSampleError("the sample is empty")
-    sample = set(cover.sample)
-    for name, pts in cover.sets.items():
-        if not set(pts) <= sample:
-            raise BadSampleError(f"set {name!r} has points outside the sample")
-    # set operations reuse the stored hashes of the points; the copies keep
-    # the in-place updates off the cover's sets
-    layers = _layers(map(set, cover.sets.values()))
-    if not layers or layers[0] != sample:
+    sample, sets = cover.indexed()
+    layers = _layers(pts.mask for pts in sets.values())
+    if not layers or layers[0] != sample.full:
         raise BadSampleError("the sets do not cover the sample")
     mult = len(layers)
     if mult > p.dim:
@@ -736,10 +799,11 @@ def kkm_lebesgue_witness(
         )
 
     if eps is None:
-        eps = Fraction(sample_spacing(cover.sample))
-
+        eps = sample_spacing(sample)
+    near = sample.near(p, eps)
     touched_by = {
-        name: sorted(facet_touch_set(p, pts, eps)) for name, pts in cover.sets.items()
+        name: [f for f, mask in enumerate(near) if mask & pts.mask]
+        for name, pts in sets.items()
     }
     ample = chow.ample_from_offsets(p)
     certificates = {}

@@ -23,6 +23,7 @@ from .covering import (
     LatticeModel,
     PointCloudCover,
     PointSet,
+    Sample,
 )
 from .polytope import InputError, SimplePolytope
 
@@ -300,57 +301,54 @@ def polytope_sample_cover(
     """A multiplicity-<=m cover of the lattice sample of P: coordinate slabs
     (layer 1, a partition) plus up to m-1 layers of disjoint max-norm balls.
 
-    Slabs and balls are cut on the integer grid indices of the sample points,
-    where a ball of radius k / resolution has integer radius k.
+    Slabs and balls are cut on the integer numerators of the sample points
+    (Sample.ints), and the sets are PointSets over the sample's Sample.
 
     Returns (PointCloudCover, eps) with eps one full grid spacing.  A tilted
     facet plane can stay further than half a spacing from every grid plane on
     its polytope side, so facet contact is judged at one grid layer.
     """
     rng = random.Random(seed)
-    sample = lattice_sample(p, resolution)
-    if not sample:
+    sample = Sample(lattice_sample(p, resolution))
+    if not sample.points:
         raise InputError("empty sample; raise the resolution")
-    grid = [
-        tuple(x.numerator * (resolution // x.denominator) for x in pt)
-        for pt in sample
-    ]
     axis = rng.randrange(p.dim)
-    values = sorted({g[axis] for g in grid})
+    values = sorted({g[axis] for g in sample.ints})
     nslabs = min(rng.randint(2, 3), len(values))
     cut_positions = sorted(rng.sample(range(1, len(values)), nslabs - 1))
     bounds = [0] + cut_positions + [len(values)]
     sets = {}
     for i in range(nslabs):
         first, last = values[bounds[i]], values[bounds[i + 1] - 1]
-        pts = frozenset(
-            pt for pt, g in zip(sample, grid) if first <= g[axis] <= last
+        sets[f"slab_{i}"] = sample.set_at(
+            [j for j, g in enumerate(sample.ints) if first <= g[axis] <= last]
         )
-        if pts:
-            sets[f"slab_{i}"] = pts
 
     for layer in range(1, m):
         used = set()
         for b in range(rng.randint(1, 2)):
-            center = rng.choice(grid)
-            radius = rng.randint(1, 2)
+            center = rng.choice(sample.ints)
+            # k grid steps are k * den / resolution numerator steps
+            radius = rng.randint(1, 2) * sample.den // resolution
             ball = [
                 i
-                for i, g in enumerate(grid)
+                for i, g in enumerate(sample.ints)
                 if i not in used
                 and all(abs(a - c) <= radius for a, c in zip(g, center))
             ]
             if ball:
-                sets[f"ball_{layer}_{b}"] = frozenset(sample[i] for i in ball)
+                sets[f"ball_{layer}_{b}"] = sample.set_at(ball)
                 used.update(ball)
 
-    return PointCloudCover(sample, sets), Fraction(1, resolution)
+    return PointCloudCover(sample.points, sets), Fraction(1, resolution)
 
 
 def exhaustive_oracle_tiny() -> dict:
     """Enumerate every cover of the 2x2 point grid by up to 3 labeled nonempty
-    sets; for multiplicity <= 2 confirm a spanning set exists, and check the
-    lebesgue verifier agrees with the direct enumeration on every instance."""
+    sets and check the lebesgue verifier against the direct enumeration on
+    every instance.  violations (multiplicity <= 2, no spanning set) is 0 by
+    pigeonhole: some set holds two of the 4 points, which differ on an axis
+    and so span it.  What this checks is the verifier's agreement."""
     model = LatticeModel("cube", 2, 1)
     points = list(model.points())
     total = checked = violations = mismatches = 0

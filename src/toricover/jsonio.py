@@ -20,16 +20,15 @@ json's C encoder instead of its pure-Python indenting one.
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections.abc import Set as AbstractSet
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import mul
 
 from .chow import Divisor, RingPresentation
 from .covering import LatticeCover, LatticeModel, PointCloudCover, PointSet, WitnessReport
+from .covering import Sample, _bits_of
 from .polytope import InputError, SimplePolytope, from_halfspaces
 
 JSON_TYPES = {
@@ -195,14 +194,11 @@ def cover_from_json(data: dict) -> LatticeCover:
 
 
 def point_cover_to_json(p: SimplePolytope, cover: PointCloudCover, eps=None) -> dict:
-    index = {pt: i for i, pt in enumerate(cover.sample)}
+    sample, sets = cover.indexed()
     data = {
         "polytope": polytope_to_json(p),
-        "sample": [[frac_to_str(x) for x in pt] for pt in cover.sample],
-        "sets": {
-            name: sorted(index[pt] for pt in pts)
-            for name, pts in cover.sets.items()
-        },
+        "sample": [[frac_to_str(x) for x in pt] for pt in sample.points],
+        "sets": {name: list(_bits_of(pts.mask)) for name, pts in sets.items()},
     }
     if eps is not None:
         data["eps"] = frac_to_str(eps)
@@ -210,7 +206,9 @@ def point_cover_to_json(p: SimplePolytope, cover: PointCloudCover, eps=None) -> 
 
 
 def point_cover_from_json(data: dict):
-    """Returns (polytope, PointCloudCover, eps or None)."""
+    """Returns (polytope, PointCloudCover, eps or None).  A repeated sample
+    point is one point of the cover; a point outside P is named by its
+    position in the payload."""
     p = polytope_from_json(_field(data, "polytope"), "polytope")
     sample = []
     for i, pt in enumerate(_field(data, "sample", kind=list)):
@@ -219,30 +217,19 @@ def point_cover_from_json(data: dict):
         if len(point) != p.dim:
             raise InputError(f"{at} has {len(point)} coordinates, the polytope has {p.dim}")
         sample.append(point)
-    sample = tuple(sample)
-    _check_inside(p, sample)
+    sample = Sample(tuple(sample))
+    outside = sample.outside(p)
+    if outside is not None:
+        raise InputError(f"{_at('sample', outside)} lies outside the polytope")
     sets = {}
     for name, idxs in _field(data, "sets", kind=dict).items():
         at = _at("sets", name)
         for j, i in enumerate(_ints(idxs, at)):
-            if not 0 <= i < len(sample):
+            if not 0 <= i < len(sample.at):
                 raise InputError(f"{_at(at, j)}: sample index {i} out of range")
-        sets[name] = frozenset(sample[i] for i in idxs)
+        sets[name] = sample.set_at(idxs)
     eps = _frac(data["eps"], "eps") if "eps" in data else None
-    return p, PointCloudCover(sample, sets), eps
-
-
-def _check_inside(p: SimplePolytope, sample) -> None:
-    """Every sample point lies in P, tested in integers: with the points'
-    numerators a over their common denominator L and c_F = N_F / D_F,
-    <u_F, a> / L + c_F >= 0 becomes <u_F, a> D_F >= -N_F L."""
-    den = math.lcm(*(x.denominator for pt in sample for x in pt))
-    ints = [[x.numerator * (den // x.denominator) for x in pt] for pt in sample]
-    for u, c in zip(p.normals, p.offsets):
-        bound = -c.numerator * den
-        for i, a in enumerate(ints):
-            if sum(map(mul, u, a)) * c.denominator < bound:
-                raise InputError(f"{_at('sample', i)} lies outside the polytope")
+    return p, PointCloudCover(sample.points, sets), eps
 
 
 def moment_input_from_json(data: dict, kind: str) -> list:

@@ -77,3 +77,25 @@ def test_component_input_has_the_length_the_tracer_reads():
     want = sum(map(len, cover.sets.values())) + len(covering.complement_points(cover))
     assert want > 0
     assert tracer.counts["covering.connected_components.points"] == want
+
+
+def test_sample_cover_has_the_shape_the_workloads_read():
+    """sample_cover re-checks cover.sets[name] with facet_touch_set and hands
+    cover.sample and the sets to its oracle; cli_roundtrip passes
+    point_cover_to_json's result to json.dumps."""
+    import json
+    from fractions import Fraction
+
+    from toricover import covering, harness, jsonio, polytope
+
+    p = polytope.perturb(polytope.construct_standard("cube", 3), Fraction(1, 100), seed=3)
+    cover, eps = harness.polytope_sample_cover(p, 4, 2, 3)
+    assert type(cover.sample) is tuple and cover.sample
+    assert all(type(pt) is tuple and {type(x) for x in pt} == {Fraction} for pt in cover.sample)
+    for name, pts in cover.sets.items():
+        points = list(pts)
+        assert len(points) == len(pts) > 0
+        assert all(type(pt) is tuple and {type(x) for x in pt} == {Fraction} for pt in points)
+        touched = covering.facet_touch_set(p, pts, eps)
+        assert isinstance(touched, set) and all(type(f) is int for f in touched)
+    json.dumps(jsonio.point_cover_to_json(p, cover, eps))

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -978,3 +981,32 @@ class TestLibraryBugsPropagate:
         with pytest.raises(exc, match="missing"):
             cli.main(["ring", "--input", CUBE2])
         assert "input error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, summary",
+    [
+        (["generate", "--pattern", "random", "--n", "2", "--r", "4"], 0,
+         "random cover: 5 sets, measured multiplicity 2"),
+        (["verify", "--theorem", "axes", "--input",
+          "tests/golden/inputs/axes-checkerboard.json"], 3,
+         "verdict: counterexample_candidate"),
+    ],
+    ids=["generate", "verify"],
+)
+def test_closed_stdout_ends_quietly(argv, code, summary):
+    """A reader that is gone before the JSON is written (as with `| head`)
+    leaves the exit code and stderr of the subcommand as they are."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricover.cli", *argv],
+            cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, summary + "\n")
+

@@ -100,6 +100,13 @@ CASES = {
         "kkm-lebesgue", "schemas/verify-kkm-lebesgue.json", "--eps", "-1"
     ),
     "kkm-lebesgue-empty-sample": _verify("kkm-lebesgue", INPUTS + "empty-sample.json"),
+    "kkm-lebesgue-repeated-sample": _verify("kkm-lebesgue", INPUTS + "repeated-sample.json"),
+    "kkm-lebesgue-repeated-sample-eps0": _verify(
+        "kkm-lebesgue", INPUTS + "repeated-sample.json", "--eps", "0"
+    ),
+    "kkm-lebesgue-repeated-sample-outside": _verify(
+        "kkm-lebesgue", INPUTS + "repeated-sample-outside.json"
+    ),
 }
 
 
