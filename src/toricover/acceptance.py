@@ -211,8 +211,7 @@ def kkm_lebesgue_suite(instances: int = 50) -> CriterionResult:
 
 def oracle() -> CriterionResult:
     """The tiny exhaustive enumeration agrees with the lebesgue verifier on
-    every cover; its zero violations hold by pigeonhole (see
-    harness.exhaustive_oracle_tiny)."""
+    every cover (its zero violations hold by pigeonhole)."""
     report = harness.exhaustive_oracle_tiny()
     ok = report["violations"] == 0 and report["verifier_mismatches"] == 0
     return CriterionResult(

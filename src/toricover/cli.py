@@ -62,8 +62,7 @@ def _load_json(spec: str) -> dict:
 
 def _emit(data: dict, summary: str, out_path=None) -> None:
     """Write the output file first, so that a path that cannot be written is
-    an input error before anything reaches stdout.  A closed stdout (as with
-    `| head`) is pointed at the null device, so the exit flush stays quiet."""
+    an input error before stdout, which becomes the null device if closed."""
     text = jsonio.dumps(data)
     if out_path:
         try:

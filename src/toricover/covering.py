@@ -12,21 +12,19 @@ A facet is a coordinate equation (coordinate, value): the cube has (axis, 0)
 and (axis, r) for each axis, the simplex (j, 0) for each coordinate j.  A face
 is the tuple of the facets that cut it out, as in polytope.faces.
 
-Point sets are bitmasks over the model's Grid, built on first use and shared
-by equal models.  Bit i is the mixed-radix index sum_j p_j (r+1)^(n-1-j) of
-the first n coordinates, so the simplex sits in (r+1)^n and in both models
-bit order is the lexicographic point order.  Adjacency is a table of moves
-(shift, source mask): each cell of the source mask has the neighbour `shift`
-bits away, so the neighbours of a whole set come from a few shifts and ANDs.
-Each facet is one mask and a face is the AND of its facets.  A cover's sets
-are PointSets: immutable sets of point tuples, iterated in bit order, whose
-operations with sets over the same Grid are int operations on the masks.
-Unions and complements are ORs and AND-NOTs, components a frontier flood
-fill.  A model holds at most MAX_MODEL_POINTS points, and its grid's cells
-times its moves, the bits one expand shifts, are at most MAX_EXPAND_BITS.
-
-A sample cover's sets are PointSets too, over the Sample of its rational
-point sample, whose bits are its distinct points.
+Point sets are bitmasks over a model's Grid, built on first use and shared by
+equal models, or over a sample's Sample.  Bit i of a Grid is the mixed-radix
+index sum_j p_j (r+1)^(n-1-j) of the first n coordinates, so the simplex sits
+in (r+1)^n and in both models bit order is the lexicographic point order.
+Adjacency is a table of moves (shift, source mask): each cell of the source
+mask has the neighbour `shift` bits away, so the neighbours of a whole set
+come from a few shifts and ANDs.  Each facet is one mask and a face is the AND
+of its facets.  A cover's sets are PointSets: immutable sets of point tuples,
+iterated in bit order, whose operations with sets over the same grid are int
+operations on the masks.  Unions and complements are ORs and AND-NOTs,
+components a frontier flood fill.  A model holds at most MAX_MODEL_POINTS
+points, and its grid's cells times its moves, the bits one expand shifts, are
+at most MAX_EXPAND_BITS.
 """
 
 from __future__ import annotations
@@ -651,24 +649,17 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
 
 
 class Sample:
-    """A point sample as an index space: its distinct points in order of
-    first occurrence, point i at bit i, and their integer numerators over the
-    common denominator L of all coordinates, computed once.  at[i] is the bit
-    of the i-th input point.  Sets of sample points are PointSets over it."""
+    """A point sample as the index space of PointSets: input point i is bit
+    at[i], the position of its first occurrence.  ints holds the points'
+    numerators over the common denominator L (den) of all coordinates."""
 
     def __init__(self, points: tuple):
-        self.den = math.lcm(*(x.denominator for pt in points for x in pt))
-        ints = [tuple(x.numerator * (self.den // x.denominator) for x in pt) for pt in points]
-        self._index = {}
-        self.at = [self._index.setdefault(a, len(self._index)) for a in ints]
-        if len(self._index) < len(points):
-            # a point comes first where its bit exceeds every earlier bit
-            tops = itertools.accumulate(self.at, max, initial=-1)
-            points = tuple(pt for pt, b, top in zip(points, self.at, tops) if b > top)
         self.points = points
-        self.ints = tuple(self._index)
-        self._cols = tuple(zip(*self.ints))
-        self.full = (1 << len(points)) - 1
+        self.den = math.lcm(*(x.denominator for pt in points for x in pt))
+        self.ints = [tuple(x.numerator * (self.den // x.denominator) for x in pt) for pt in points]
+        self._index = {}
+        self.at = [self._index.setdefault(a, i) for i, a in enumerate(self.ints)]
+        self.full = _mask(list(self._index.values()))
 
     def bit(self, p):
         """The bit of point p, or None when p is not a sample point."""
@@ -682,17 +673,9 @@ class Sample:
     def points_of(self, mask: int):
         return map(self.points.__getitem__, _bits_of(mask))
 
-    def set_at(self, positions) -> PointSet:
-        """The PointSet of the input points at the given positions."""
-        return PointSet(self, _mask([self.at[i] for i in positions]))
-
     def _at_most(self, u, bound: int) -> int:
         """The mask of the points whose numerators a have <u, a> <= bound."""
-        dots = itertools.repeat(0, len(self.points))
-        for w, col in zip(u, self._cols):
-            if w:
-                dots = map(add, dots, map(w.__mul__, col))
-        return _mask(list(itertools.compress(itertools.count(), map(bound.__ge__, dots))))
+        return _mask([i for i, a in enumerate(self.ints) if sum(map(mul, u, a)) <= bound])
 
     def near(self, p: SimplePolytope, eps) -> list:
         """Per facet F of P, the mask of the points at slack <= eps |u_F|_1:
@@ -703,27 +686,26 @@ class Sample:
             for u, c in zip(p.normals, p.offsets)
         ]
 
-    def outside(self, p: SimplePolytope):
-        """The input position of the first point outside P, facet by facet,
-        or None: <u_F, x> + c_F < 0 holds iff <u_F, a> <= ceil(-L c_F) - 1."""
+    def check_inside(self, p: SimplePolytope) -> None:
+        """Raise InputError naming sample[i], the first point outside P, facet
+        by facet: <u_F, x> + c_F < 0 holds iff <u_F, a> <= ceil(-L c_F) - 1."""
         for u, c in zip(p.normals, p.offsets):
             mask = self._at_most(u, math.ceil(-self.den * c) - 1)
             if mask:
-                return self.at.index((mask & -mask).bit_length() - 1)
-        return None
+                i = (mask & -mask).bit_length() - 1
+                raise InputError(f"sample[{i}] lies outside the polytope")
 
 
 @dataclass(frozen=True)
 class PointCloudCover:
     """Named sets of exact rational points drawn from a finite sample of a
-    polytope: PointSets over one Sample of it, or any point collections."""
+    polytope: PointSets over its Sample, or any collections of points."""
 
     sample: tuple
     sets: dict
 
     def indexed(self):
-        """The Sample and the sets as PointSets over it, as they are if they
-        are, else converted once.  A stray point raises BadSampleError."""
+        """The Sample and the sets as PointSets over it, converted if need be."""
         grids = {pts.grid if isinstance(pts, PointSet) else None for pts in self.sets.values()}
         sample = grids.pop() if len(grids) == 1 else None
         if isinstance(sample, Sample) and sample.points is self.sample:
@@ -743,9 +725,8 @@ def sample_spacing(sample) -> Fraction:
     Sweeps the numerators in sorted order: once the first coordinates differ
     by at least the best distance so far, no later point comes closer.
     """
-    if not isinstance(sample, Sample):
-        sample = Sample(tuple(sample))
-    pts = sorted(sample.ints)
+    sample = sample if isinstance(sample, Sample) else Sample(tuple(sample))
+    pts = sorted(sample._index)
     best = None
     for i, p in enumerate(pts):
         for j in range(i + 1, len(pts)):
@@ -761,12 +742,8 @@ def sample_spacing(sample) -> Fraction:
 
 
 def facet_touch_set(p: SimplePolytope, points, eps: Fraction):
-    """Facets F with some point at slack <= eps * |u_F|_1: the near masks
-    (Sample.near) that the points meet."""
-    if not (isinstance(points, PointSet) and isinstance(points.grid, Sample)):
-        sample = Sample(tuple(points))
-        points = PointSet(sample, sample.full)
-    return {f for f, near in enumerate(points.grid.near(p, eps)) if near & points.mask}
+    """Facets F with some point at slack <= eps * |u_F|_1 (Sample.near)."""
+    return {f for f, near in enumerate(Sample(tuple(points)).near(p, eps)) if near}
 
 
 def kkm_lebesgue_witness(
@@ -802,8 +779,7 @@ def kkm_lebesgue_witness(
         eps = sample_spacing(sample)
     near = sample.near(p, eps)
     touched_by = {
-        name: [f for f, mask in enumerate(near) if mask & pts.mask]
-        for name, pts in sets.items()
+        name: [f for f, mask in enumerate(near) if mask & pts.mask] for name, pts in sets.items()
     }
     ample = chow.ample_from_offsets(p)
     certificates = {}

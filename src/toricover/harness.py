@@ -23,7 +23,6 @@ from .covering import (
     LatticeModel,
     PointCloudCover,
     PointSet,
-    Sample,
 )
 from .polytope import InputError, SimplePolytope
 
@@ -301,15 +300,15 @@ def polytope_sample_cover(
     """A multiplicity-<=m cover of the lattice sample of P: coordinate slabs
     (layer 1, a partition) plus up to m-1 layers of disjoint max-norm balls.
 
-    Slabs and balls are cut on the integer numerators of the sample points
-    (Sample.ints), and the sets are PointSets over the sample's Sample.
+    Slabs and balls are cut on the sample's integer numerators (Sample.ints),
+    where a ball of radius k / resolution has radius k den / resolution.
 
     Returns (PointCloudCover, eps) with eps one full grid spacing.  A tilted
     facet plane can stay further than half a spacing from every grid plane on
     its polytope side, so facet contact is judged at one grid layer.
     """
     rng = random.Random(seed)
-    sample = Sample(lattice_sample(p, resolution))
+    sample = covering.Sample(lattice_sample(p, resolution))
     if not sample.points:
         raise InputError("empty sample; raise the resolution")
     axis = rng.randrange(p.dim)
@@ -320,15 +319,13 @@ def polytope_sample_cover(
     sets = {}
     for i in range(nslabs):
         first, last = values[bounds[i]], values[bounds[i + 1] - 1]
-        sets[f"slab_{i}"] = sample.set_at(
-            [j for j, g in enumerate(sample.ints) if first <= g[axis] <= last]
-        )
+        slab = [j for j, g in enumerate(sample.ints) if first <= g[axis] <= last]
+        sets[f"slab_{i}"] = PointSet(sample, covering._mask(slab))
 
     for layer in range(1, m):
         used = set()
         for b in range(rng.randint(1, 2)):
             center = rng.choice(sample.ints)
-            # k grid steps are k * den / resolution numerator steps
             radius = rng.randint(1, 2) * sample.den // resolution
             ball = [
                 i
@@ -337,7 +334,7 @@ def polytope_sample_cover(
                 and all(abs(a - c) <= radius for a, c in zip(g, center))
             ]
             if ball:
-                sets[f"ball_{layer}_{b}"] = sample.set_at(ball)
+                sets[f"ball_{layer}_{b}"] = PointSet(sample, covering._mask(ball))
                 used.update(ball)
 
     return PointCloudCover(sample.points, sets), Fraction(1, resolution)
@@ -345,10 +342,8 @@ def polytope_sample_cover(
 
 def exhaustive_oracle_tiny() -> dict:
     """Enumerate every cover of the 2x2 point grid by up to 3 labeled nonempty
-    sets and check the lebesgue verifier against the direct enumeration on
-    every instance.  violations (multiplicity <= 2, no spanning set) is 0 by
-    pigeonhole: some set holds two of the 4 points, which differ on an axis
-    and so span it.  What this checks is the verifier's agreement."""
+    sets; violations is 0 by pigeonhole (some set holds two points, spanning an
+    axis), so what counts is the lebesgue verifier's agreement with enumeration."""
     model = LatticeModel("cube", 2, 1)
     points = list(model.points())
     total = checked = violations = mismatches = 0

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 
 from .chow import Divisor, RingPresentation
 from .covering import LatticeCover, LatticeModel, PointCloudCover, PointSet, WitnessReport
-from .covering import Sample, _bits_of
+from .covering import Sample, _bits_of, _mask
 from .polytope import InputError, SimplePolytope, from_halfspaces
 
 JSON_TYPES = {
@@ -206,9 +206,7 @@ def point_cover_to_json(p: SimplePolytope, cover: PointCloudCover, eps=None) -> 
 
 
 def point_cover_from_json(data: dict):
-    """Returns (polytope, PointCloudCover, eps or None).  A repeated sample
-    point is one point of the cover; a point outside P is named by its
-    position in the payload."""
+    """Returns (polytope, PointCloudCover, eps or None); see Sample for repeats."""
     p = polytope_from_json(_field(data, "polytope"), "polytope")
     sample = []
     for i, pt in enumerate(_field(data, "sample", kind=list)):
@@ -218,16 +216,14 @@ def point_cover_from_json(data: dict):
             raise InputError(f"{at} has {len(point)} coordinates, the polytope has {p.dim}")
         sample.append(point)
     sample = Sample(tuple(sample))
-    outside = sample.outside(p)
-    if outside is not None:
-        raise InputError(f"{_at('sample', outside)} lies outside the polytope")
+    sample.check_inside(p)
     sets = {}
     for name, idxs in _field(data, "sets", kind=dict).items():
         at = _at("sets", name)
         for j, i in enumerate(_ints(idxs, at)):
-            if not 0 <= i < len(sample.at):
+            if not 0 <= i < len(sample.points):
                 raise InputError(f"{_at(at, j)}: sample index {i} out of range")
-        sets[name] = sample.set_at(idxs)
+        sets[name] = PointSet(sample, _mask([sample.at[i] for i in idxs]))
     eps = _frac(data["eps"], "eps") if "eps" in data else None
     return p, PointCloudCover(sample.points, sets), eps
 

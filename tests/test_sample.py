@@ -86,12 +86,14 @@ class TestNoFractionHashes:
 
 class TestSample:
     def test_repeated_points_share_a_bit(self):
-        pts = [(Fraction(1),), (Fraction(1, 2),), (Fraction(1),), (Fraction(-1),)]
-        sample = Sample(tuple(pts))
-        assert sample.points == ((Fraction(1),), (Fraction(1, 2),), (Fraction(-1),))
-        assert list(sample.at) == [0, 1, 0, 2]
-        assert sample.den == 2 and sample.ints == ((2,), (1,), (-2,))
-        assert sample.set_at([2, 3]) == {(Fraction(1),), (Fraction(-1),)}
+        pts = ((Fraction(1),), (Fraction(1, 2),), (Fraction(1),), (Fraction(-1),))
+        sample = Sample(pts)
+        # a repeat sits at the bit of its first occurrence
+        assert sample.points is pts and sample.at == [0, 1, 0, 3]
+        assert sample.den == 2 and sample.ints == [(2,), (1,), (2,), (-2,)]
+        assert sample.full == 0b1011 and sample.bit((Fraction(1),)) == 0
+        pts_23 = PointSet(sample, covering._mask([sample.at[i] for i in (2, 3)]))
+        assert pts_23 == {(Fraction(1),), (Fraction(-1),)} and len(pts_23) == 2
 
     def test_bit_reads_exact_coordinates(self):
         sample = Sample(((Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(3, 2))))
@@ -103,11 +105,12 @@ class TestSample:
         assert sample.bit(("1/2", 0)) is None
         assert sample.bit(None) is None
 
-    def test_outside_names_the_first_input_position(self, segment):
+    def test_check_inside_names_the_first_input_position(self, segment):
         sample = Sample(((Fraction(1),), (Fraction(3),), (Fraction(1),), (Fraction(-1),)))
-        # facet 0 (x >= 0) comes first; -1 is input position 3, bit 2
-        assert sample.outside(segment) == 3
-        assert Sample(((Fraction(0),), (Fraction(1),))).outside(segment) is None
+        # facet 0 (x >= 0) comes first, so -1 at position 3 is named before 3
+        with pytest.raises(InputError, match=r"^sample\[3\] lies outside the polytope$"):
+            sample.check_inside(segment)
+        Sample(((Fraction(0),), (Fraction(1),), (Fraction(0),))).check_inside(segment)
 
     def test_near_masks_match_the_slack_test(self, q2):
         sample = Sample(harness.lattice_sample(q2, 4))
@@ -123,7 +126,7 @@ class TestSample:
     def test_empty_sample(self, segment):
         sample = Sample(())
         assert sample.full == 0 and sample.near(segment, 1) == [0, 0]
-        assert sample.outside(segment) is None
+        sample.check_inside(segment)
 
     def test_stray_point_raises_where_the_witness_did(self, segment):
         sample = harness.lattice_sample(segment, 2)
