@@ -234,23 +234,11 @@ ALL_CRITERIA = (
 )
 
 
-# seeded criteria sizes in a quick run: a smoke test, the full run is the gate
-QUICK_SIZES = {
-    flux_certificates: 8,
-    palais_suite: 20,
-    lebesgue_suite: 20,
-    kkm_suite: 20,
-    axes_suite: 20,
-    kkm_lebesgue_suite: 8,
-}
-
-
-def run_all(quick: bool = False):
-    """Run every acceptance criterion, each result carrying its seconds;
-    quick mode shrinks the seeded suites to QUICK_SIZES."""
+def run_all():
+    """Run every acceptance criterion at full size, each result carrying its
+    seconds."""
     results = []
     for fn in ALL_CRITERIA:
         t0 = time.perf_counter()
-        result = fn(QUICK_SIZES[fn]) if quick and fn in QUICK_SIZES else fn()
-        results.append(replace(result, seconds=time.perf_counter() - t0))
+        results.append(replace(fn(), seconds=time.perf_counter() - t0))
     return results

@@ -3,9 +3,10 @@
 Exit codes: 0 success or witness found; 2 hypothesis violated; 3
 counterexample candidate (or selftest failure); 4 input rejected by an
 InputError.  Any other exception is a library bug and ends in a traceback.
-JSON goes to stdout, a short human summary to stderr.  Stdout is exactly
-`json.dumps(payload, indent=2)` plus a newline (written by `jsonio.dumps`),
-and an `--output` file holds the same bytes.
+Each command returns its JSON payload, a short human summary and its exit
+code; `main` alone writes them, the JSON to stdout and the summary to
+stderr.  Stdout is exactly `json.dumps(payload, indent=2)` plus a newline
+(written by `jsonio.dumps`), and an `--output` file holds the same bytes.
 """
 
 from __future__ import annotations
@@ -77,16 +78,15 @@ def _emit(data: dict, summary: str, out_path=None) -> None:
     print(summary, file=sys.stderr)
 
 
-def _cmd_ring(args) -> int:
+def _cmd_ring(args):
     p = jsonio.polytope_from_json(_load_json(args.input))
     pres = chow.presentation(p)
-    _emit(jsonio.presentation_to_json(pres),
-          f"ring: {p.num_facets} generators, {len(pres.minimal_nonfaces)} minimal non-faces",
-          args.output)
-    return EXIT_OK
+    return (jsonio.presentation_to_json(pres),
+            f"ring: {p.num_facets} generators, {len(pres.minimal_nonfaces)} minimal non-faces",
+            EXIT_OK)
 
 
-def _cmd_intersect(args) -> int:
+def _cmd_intersect(args):
     data = _load_json(args.input)
     p = jsonio.polytope_from_json(_field(data, "polytope"), "polytope")
     divisors = tuple(
@@ -94,40 +94,37 @@ def _cmd_intersect(args) -> int:
         for i, d in enumerate(_field(data, "divisors", kind=list))
     )
     value = chow.intersection_number(chow.IntersectionQuery(p, divisors))
-    _emit({"value": jsonio.frac_to_str(value)}, f"intersection number = {value}", args.output)
-    return EXIT_OK
+    return {"value": jsonio.frac_to_str(value)}, f"intersection number = {value}", EXIT_OK
 
 
-def _cmd_principal(args) -> int:
+def _cmd_principal(args):
     data = _load_json(args.input)
     p = jsonio.polytope_from_json(_field(data, "polytope"), "polytope")
     d = jsonio.divisor_from_json(p, _field(data, "divisor"), "divisor")
     v = chow.is_principal(p, d)
     if v is None:
-        _emit({"principal": False}, "not principal", args.output)
-    else:
-        _emit(
-            {"principal": True, "vector": [jsonio.frac_to_str(x) for x in v]},
-            f"principal with v = {tuple(map(str, v))}", args.output,
-        )
-    return EXIT_OK
+        return {"principal": False}, "not principal", EXIT_OK
+    return ({"principal": True, "vector": [jsonio.frac_to_str(x) for x in v]},
+            f"principal with v = {tuple(map(str, v))}", EXIT_OK)
 
 
-def _cmd_avoid(args) -> int:
+def _cmd_avoid(args):
     data = _load_json(args.input)
     p = jsonio.polytope_from_json(_field(data, "polytope"), "polytope")
     d = jsonio.divisor_from_json(p, _field(data, "divisor"), "divisor")
     touched = _ints(_field(data, "touched"), "touched")
     cert = chow.avoidance_certificate(p, d, touched)
     if cert is None:
-        _emit({"exists": False}, "no avoidance certificate", args.output)
-    else:
-        _emit({"exists": True, "divisor": jsonio.divisor_to_json(cert)},
-              f"certificate avoids facets {sorted(touched)}", args.output)
-    return EXIT_OK
+        return {"exists": False}, "no avoidance certificate", EXIT_OK
+    return ({"exists": True, "divisor": jsonio.divisor_to_json(cert)},
+            f"certificate avoids facets {sorted(touched)}", EXIT_OK)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
+    if args.k is not None and args.theorem not in ("kkm", "complement"):
+        raise InputError(f"--k does not apply to the {args.theorem} theorem")
+    if args.eps is not None and args.theorem != "kkm-lebesgue":
+        raise InputError(f"--eps does not apply to the {args.theorem} theorem")
     data = _load_json(args.input)
     if args.theorem == "kkm-lebesgue":
         p, cover, eps = jsonio.point_cover_from_json(data)
@@ -145,11 +142,10 @@ def _cmd_verify(args) -> int:
             report = witness(cover, args.k)
         else:
             report = covering.axes_witness(cover)
-    _emit(jsonio.report_to_json(report), f"verdict: {report.verdict}", args.output)
-    return _VERDICT_EXIT[report.verdict]
+    return jsonio.report_to_json(report), f"verdict: {report.verdict}", _VERDICT_EXIT[report.verdict]
 
 
-def _cmd_color(args) -> int:
+def _cmd_color(args):
     cover = jsonio.cover_from_json(_load_json(args.input))
     classes = covering.palais_coloring(cover)
     data = {
@@ -161,11 +157,10 @@ def _cmd_color(args) -> int:
             for cls in classes
         ]
     }
-    _emit(data, f"{len(classes)} color classes", args.output)
-    return EXIT_OK
+    return data, f"{len(classes)} color classes", EXIT_OK
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args):
     fixed = {"bricks": "cube", "kkm": "simplex"}.get(args.pattern)
     if args.kind is not None and fixed not in (None, args.kind):
         raise InputError(
@@ -187,33 +182,27 @@ def _cmd_generate(args) -> int:
             f"random cover: {len(stamped.cover.sets)} sets, "
             f"measured multiplicity {stamped.multiplicity}"
         )
-    _emit(data, summary, args.output)
-    return EXIT_OK
+    return data, summary, EXIT_OK
 
 
-def _cmd_moment(args) -> int:
+def _cmd_moment(args):
     value = jsonio.moment_input_from_json(_load_json(args.input), args.kind)
     point = moment_map_eval(args.kind, value)
-    _emit({"point": [jsonio.frac_to_str(x) for x in point]},
-          f"moment image: {tuple(map(str, point))}", args.output)
-    return EXIT_OK
+    return ({"point": [jsonio.frac_to_str(x) for x in point]},
+            f"moment image: {tuple(map(str, point))}", EXIT_OK)
 
 
-def _cmd_selftest(args) -> int:
-    results = acceptance.run_all(quick=args.quick)
-    data = {
-        "criteria": [
-            {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-        ],
-        "ok": all(r.ok for r in results),
-    }
+def _cmd_selftest(args):
+    results = acceptance.run_all()
+    ok = all(r.ok for r in results)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'}  {r.seconds:6.2f}s  {r.name}: {r.detail}",
               file=sys.stderr)
-    total = sum(r.seconds for r in results)
-    _emit(data, "selftest: " + ("all criteria passed" if data["ok"] else "FAILURES")
-          + f" in {total:.2f}s", args.output)
-    return EXIT_OK if data["ok"] else EXIT_COUNTEREXAMPLE
+    data = {"criteria": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
+            "ok": ok}
+    summary = ("selftest: " + ("all criteria passed" if ok else "FAILURES")
+               + f" in {sum(r.seconds for r in results):.2f}s")
+    return data, summary, EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,21 +256,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", required=True, choices=["cpn", "product_cp1", "real_sphere"]
     )
 
-    p_self = add("selftest", _cmd_selftest, needs_input=False,
-                 help="run the full acceptance matrix")
-    p_self.add_argument("--quick", action="store_true",
-                        help="smaller suites (smoke run, not the real gate)")
+    add("selftest", _cmd_selftest, needs_input=False,
+        help="run the full acceptance matrix")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, summary, code = args.fn(args)
+        _emit(payload, summary, args.output)
     except InputError as exc:
         label = "input error" if type(exc) is InputError else f"error: {type(exc).__name__}"
         print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

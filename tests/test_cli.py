@@ -244,6 +244,26 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("theorem, extra, option", [
+        ("lebesgue", ["--k", "2"], "--k"),
+        ("axes", ["--k", "1"], "--k"),
+        ("kkm-lebesgue", ["--k", "1"], "--k"),
+        ("lebesgue", ["--eps", "1/2"], "--eps"),
+        ("axes", ["--eps", "1/2"], "--eps"),
+        ("kkm", ["--k", "1", "--eps", "1/2"], "--eps"),
+        ("complement", ["--k", "1", "--eps", "1/2"], "--eps"),
+    ], ids=["lebesgue-k", "axes-k", "kkm-lebesgue-k", "lebesgue-eps", "axes-eps", "kkm-eps",
+            "complement-eps"])
+    def test_option_of_another_theorem_exits_four(self, capsys, theorem, extra, option):
+        payload = {
+            "kkm": pathlib.Path(__file__).parent / "golden" / "inputs" / "kkm-family.json",
+            "kkm-lebesgue": SCHEMAS / "verify-kkm-lebesgue.json",
+        }.get(theorem, SCHEMAS / "verify.json")
+        code, out, err = run(capsys, "verify", "--theorem", theorem, *extra,
+                             "--input", str(payload))
+        assert (code, out) == (4, None)
+        assert err == f"input error: {option} does not apply to the {theorem} theorem\n"
+
     def test_kkm_lebesgue_roundtrip(self, capsys):
         from fractions import Fraction
 
@@ -355,36 +375,36 @@ class TestMoment:
 
 
 class TestSelftest:
-    def test_quick_selftest_passes(self, capsys, tmp_path):
+    def test_full_report_timings_and_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
-        code, out, err = run(
-            capsys, "selftest", "--quick", "--output", str(out_path)
-        )
-        assert code == 0
+        assert cli.main(["selftest", "--output", str(out_path)]) == 0
+        captured = capsys.readouterr()
+        assert out_path.read_text() == captured.out
+        out = json.loads(captured.out)
         assert out["ok"] is True
-        assert len(out["criteria"]) == 10
-        assert json.loads(out_path.read_text())["ok"] is True
-
-    def test_quick_report_and_timings(self, capsys):
-        code, out, err = run(capsys, "selftest", "--quick")
-        assert code == 0
         assert [(c["name"], c["ok"], c["detail"]) for c in out["criteria"]] == [
             ("ring_golden", True, "n=1..4 exact"),
             ("volume_link", True, "n=1..4 exact"),
             ("principal_identity", True, "n=1..4 exact"),
-            ("flux_certificates", True, "8 seeded polytopes"),
-            ("palais_suite", True, "20 covers per config"),
-            ("lebesgue_suite", True, "20 covers per config"),
-            ("kkm_suite", True, "20 families per (n,k)"),
-            ("axes_suite", True, "20 covers per config"),
-            ("kkm_lebesgue_suite", True, "8 covers per shape"),
+            ("flux_certificates", True, "50 seeded polytopes"),
+            ("palais_suite", True, "200 covers per config"),
+            ("lebesgue_suite", True, "200 covers per config"),
+            ("kkm_suite", True, "100 families per (n,k)"),
+            ("axes_suite", True, "100 covers per config"),
+            ("kkm_lebesgue_suite", True, "50 covers per shape"),
             ("oracle", True, "2241 covers, 1136 checked"),
         ]
-        lines = err.strip().splitlines()
+        lines = captured.err.strip().splitlines()
         assert len(lines) == 11
         for line, c in zip(lines, out["criteria"]):
             assert re.fullmatch(rf"PASS +\d+\.\d\ds  {c['name']}: .*", line), line
         assert re.fullmatch(r"selftest: all criteria passed in \d+\.\d\ds", lines[-1])
+
+    def test_quick_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--quick"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 class TestTopLevelType:
@@ -530,21 +550,6 @@ class TestRationalFields:
         )
 
 
-class TestOutputPath:
-    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "x.json"
-        expect_field_error(
-            capsys, ["ring", "--input", str(SCHEMAS / "ring.json"), "--output", str(target)],
-            f"cannot write output {str(target)!r}: ",
-        )
-        assert not target.exists()
-
-    def test_output_file_holds_stdout(self, capsys, tmp_path):
-        target = tmp_path / "x.json"
-        assert cli.main(["ring", "--input", str(SCHEMAS / "ring.json"), "--output", str(target)]) == 0
-        assert capsys.readouterr().out == target.read_text()
-
-
 class TestOutputBytes:
     """Stdout is json.dumps(payload, indent=2) plus a newline, and the
     --output file holds the same bytes."""
@@ -561,8 +566,12 @@ class TestOutputBytes:
         "color": ["color", "--input", "color.json"],
         "moment": ["moment", "--kind", "cpn", "--input", "moment.json"],
         "generate": ["generate", "--pattern", "bricks", "--n", "1", "--r", "4"],
-        "selftest": ["selftest", "--quick"],
+        "selftest": ["selftest"],
     }
+
+    @classmethod
+    def argv(cls, name):
+        return [str(SCHEMAS / a) if a.endswith(".json") else a for a in cls.SCHEMA_CASES[name]]
 
     def emit(self, capsys, tmp_path, argv):
         target = tmp_path / "out.json"
@@ -574,8 +583,7 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("name", sorted(SCHEMA_CASES))
     def test_schema_payloads(self, capsys, tmp_path, name):
-        argv = [str(SCHEMAS / a) if a.endswith(".json") else a for a in self.SCHEMA_CASES[name]]
-        self.emit(capsys, tmp_path, argv)
+        self.emit(capsys, tmp_path, self.argv(name))
 
     @pytest.mark.parametrize(
         "pattern", [["bricks"], ["random", "--m", "3"]], ids=["bricks", "random"]
@@ -587,6 +595,28 @@ class TestOutputBytes:
         source = tmp_path / "cover.json"
         source.write_text(cover)
         self.emit(capsys, tmp_path, ["color", "--input", str(source)])
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("name", sorted(TestOutputBytes.SCHEMA_CASES))
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path, name):
+        """Every command exits 4 with nothing on stdout and one error line on
+        stderr, after selftest's criterion lines, and creates no file."""
+        target = tmp_path / "missing" / "x.json"
+        code = cli.main([*TestOutputBytes.argv(name), "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        *progress, line = captured.err.strip().splitlines()
+        assert len(progress) == (len(acceptance.ALL_CRITERIA) if name == "selftest" else 0)
+        assert all(re.match(r"PASS +\d+\.\d\ds  ", p) for p in progress), progress
+        assert line.startswith(f"input error: cannot write output {str(target)!r}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_file_holds_stdout(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        assert cli.main(["ring", "--input", str(SCHEMAS / "ring.json"), "--output", str(target)]) == 0
+        assert capsys.readouterr().out == target.read_text()
 
 
 class TestInnerFieldTypes:

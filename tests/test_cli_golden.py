@@ -3,8 +3,10 @@
 Each case runs `cli.main` in-process from the repository root and compares
 with `tests/golden/<case>.json`.  The inputs are the `schemas/*.json`
 payloads and the covers under `tests/golden/inputs/`.  A refactor that must
-keep the CLI's bytes keeps these files unchanged; to record them from a
-checkout, run `PYTHONPATH=src python tests/test_cli_golden.py`.
+keep the CLI's bytes keeps these files unchanged.  To record them from a
+checkout, run `PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]`:
+with case names it records only those cases, and a name that is not in
+`CASES` is an error that records nothing; with none it records every case.
 """
 
 import contextlib
@@ -92,6 +94,8 @@ CASES = {
     "axes-checkerboard": _verify("axes", INPUTS + "axes-checkerboard.json"),
     "axes-not-a-cover": _verify("axes", INPUTS + "not-a-cover.json"),
     "axes-arity": _verify("axes", INPUTS + "bricks.json"),
+    "verify-lebesgue-k": _verify("lebesgue", "schemas/verify.json", "--k", "2"),
+    "verify-axes-eps": _verify("axes", INPUTS + "axes-partition.json", "--eps", "1/2"),
     "kkm-lebesgue": _verify("kkm-lebesgue", "schemas/verify-kkm-lebesgue.json"),
     "kkm-lebesgue-eps0": _verify(
         "kkm-lebesgue", "schemas/verify-kkm-lebesgue.json", "--eps", "0"
@@ -137,7 +141,11 @@ def test_every_exit_code_and_theorem_is_pinned():
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    for name, argv in sorted(CASES.items()):
-        case = run_case(argv)
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {' '.join(unknown)}")
+    for name in names:
+        case = run_case(CASES[name])
         (GOLDEN / f"{name}.json").write_text(json.dumps(case, indent=1) + "\n")
         print(f"{name}: exit {case['exit']}", file=sys.stderr)
