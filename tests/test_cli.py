@@ -375,13 +375,24 @@ class TestMoment:
 
 
 class TestSelftest:
-    def test_full_report_timings_and_output_file(self, capsys, tmp_path):
-        out_path = tmp_path / "report.json"
-        assert cli.main(["selftest", "--output", str(out_path)]) == 0
-        captured = capsys.readouterr()
-        assert out_path.read_text() == captured.out
-        out = json.loads(captured.out)
-        assert out["ok"] is True
+    @pytest.fixture(scope="class")
+    def full_run(self, tmp_path_factory):
+        """One full selftest run with --output, shared by the tests below."""
+        out_path = tmp_path_factory.mktemp("selftest") / "report.json"
+        code, out, err = outcome(["selftest", "--output", str(out_path)])
+        return code, out, err, out_path.read_text()
+
+    def test_full_selftest_passes(self, full_run):
+        code, out, err, written = full_run
+        assert code == 0
+        assert written == out
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert len(report["criteria"]) == 10
+
+    def test_full_report_and_timings(self, full_run):
+        code, out, err, written = full_run
+        out = json.loads(out)
         assert [(c["name"], c["ok"], c["detail"]) for c in out["criteria"]] == [
             ("ring_golden", True, "n=1..4 exact"),
             ("volume_link", True, "n=1..4 exact"),
@@ -394,7 +405,7 @@ class TestSelftest:
             ("kkm_lebesgue_suite", True, "50 covers per shape"),
             ("oracle", True, "2241 covers, 1136 checked"),
         ]
-        lines = captured.err.strip().splitlines()
+        lines = err.strip().splitlines()
         assert len(lines) == 11
         for line, c in zip(lines, out["criteria"]):
             assert re.fullmatch(rf"PASS +\d+\.\d\ds  {c['name']}: .*", line), line
