@@ -166,6 +166,9 @@ def _cmd_generate(args):
         raise InputError(
             f"--kind {args.kind} does not apply: the {args.pattern} pattern covers the {fixed}"
         )
+    for name in ("m", "seed"):
+        if fixed and getattr(args, name) is not None:
+            raise InputError(f"--{name} does not apply to the {args.pattern} pattern")
     if args.pattern == "bricks":
         cover = harness.shifted_brick_cover(args.n, args.r)
         data = jsonio.cover_to_json(cover)
@@ -176,7 +179,8 @@ def _cmd_generate(args):
         summary = f"kkm stars: {len(cover.sets)} sets"
     else:
         model = LatticeModel(args.kind or "cube", args.n, args.r)
-        stamped = harness.random_low_multiplicity_cover(model, args.m, args.seed)
+        m = 2 if args.m is None else args.m
+        stamped = harness.random_low_multiplicity_cover(model, m, args.seed or 0)
         data = jsonio.cover_to_json(stamped.cover, multiplicity=stamped.multiplicity)
         summary = (
             f"random cover: {len(stamped.cover.sets)} sets, "
@@ -248,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", choices=["cube", "simplex"],
                        help="lattice model: random takes either (default cube), "
                        "bricks only cube, kkm only simplex")
-    p_gen.add_argument("--m", type=int, default=2, help="target multiplicity (random)")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--m", type=int, help="target multiplicity (random only, default 2)")
+    p_gen.add_argument("--seed", type=int, help="random seed (random only, default 0)")
 
     p_moment = add("moment", _cmd_moment, help="evaluate a moment map exactly")
     p_moment.add_argument(

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Set as AbstractSet
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .chow import Divisor, RingPresentation
 from .covering import LatticeCover, LatticeModel, PointCloudCover, PointSet, WitnessReport
-from .covering import Sample, _bits_of, _mask
+from .covering import Sample, _bits_of, _echo_cover, _mask
 from .polytope import InputError, SimplePolytope, from_halfspaces
 
 JSON_TYPES = {
@@ -86,12 +85,14 @@ def _ints(value, path: str) -> tuple:
 
 def _points(value, path: str) -> list:
     """An array of arrays of integers, as tuples.  Lattice covers hold many
-    points, so the path of each point is built only to name a bad one."""
+    points, so one type pass over the rows and one over their entries check
+    them all; the path of each point is built only to name a bad one."""
     _check(value, list, path)
-    if not all(isinstance(p, list) and all(type(x) is int for x in p) for p in value):
+    row_types = set(map(type, value))
+    if not row_types <= {list} or not set(map(type, chain.from_iterable(value))) <= {int}:
         for i, p in enumerate(value):
             _ints(p, _at(path, i))
-    return [tuple(p) for p in value]
+    return list(map(tuple, value))
 
 
 def _frac(value, path: str) -> Fraction:
@@ -170,15 +171,8 @@ def presentation_to_json(pres: RingPresentation) -> dict:
 
 
 def cover_to_json(cover: LatticeCover, **extra) -> dict:
-    model = cover.model
-    data = {
-        "model": {"kind": model.kind, "n": model.n, "r": model.r},
-        "sets": {
-            name: [list(p) for p in pts] for name, pts in cover.sets.items()
-        },
-    }
-    data.update(extra)
-    return data
+    m = cover.model
+    return {"model": {"kind": m.kind, "n": m.n, "r": m.r}, "sets": _echo_cover(cover), **extra}
 
 
 def cover_from_json(data: dict) -> LatticeCover:
@@ -187,7 +181,7 @@ def cover_from_json(data: dict) -> LatticeCover:
         _field(m, "kind", "model"), _field(m, "n", "model", int), _field(m, "r", "model", int)
     )
     sets = {
-        name: frozenset(_points(pts, _at("sets", name)))
+        name: _points(pts, _at("sets", name))
         for name, pts in _field(data, "sets", kind=dict).items()
     }
     return LatticeCover(model, sets)
@@ -239,23 +233,20 @@ def moment_input_from_json(data: dict, kind: str) -> list:
     return [read(x, _at("input", i)) for i, x in enumerate(_field(data, "input", kind=list))]
 
 
-def to_jsonable(obj):
-    """Recursively convert payload values into JSON-ready structures."""
-    if isinstance(obj, Fraction):
-        return frac_to_str(obj)
-    if isinstance(obj, Divisor):
-        return divisor_to_json(obj)
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, AbstractSet):
-        return sorted(to_jsonable(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
-
-
 def report_to_json(report: WitnessReport) -> dict:
-    return {"verdict": report.verdict, "payload": to_jsonable(report.payload)}
+    """The verdict and payload as JSON values.  Only a kkm-lebesgue payload
+    holds values JSON cannot: its eps Fraction and its certificate Divisors."""
+    payload = report.payload
+    if "eps" in payload:
+        payload = {
+            **payload,
+            "eps": frac_to_str(payload["eps"]),
+            "certificates": {
+                name: cert and {**cert, "divisor": divisor_to_json(cert["divisor"])}
+                for name, cert in payload["certificates"].items()
+            },
+        }
+    return {"verdict": report.verdict, "payload": payload}
 
 
 def dumps(data) -> str:

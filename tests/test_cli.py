@@ -349,6 +349,26 @@ class TestGenerate:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("pattern, option", [
+        ("bricks", "--m"), ("bricks", "--seed"), ("kkm", "--m"), ("kkm", "--seed"),
+    ])
+    def test_random_only_option_exits_four(self, capsys, pattern, option):
+        code, out, err = run(
+            capsys, "generate", "--pattern", pattern, "--n", "2", "--r", "8", option, "2"
+        )
+        assert (code, out) == (4, None)
+        assert err == f"input error: {option} does not apply to the {pattern} pattern\n"
+
+    def test_random_defaults(self, capsys):
+        base = ["generate", "--pattern", "random", "--n", "2", "--r", "4"]
+        assert run(capsys, *base) == run(capsys, *base, "--m", "2", "--seed", "0")
+
+    def test_zero_m_exits_four(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "--pattern", "random", "--n", "2", "--r", "4", "--m", "0"
+        )
+        assert (code, out, err) == (4, None, "input error: target multiplicity must be >= 1\n")
+
 
 class TestMoment:
     def test_cpn(self, capsys):
@@ -500,6 +520,11 @@ class TestIntegerFields:
         expect_input_error(capsys, ["verify", "--theorem", "lebesgue"], cover,
                            "sets.B[0][0] must be an integer, got number")
 
+    def test_lattice_point_boolean(self, capsys):
+        cover = {"model": {"kind": "cube", "n": 1, "r": 1}, "sets": {"A": [[0], [1], [True]]}}
+        expect_input_error(capsys, ["verify", "--theorem", "lebesgue"], cover,
+                           "sets.A[2][0] must be an integer, got boolean")
+
     def test_n(self, capsys):
         cover = with_field(json.loads(SLAB_COVER), ["model", "n"], 1.6)
         expect_input_error(capsys, ["color"], cover, "model.n must be an integer, got number")
@@ -642,6 +667,10 @@ class TestInnerFieldTypes:
         data = with_field(kkm_lebesgue_payload(), ["sample"], 5)
         expect_input_error(capsys, ["verify", "--theorem", "kkm-lebesgue"], data,
                            "sample must be an array, got number")
+
+    def test_lattice_point_not_an_array(self, capsys):
+        cover = {"model": {"kind": "cube", "n": 1, "r": 1}, "sets": {"A": [[0], 1]}}
+        expect_input_error(capsys, ["color"], cover, "sets.A[1] must be an array, got number")
 
     def test_cover_without_model(self, capsys):
         expect_input_error(capsys, ["verify", "--theorem", "lebesgue"], {"sets": {}},
@@ -928,8 +957,9 @@ OPTION_COMMANDS = [
     (["verify", "--theorem", "kkm-lebesgue", "--input", str(SCHEMAS / "verify-kkm-lebesgue.json")],
      {"--eps": "1/4"}),
 ] + [
-    (["generate", "--pattern", pattern], {"--n": "2", "--r": "8", "--m": "2"})
-    for pattern in ("bricks", "kkm", "random")
+    (["generate", "--pattern", pattern], {"--n": "2", "--r": "8"}) for pattern in ("bricks", "kkm")
+] + [
+    (["generate", "--pattern", "random"], {"--n": "2", "--r": "8", "--m": "2"}),
 ]
 
 

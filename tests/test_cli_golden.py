@@ -56,10 +56,14 @@ CASES = {
     "generate-bricks-kind-simplex": [
         "generate", "--pattern", "bricks", "--kind", "simplex", "--n", "2", "--r", "4",
     ],
+    "generate-bricks-m": [
+        "generate", "--pattern", "bricks", "--n", "2", "--r", "8", "--m", "7", "--seed", "99",
+    ],
     "generate-kkm": ["generate", "--pattern", "kkm", "--n", "2", "--r", "3"],
     "generate-kkm-kind-cube": [
         "generate", "--pattern", "kkm", "--kind", "cube", "--n", "2", "--r", "3",
     ],
+    "generate-kkm-seed": ["generate", "--pattern", "kkm", "--n", "2", "--r", "3", "--seed", "5"],
     "generate-random-cube": [
         "generate", "--pattern", "random", "--n", "2", "--r", "4", "--seed", "1",
     ],

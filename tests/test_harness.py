@@ -259,6 +259,15 @@ class TestPropertySuite:
         report = run_property_suite(config)
         assert report["ok"]
 
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_complement_mini_suite(self, n, k):
+        config = SuiteConfig(
+            verifier="complement", kind="cube", n=n, r=8, instances=10, seed=0, k=k
+        )
+        report = run_property_suite(config)
+        assert report["ok"]
+        assert report["counts"] == {"witness_found": 10}
+
     def test_palais_mini_suite(self):
         config = SuiteConfig(
             verifier="palais", kind="cube", n=2, r=8, instances=10, seed=1,

@@ -1,4 +1,6 @@
 import json
+import pathlib
+from collections.abc import Set as AbstractSet
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,11 @@ from toricover import (
     lebesgue_witness,
     perturb,
 )
-from toricover import harness
-from toricover.covering import PointSet
+from toricover import covering, harness
+from toricover.covering import PointCloudCover, PointSet
+
+INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
 
 class TestRoundTrips:
@@ -88,6 +93,137 @@ class TestRationals:
         encoded = jsonio.report_to_json(report)
         json.dumps(encoded)
         assert encoded["verdict"] == report.verdict
+
+
+def to_jsonable(obj):
+    """Recursively convert payload values into JSON-ready structures: the
+    generic walk report_to_json replaced, kept as its reference."""
+    if isinstance(obj, Fraction):
+        return jsonio.frac_to_str(obj)
+    if isinstance(obj, Divisor):
+        return jsonio.divisor_to_json(obj)
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, AbstractSet):
+        return sorted(to_jsonable(v) for v in obj)
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    return obj
+
+
+def lattice(path):
+    return jsonio.cover_from_json(json.loads(path.read_text()))
+
+
+def singletons(kind, n, r):
+    """The cover of a model by its one-point sets."""
+    model = LatticeModel(kind, n, r)
+    return LatticeCover(model, {f"p{i}": [p] for i, p in enumerate(model.points())})
+
+
+def whole(kind, n, r):
+    """The cover of a model by one set."""
+    model = LatticeModel(kind, n, r)
+    return LatticeCover(model, {"all": model.points()})
+
+
+def square_report(sets):
+    """kkm_lebesgue_witness with eps 0 on the unperturbed unit square sampled
+    at spacing 1/2, the sets given as lists of sample indices."""
+    sample = [(Fraction(i, 2), Fraction(j, 2)) for i in range(3) for j in range(3)]
+    cover = PointCloudCover(tuple(sample), {k: [sample[i] for i in v] for k, v in sets.items()})
+    return covering.kkm_lebesgue_witness(construct_standard("cube", 2), cover, 0)
+
+
+# the middle row of the square's sample, which touches the two opposite
+# facets x = 0 and x = 1 only, so that its certificate is null; and the other
+# sample points, one set each
+ROW_AND_POINTS = {"row": [1, 4, 7], **{f"p{i}": [i] for i in (0, 2, 3, 5, 6, 8)}}
+
+
+def schema_point_cover():
+    p, cover, eps = jsonio.point_cover_from_json(
+        json.loads((SCHEMAS / "verify-kkm-lebesgue.json").read_text())
+    )
+    return covering.kkm_lebesgue_witness(p, cover, eps)
+
+
+# (id, report, verdict, reason or None): every verifier, every verdict and
+# every hypothesis reason
+REPORTS = [
+    ("lebesgue-witness", lambda: covering.lebesgue_witness(lattice(SCHEMAS / "verify.json")),
+     "witness_found", None),
+    ("lebesgue-multiplicity", lambda: covering.lebesgue_witness(lattice(INPUTS / "bricks.json")),
+     "hypothesis_violated", "multiplicity_exceeds_dimension"),
+    ("lebesgue-not-a-cover",
+     lambda: covering.lebesgue_witness(lattice(INPUTS / "not-a-cover.json")),
+     "hypothesis_violated", "union_does_not_cover"),
+    ("lebesgue-candidate", lambda: covering.lebesgue_witness(singletons("cube", 2, 1)),
+     "counterexample_candidate", None),
+    ("kkm-witness", lambda: covering.kkm_witness(lattice(INPUTS / "kkm-family.json"), 1),
+     "witness_found", None),
+    ("kkm-every-facet", lambda: covering.kkm_witness(whole("simplex", 2, 1), 1),
+     "hypothesis_violated", "set_touches_every_facet"),
+    ("kkm-multiplicity", lambda: covering.kkm_witness(lattice(INPUTS / "kkm-stars.json"), 1),
+     "hypothesis_violated", "multiplicity_exceeds_k"),
+    ("kkm-candidate", lambda: covering.kkm_witness(lattice(INPUTS / "kkm-midpoints.json"), 1),
+     "counterexample_candidate", None),
+    ("complement-witness",
+     lambda: covering.complement_witness(lattice(INPUTS / "complement-family.json"), 1),
+     "witness_found", None),
+    ("complement-spans", lambda: covering.complement_witness(lattice(SCHEMAS / "verify.json"), 1),
+     "hypothesis_violated", "set_spans_pair"),
+    ("complement-multiplicity",
+     lambda: covering.complement_witness(
+         LatticeCover(LatticeModel("cube", 2, 2), {"a": [(0, 0)], "b": [(0, 0)]}), 1),
+     "hypothesis_violated", "multiplicity_exceeds_k"),
+    ("complement-candidate",
+     lambda: covering.complement_witness(lattice(INPUTS / "complement-candidate.json"), 1),
+     "counterexample_candidate", None),
+    ("axes-witness", lambda: covering.axes_witness(lattice(INPUTS / "axes-partition.json")),
+     "witness_found", None),
+    ("axes-not-a-cover", lambda: covering.axes_witness(lattice(INPUTS / "not-a-cover.json")),
+     "hypothesis_violated", "union_does_not_cover"),
+    ("axes-candidate", lambda: covering.axes_witness(lattice(INPUTS / "axes-checkerboard.json")),
+     "counterexample_candidate", None),
+    ("kkm-lebesgue-witness", schema_point_cover, "witness_found", None),
+    ("kkm-lebesgue-candidate", lambda: square_report(ROW_AND_POINTS),
+     "counterexample_candidate", None),
+    ("kkm-lebesgue-multiplicity", lambda: square_report({k: range(9) for k in "abc"}),
+     "hypothesis_violated", "multiplicity_exceeds_dimension"),
+]
+
+
+class TestReportToJson:
+    """report_to_json converts only what JSON cannot hold, and gives what the
+    generic walk gives."""
+
+    @pytest.mark.parametrize("make, verdict, reason", [r[1:] for r in REPORTS],
+                             ids=[r[0] for r in REPORTS])
+    def test_equals_generic_walk(self, make, verdict, reason):
+        report = make()
+        assert (report.verdict, report.payload.get("reason")) == (verdict, reason)
+        encoded = jsonio.report_to_json(report)
+        assert encoded == {"verdict": verdict, "payload": to_jsonable(report.payload)}
+        assert json.loads(json.dumps(encoded)) == encoded
+
+    def test_null_certificate(self):
+        report = square_report(ROW_AND_POINTS)
+        certificates = jsonio.report_to_json(report)["payload"]["certificates"]
+        assert certificates["row"] is None
+        assert certificates["p0"]["divisor"] == jsonio.divisor_to_json(
+            report.payload["certificates"]["p0"]["divisor"]
+        )
+
+    def test_report_left_unchanged(self):
+        report = schema_point_cover()
+        eps = report.payload["eps"]
+        jsonio.report_to_json(report)
+        assert report.payload["eps"] is eps
+        assert all(
+            cert is None or isinstance(cert["divisor"], Divisor)
+            for cert in report.payload["certificates"].values()
+        )
 
 
 INTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200))

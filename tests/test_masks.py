@@ -2,13 +2,12 @@
 (lattice_reference), and the set semantics of PointSet."""
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricover import InputError, LatticeCover, LatticeModel, cli, covering, harness, jsonio
+from toricover import InputError, LatticeCover, LatticeModel, cli, covering, harness
 from toricover.covering import PointSet
 
 import lattice_reference as ref
@@ -202,11 +201,6 @@ class TestPointSet:
         full = point_set(model, model.grid().full)
         assert all(p in full for p in model.points())
         assert (1, 1, 2) not in full and (1, 1) not in full and (0, 0, 3, 0) not in full
-
-    def test_to_jsonable_sorts(self):
-        a, _ = self.sets()
-        assert jsonio.to_jsonable({"s": a}) == {"s": [[0, 0], [1, 2], [3, 3]]}
-        assert json.dumps(jsonio.to_jsonable(a)) == json.dumps(sorted(map(list, a)))
 
 
 class TestKRange:

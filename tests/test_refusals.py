@@ -1,0 +1,155 @@
+"""Refusals: each check that turns a bad argument into a named InputError
+(or one of its subclasses), with the class and message it raises."""
+
+import contextlib
+import io
+import json
+import pathlib
+import re
+from fractions import Fraction
+
+import pytest
+
+from toricover import cli, covering, harness, polytope
+from toricover.covering import LatticeModel, PointSet, RefinementPiece
+from toricover.harness import BadResolutionError, SuiteConfig
+from toricover.polytope import (
+    BudgetExhaustedError,
+    InputError,
+    UnboundedError,
+    construct_standard,
+    from_halfspaces,
+)
+
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
+
+
+def cube(n, r):
+    return LatticeModel("cube", n, r)
+
+
+# (id, call, exception class, message)
+REFUSALS = [
+    ("model-n0", lambda: cube(0, 2), InputError, "need n >= 1 and r >= 1"),
+    ("spans-pair-simplex",
+     lambda: covering.spans_pair(harness.kkm_standard_cover(2, 3), "0", 0),
+     InputError, "spans_pair is a cube-model notion"),
+    ("components-off-model",
+     lambda: covering.connected_components([(9, 9)], cube(2, 2)),
+     InputError, "points outside the model: [(9, 9)]"),
+    ("axes-simplex", lambda: covering.axes_witness(harness.kkm_standard_cover(2, 3)),
+     InputError, "axes_witness runs on the cube model"),
+    ("bricks-too-coarse", lambda: harness.shifted_brick_cover(4, 8),
+     BadResolutionError, "r=8 too coarse for staggered bricks in n=4"),
+    ("multiplicity-0", lambda: harness.random_low_multiplicity_cover(cube(2, 4), 0, 0),
+     InputError, "target multiplicity must be >= 1"),
+    ("resolution-0", lambda: harness.lattice_sample(construct_standard("cube", 2), 0),
+     InputError, "resolution must be >= 1"),
+    # x in [1/3, 2/3] holds no point of the integer grid
+    ("empty-sample",
+     lambda: harness.polytope_sample_cover(
+         from_halfspaces([(1,), (-1,)], [Fraction(-1, 3), Fraction(2, 3)]), 1, 2, 0),
+     InputError, "empty sample; raise the resolution"),
+    ("suite-no-instances",
+     lambda: SuiteConfig(verifier="lebesgue", kind="cube", n=2, r=4, instances=0, seed=0),
+     InputError, "instances must be positive"),
+    ("suite-unknown-verifier",
+     lambda: harness.run_property_suite(
+         SuiteConfig(verifier="sperner", kind="cube", n=2, r=4, instances=1, seed=0)),
+     InputError, "unknown suite verifier: 'sperner'"),
+    ("halfspaces-lengths", lambda: from_halfspaces([(1,), (-1,)], [0]),
+     InputError, "normals and offsets must have the same length"),
+    ("halfspaces-none", lambda: from_halfspaces([], []),
+     InputError, "at least one half-space is required"),
+    ("halfspaces-few-facets", lambda: from_halfspaces([(1, 0), (0, 1)], [0, 0]),
+     UnboundedError, "fewer than n+1 facets cannot bound a polytope"),
+    ("standard-n0", lambda: construct_standard("cube", 0), InputError, "n must be >= 1"),
+    ("standard-kind", lambda: construct_standard("prism", 2),
+     InputError, "unknown standard polytope kind: 'prism'"),
+    ("cube-facet-sign", lambda: polytope.cube_facet_id(0, "0"),
+     InputError, "sign must be '-' or '+'"),
+    ("faces-k-high", lambda: polytope.faces(construct_standard("cube", 2), 3),
+     InputError, "face dimension 3 out of range 0..2"),
+    ("faces-k-negative", lambda: polytope.faces(construct_standard("cube", 2), -1),
+     InputError, "face dimension -1 out of range 0..2"),
+    ("perturb-budget-0", lambda: polytope.perturb(construct_standard("cube", 2), 0),
+     InputError, "budget must be positive"),
+    ("moment-kind", lambda: polytope.moment_map_eval("cp2", []),
+     InputError, "unknown moment map kind: 'cp2'"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refusal(call, exc, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is exc
+
+
+def test_perturb_out_of_retries(monkeypatch):
+    q2 = construct_standard("cube", 2)
+
+    def never(normals, offsets):
+        raise InputError("not simple")
+
+    monkeypatch.setattr(polytope, "from_halfspaces", never)
+    with pytest.raises(BudgetExhaustedError, match="^no valid perturbation within 32 retries$"):
+        polytope.perturb(q2, Fraction(1, 100))
+
+
+def kkm_lebesgue_schema():
+    return json.loads((SCHEMAS / "verify-kkm-lebesgue.json").read_text())
+
+
+def wrong_dim(data):
+    data["polytope"]["dim"] = 3
+    return "polytope.dim is 3, the normals have dimension 2"
+
+
+def index_past_sample(data):
+    name = next(iter(data["sets"]))
+    data["sets"][name][0] = len(data["sample"])
+    return f"sets.{name}[0]: sample index {len(data['sample'])} out of range"
+
+
+@pytest.mark.parametrize("damage", [wrong_dim, index_past_sample])
+def test_cli_refusal(damage):
+    data = kkm_lebesgue_schema()
+    message = damage(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--theorem", "kkm-lebesgue", "--input", json.dumps(data)])
+    assert (code, out.getvalue(), err.getvalue()) == (4, "", f"input error: {message}\n")
+
+
+class TestValidateColoring:
+    """harness._validate_coloring accepts the Palais coloring and rejects each
+    way of breaking it."""
+
+    @pytest.fixture
+    def cover(self):
+        return harness.random_low_multiplicity_cover(cube(2, 6), 2, 3).cover
+
+    def test_accepts_palais(self, cover):
+        classes = covering.palais_coloring(cover)
+        assert len(classes) == 2
+        assert harness._validate_coloring(cover, classes)
+
+    def test_wrong_class_count(self, cover):
+        classes = covering.palais_coloring(cover)
+        assert not harness._validate_coloring(cover, classes[:1])
+
+    def test_piece_in_the_wrong_class(self, cover):
+        first, second = covering.palais_coloring(cover)
+        assert not harness._validate_coloring(cover, [first + second[:1], second[1:]])
+
+    def test_piece_outside_its_set(self, cover):
+        first, second = covering.palais_coloring(cover)
+        grid = cover.model.grid()
+        piece = RefinementPiece(first[0].cover_sets, PointSet(grid, grid.full))
+        assert not harness._validate_coloring(cover, [[piece] + first[1:], second])
+
+    def test_overlapping_pieces(self, cover):
+        first, second = covering.palais_coloring(cover)
+        assert not harness._validate_coloring(cover, [first + first[:1], second])
