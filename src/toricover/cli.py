@@ -12,6 +12,7 @@ stderr.  Stdout is exactly `json.dumps(payload, indent=2)` plus a newline
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -265,8 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built on first use: parse_args leaves it as it
+# was and returns a fresh Namespace each call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, summary, code = args.fn(args)
         _emit(payload, summary, args.output)

@@ -21,7 +21,12 @@ mask has the neighbour `shift` bits away, so the neighbours of a whole set
 come from a few shifts and ANDs.  Each facet is one mask and a face is the AND
 of its facets.  A cover's sets are PointSets: immutable sets of point tuples,
 iterated in bit order, whose operations with sets over the same grid are int
-operations on the masks.  Unions and complements are ORs and AND-NOTs,
+operations on the masks.  A plain collection of points meets the masks
+through the grid's index, a dict from the model's points to their bits built
+on first use: Grid.set_of looks a collection of int tuples up in one pass,
+so a PointSet compared with a set or frozenset costs one lookup of the other
+side, while & | - with one still go point by point.  The model keeps its
+grid once asked for it.  Unions and complements are ORs and AND-NOTs,
 components a frontier flood fill.  A model holds at most MAX_MODEL_POINTS
 points, and its grid's cells times its moves, the bits one expand shifts, are
 at most MAX_EXPAND_BITS.
@@ -35,7 +40,7 @@ import math
 from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul
 
 from . import chow
@@ -97,8 +102,15 @@ class LatticeModel:
         return _model_points(self)
 
     def grid(self) -> Grid:
-        """The model's Grid, built on first use and shared by equal models."""
-        return _model_grid(self)
+        """The model's Grid, built on first use and shared by equal models.
+        The instance keeps it outside its fields, so later calls hash
+        nothing and equality, hash and repr are untouched."""
+        try:
+            return self._grid
+        except AttributeError:
+            grid = _model_grid(self)
+            object.__setattr__(self, "_grid", grid)
+            return grid
 
     def facets(self):
         """The facet equations (coordinate, value): (axis, 0) and (axis, r)
@@ -255,13 +267,21 @@ class Grid:
             return None
         return i if ok else None
 
+    @cached_property
+    def index(self) -> dict:
+        """The bit of each point of the model, built on first use."""
+        return dict(zip(self.points, _bits_of(self.full)))
+
     def set_of(self, pts):
-        """The PointSet of a collection of points and the list of those that
-        are not points of the model, in the order of pts."""
-        bits = list(map(self.bit, pts))
-        if None in bits:
-            return PointSet(self, 0), [p for p, b in zip(pts, bits) if b is None]
-        return PointSet(self, _mask(bits)), []
+        """The PointSet of the points of the model in a collection pts and
+        the list of the others, in the order of pts.  Tuples of ints are
+        looked up in the index all at once; any other item sends the whole
+        collection through bit, point by point.  The type pass matters: the
+        index finds (1, 0) for (1.0, 0), which bit refuses."""
+        exact = set(map(type, pts)) <= {tuple} and set(
+            map(type, itertools.chain.from_iterable(pts))
+        ) <= {int}
+        return _point_set(self, pts, map(self.index.get if exact else self.bit, pts))
 
     def points_of(self, mask: int):
         """The points of the cells of mask, in cell (= sorted) order."""
@@ -275,6 +295,16 @@ class Grid:
         digits = _digits(mask >> low)
         digits = "".join(itertools.compress(digits, self._valid[low:low + len(digits)]))
         return map(self.points.__getitem__, _ones(digits, self._valid.count(1, 0, low)))
+
+
+def _point_set(grid, pts, bits):
+    """The PointSet of the non-None bits and the items of pts whose bit is
+    None, in order."""
+    bits = list(bits)
+    if None not in bits:
+        return PointSet(grid, _mask(bits)), []
+    bad = [p for p, b in zip(pts, bits) if b is None]
+    return PointSet(grid, _mask([b for b in bits if b is not None])), bad
 
 
 def _ones(digits: str, offset: int):
@@ -300,8 +330,11 @@ class PointSet(Set):
     """An immutable set of points held as a mask over `grid`, a model's Grid
     or a Sample.  Iteration yields the points in bit order: sorted on a Grid,
     first occurrence on a Sample.  Comparisons and & | - with a PointSet over
-    the same grid are int operations; with any other set they go point by
-    point (collections.abc.Set), and & | - ^ return frozensets."""
+    the same grid are int operations.  Comparisons (<= >= < > ==) with a set
+    or frozenset convert it once through grid.set_of and compare masks; an
+    item that is not a point of the grid counts as a set counts it.  With
+    any other set, and for & | - ^ with anything but a peer, they go point
+    by point (collections.abc.Set), and & | - ^ return frozensets."""
 
     __slots__ = ("grid", "mask")
 
@@ -334,11 +367,17 @@ class PointSet(Set):
     def __le__(self, other):
         if self._peer(other):
             return self.mask & other.mask == self.mask
+        if isinstance(other, (set, frozenset)):
+            # the items of other that are not points cannot hold a point of self
+            return self.mask & self.grid.set_of(other)[0].mask == self.mask
         return super().__le__(other)
 
     def __ge__(self, other):
         if self._peer(other):
             return self.mask & other.mask == other.mask
+        if isinstance(other, (set, frozenset)):
+            pts, bad = self.grid.set_of(other)
+            return not bad and self.mask & pts.mask == pts.mask
         return super().__ge__(other)
 
     def __and__(self, other):
@@ -662,13 +701,17 @@ class Sample:
         self.full = _mask(list(self._index.values()))
 
     def bit(self, p):
-        """The bit of point p, or None when p is not a sample point."""
-        try:
-            return self._index.get(tuple(x * self.den for x in p))
-        except TypeError:
+        """The bit of point p, or None when p is not a sample point.  A point
+        is a tuple of ints and Fractions: a float is never read, since its
+        product with den can round onto a numerator."""
+        if type(p) is not tuple or not set(map(type, p)) <= {int, Fraction}:
             return None
+        return self._index.get(tuple(x * self.den for x in p))
 
-    set_of = Grid.set_of
+    def set_of(self, pts):
+        """The PointSet of the sample points in a collection pts and the
+        list of the others, in the order of pts."""
+        return _point_set(self, pts, map(self.bit, pts))
 
     def points_of(self, mask: int):
         return map(self.points.__getitem__, _bits_of(mask))

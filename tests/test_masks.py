@@ -1,7 +1,10 @@
 """The mask code of the lattice lab against the tuple code it replaced
 (lattice_reference), and the set semantics of PointSet."""
 
+import dataclasses
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +204,106 @@ class TestPointSet:
         full = point_set(model, model.grid().full)
         assert all(p in full for p in model.points())
         assert (1, 1, 2) not in full and (1, 1) not in full and (0, 0, 3, 0) not in full
+
+
+INDEX_MODELS = [
+    LatticeModel("cube", 2, 3), LatticeModel("cube", 3, 2), LatticeModel("simplex", 2, 3),
+]
+
+
+def int_strays(model, p):
+    """Int tuples near the point p that are not points of the model: past r,
+    negative, one coordinate too many and one too few."""
+    j = len(p) - 1
+    return [p[:j] + (model.r + 1,), p[:j] + (-1,), p + (0,), p[:j]]
+
+
+def other_strays(p):
+    """Items that are no int tuple: p with a non-integral float or Fraction,
+    with bools, as floats, as Fractions, as a list, and None."""
+    return [
+        (p[0] + 0.5,) + p[1:], (p[0] + Fraction(1, 2),) + p[1:], tuple(map(bool, p)),
+        tuple(map(float, p)), tuple(map(Fraction, p)), list(p), None,
+    ]
+
+
+class TestPointIndex:
+    """Grid.set_of looks int tuples up in the grid's index all at once and
+    every other collection point by point; both answer as bit does."""
+
+    @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
+    def test_set_of_answers_as_bit(self, model):
+        grid = model.grid()
+        rng = random.Random(15)
+        for trial in range(300):
+            pool = [rng.choice(model.points()) for _ in range(6)]
+            for p in pool[:2]:
+                pool += int_strays(model, p)
+                # every other trial mixes in items that are no int tuple
+                pool += other_strays(p) if trial % 2 else []
+            pts = [rng.choice(pool) for _ in range(rng.randrange(10))]
+            bits = [grid.bit(p) for p in pts]
+            got, bad = grid.set_of(pts)
+            assert got.grid is grid
+            assert got.mask == sum(1 << b for b in set(bits) - {None})
+            assert bad == [p for p, b in zip(pts, bits) if b is None]
+
+    @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
+    def test_comparisons_answer_as_frozensets(self, model):
+        grid = model.grid()
+        points = model.points()
+        rng = random.Random(15)
+        for trial in range(300):
+            x = PointSet(grid, rng.getrandbits(grid.full.bit_length()) & grid.full)
+            # mostly points of x, some other points and rarely a stray, so
+            # that every comparison comes out both ways.  A float or Fraction
+            # tuple equal to a point is left out: a frozenset holds it for the
+            # point, while a PointSet refuses it as bit does (tested below).
+            mine = list(x) or [points[0]]
+            y = {rng.choice(mine) for _ in range(rng.randrange(len(mine) + 2))}
+            if trial % 3 == 0:
+                y.add(rng.choice(points))
+            if trial % 5 == 0:
+                p = rng.choice(points)
+                strays = int_strays(model, p) + other_strays(p)[:3] + [None, "ab"]
+                y.add(rng.choice(strays))
+            fx = frozenset(x)
+            for plain in (y, frozenset(y)):
+                fy = frozenset(plain)
+                for a, b, fa, fb in ((x, plain, fx, fy), (plain, x, fy, fx)):
+                    assert (a <= b) == (fa <= fb)
+                    assert (a >= b) == (fa >= fb)
+                    assert (a < b) == (fa < fb)
+                    assert (a > b) == (fa > fb)
+                    assert (a == b) == (fa == fb) and (a != b) == (fa != fb)
+
+    @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
+    def test_refused_items_stay_refused(self, model):
+        """A float or Fraction tuple equal to a point finds it in the index;
+        set_of, `in` and the comparisons still refuse it, as bit does."""
+        grid = model.grid()
+        for p in model.points():
+            x = PointSet(grid, 1 << grid.bit(p))
+            for item in (tuple(map(float, p)), tuple(map(Fraction, p))):
+                assert grid.index.get(item) == grid.bit(p)
+                assert grid.bit(item) is None and item not in x
+                assert grid.set_of([p, item]) == (x, [item])
+                assert not x >= {item} and not {item} <= x
+                assert not x <= {item} and not frozenset({item}) >= x and x != {item}
+
+    def test_equal_models_share_one_grid(self):
+        a, b = LatticeModel("simplex", 2, 3), LatticeModel("simplex", 2, 3)
+        fresh = LatticeModel("simplex", 2, 3)
+        before = (hash(a), repr(a), dataclasses.asdict(a))
+        grid = a.grid()
+        assert b.grid() is grid and a.grid() is grid
+        x, y = PointSet(grid, 0b11), PointSet(b.grid(), 0b110)
+        assert type(x & y) is PointSet and (x & y).mask == 0b10
+        # the grid is kept outside the fields: a model that has one is equal
+        # to one that has none, with the same hash, repr and fields
+        assert a == fresh and (hash(a), repr(a), dataclasses.asdict(a)) == before
+        assert hash(fresh) == hash(a) and {a: 1}[fresh] == 1
+        assert [f.name for f in dataclasses.fields(a)] == ["kind", "n", "r"]
 
 
 class TestKRange:

@@ -104,6 +104,23 @@ class TestSample:
         assert sample.bit((Fraction(1, 2),)) is None
         assert sample.bit(("1/2", 0)) is None
         assert sample.bit(None) is None
+        # only a tuple of ints and Fractions is a point: no float, list or string
+        assert sample.bit((0.5, 0)) is None and sample.bit((1.0, 1.5)) is None
+        assert sample.bit([Fraction(1, 2), 0]) is None
+        assert sample.bit("1") is None and sample.bit((Fraction(1), "3/2")) is None
+        # a float whose product with the denominator rounds onto a numerator
+        tenths = Sample(((Fraction(1, 10),), (Fraction(3, 10),)))
+        assert tenths.bit((Fraction(1, 10),)) == 0 and tenths.bit((0.1,)) is None
+        assert tenths.set_of([(0.1,), (Fraction(3, 10),)])[1] == [(0.1,)]
+
+    def test_float_cover_is_refused(self, segment):
+        sample = (Fraction(1, 10), Fraction(3, 10))
+        for stray in (0.1, 0.30000000000000004):
+            cover = PointCloudCover(
+                tuple((x,) for x in sample), {"X": {(stray,)}, "Y": {(sample[0],), (sample[1],)}}
+            )
+            with pytest.raises(BadSampleError, match="^set 'X' has points outside the sample$"):
+                covering.kkm_lebesgue_witness(segment, cover)
 
     def test_check_inside_names_the_first_input_position(self, segment):
         sample = Sample(((Fraction(1),), (Fraction(3),), (Fraction(1),), (Fraction(-1),)))

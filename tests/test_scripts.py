@@ -1,5 +1,7 @@
 """Smoke tests: the example scripts still run against the library."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +42,48 @@ def _run(argv):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _bench_pairs():
+    path = os.path.join(ROOT, "scripts", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _line(items, rss):
+    return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+        "items_per_ref_s": {"value": items, "unit": "1/ref_s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+    }}
+
+
+def test_bench_pairs_summary_on_canned_lines():
+    bench_pairs = _bench_pairs()
+    pairs = [
+        {"parent": _line(p, pr), "change": _line(c, cr)}
+        for p, c, pr, cr in [(10, 12, 30, 31), (11, 11, 30, 29), (9, 13, 30, 30), (10, 14, 31, 32)]
+    ]
+    got = bench_pairs.summarize(pairs, {"items_per_ref_s": "higher", "peak_rss_mb": "lower"})
+    assert got["items_per_ref_s"] == {
+        "unit": "1/ref_s", "better": "higher", "parent_median": 10, "change_median": 12.5,
+        "change_vs_parent": "+25.0 %", "parent_quartiles": [9.75, 10.0, 10.25],
+        "change_quartiles": [11.75, 12.5, 13.25],
+        # the tie (11, 11) counts for neither side
+        "pairs_change_better": "3/4",
+    }
+    assert got["peak_rss_mb"]["pairs_change_better"] == "1/4"
+    assert got["peak_rss_mb"]["change_vs_parent"] == "+1.7 %"
+    assert bench_pairs.seed_list("11-13,20") == [11, 12, 13, 20]
+
+
+def test_bench_pairs_summary_reproduces_a_committed_file():
+    """BENCH_11.json keeps every pair's result lines next to its summary."""
+    bench_pairs = _bench_pairs()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    with open(os.path.join(ROOT, "BENCH_11.json")) as fh:
+        workloads = json.load(fh)["workloads"]
+    for entry in workloads.values():
+        assert bench_pairs.summarize(entry["pairs"], better) == entry["summary"]
