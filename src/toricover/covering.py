@@ -273,15 +273,16 @@ class Grid:
         return dict(zip(self.points, _bits_of(self.full)))
 
     def set_of(self, pts):
-        """The PointSet of the points of the model in a collection pts and
-        the list of the others, in the order of pts.  Tuples of ints are
-        looked up in the index all at once; any other item sends the whole
-        collection through bit, point by point.  The type pass matters: the
-        index finds (1, 0) for (1.0, 0), which bit refuses."""
+        """The PointSet of the points of the model among pts and the list of
+        the other items, in the order of pts.  Tuples of ints are looked up
+        in the index all at once; any other item sends the whole collection
+        through bit, point by point.  The type pass matters: the index finds
+        (1, 0) for (1.0, 0), which bit refuses."""
+        pts = list(pts)
         exact = set(map(type, pts)) <= {tuple} and set(
             map(type, itertools.chain.from_iterable(pts))
         ) <= {int}
-        return _point_set(self, pts, map(self.index.get if exact else self.bit, pts))
+        return _point_set(self, pts, self.index.get if exact else self.bit)
 
     def points_of(self, mask: int):
         """The points of the cells of mask, in cell (= sorted) order."""
@@ -297,10 +298,10 @@ class Grid:
         return map(self.points.__getitem__, _ones(digits, self._valid.count(1, 0, low)))
 
 
-def _point_set(grid, pts, bits):
-    """The PointSet of the non-None bits and the items of pts whose bit is
-    None, in order."""
-    bits = list(bits)
+def _point_set(grid, pts: list, lookup):
+    """The PointSet of the items of pts that lookup finds a bit for, and the
+    list of the others, in order."""
+    bits = list(map(lookup, pts))
     if None not in bits:
         return PointSet(grid, _mask(bits)), []
     bad = [p for p, b in zip(pts, bits) if b is None]
@@ -481,7 +482,7 @@ def connected_components(points, model: LatticeModel):
     """
     grid = model.grid()
     if not (isinstance(points, PointSet) and points.grid is grid):
-        points, bad = grid.set_of(list(points))
+        points, bad = grid.set_of(points)
         if bad:
             raise InputError(f"points outside the model: {bad[:3]}")
     single = points.mask & ~grid.expand(points.mask)
@@ -709,9 +710,9 @@ class Sample:
         return self._index.get(tuple(x * self.den for x in p))
 
     def set_of(self, pts):
-        """The PointSet of the sample points in a collection pts and the
-        list of the others, in the order of pts."""
-        return _point_set(self, pts, map(self.bit, pts))
+        """The PointSet of the sample points among pts and the list of the
+        other items, in the order of pts."""
+        return _point_set(self, list(pts), self.bit)
 
     def points_of(self, mask: int):
         return map(self.points.__getitem__, _bits_of(mask))

@@ -247,6 +247,7 @@ class TestPointIndex:
             assert got.grid is grid
             assert got.mask == sum(1 << b for b in set(bits) - {None})
             assert bad == [p for p, b in zip(pts, bits) if b is None]
+            assert grid.set_of(iter(pts)) == (got, bad)
 
     @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
     def test_comparisons_answer_as_frozensets(self, model):
