@@ -112,6 +112,10 @@ class LatticeModel:
             object.__setattr__(self, "_grid", grid)
             return grid
 
+    def __reduce__(self):
+        # a copy or an unpickled model finds the shared grid, not a copy of it
+        return LatticeModel, (self.kind, self.n, self.r)
+
     def facets(self):
         """The facet equations (coordinate, value): (axis, 0) and (axis, r)
         for each cube axis, (j, 0) for each simplex coordinate."""

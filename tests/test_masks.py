@@ -1,8 +1,10 @@
 """The mask code of the lattice lab against the tuple code it replaced
 (lattice_reference), and the set semantics of PointSet."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -305,6 +307,8 @@ class TestPointIndex:
         assert a == fresh and (hash(a), repr(a), dataclasses.asdict(a)) == before
         assert hash(fresh) == hash(a) and {a: 1}[fresh] == 1
         assert [f.name for f in dataclasses.fields(a)] == ["kind", "n", "r"]
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert twin == a and twin.grid() is grid
 
 
 class TestKRange:
