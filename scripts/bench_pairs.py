@@ -4,9 +4,9 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload lattice_suite --seeds 11-20 --out BENCH_15.json
 
-Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
-once in each checkout, one process at a time; which side runs first
-alternates from pair to pair.  The results go into the --out file under
+Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`,
+with T the run_seconds of BENCHMARK.json, once in each checkout, one process
+at a time; which side runs first alternates from pair to pair.  The results go into the --out file under
 "workloads" -> W, next to any other workload already in it, in the layout of
 the committed BENCH_<pr>.json files: every pair's result lines, and per
 end-to-end metric the medians, the quartiles and the number of pairs in
@@ -24,12 +24,9 @@ import sys
 
 
 def seed_list(spec: str) -> list:
-    """Seeds from "11-20" or "1,2,3" (or a mix of both)."""
-    seeds = []
-    for part in spec.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
-    return seeds
+    """The seeds of a range "11-20", both ends included."""
+    lo, hi = spec.split("-")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def run_one(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -90,19 +87,17 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help='e.g. "11-20" or "1,2,3"')
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
+    ap.add_argument("--seeds", required=True, type=seed_list, help='a range, e.g. "11-20"')
     ap.add_argument("--out", required=True, help="the BENCH_<pr>.json file to update")
     args = ap.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
-    for i, seed in enumerate(seed_list(args.seeds)):
+    for i, seed in enumerate(args.seeds):
         first, second = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": first}
         for side in (first, second):

@@ -25,9 +25,8 @@ operations on the masks.  A plain collection of points meets the masks
 through the grid's index, a dict from the model's points to their bits built
 on first use: Grid.set_of looks a collection of int tuples up in one pass,
 so a PointSet compared with a set or frozenset costs one lookup of the other
-side, while & | - with one still go point by point.  The model keeps its
-grid once asked for it.  Unions and complements are ORs and AND-NOTs,
-components a frontier flood fill.  A model holds at most MAX_MODEL_POINTS
+side, while & | - with one still go point by point.  Unions and
+complements are ORs and AND-NOTs, components a frontier flood fill.  A model holds at most MAX_MODEL_POINTS
 points, and its grid's cells times its moves, the bits one expand shifts, are
 at most MAX_EXPAND_BITS.
 """
@@ -102,19 +101,8 @@ class LatticeModel:
         return _model_points(self)
 
     def grid(self) -> Grid:
-        """The model's Grid, built on first use and shared by equal models.
-        The instance keeps it outside its fields, so later calls hash
-        nothing and equality, hash and repr are untouched."""
-        try:
-            return self._grid
-        except AttributeError:
-            grid = _model_grid(self)
-            object.__setattr__(self, "_grid", grid)
-            return grid
-
-    def __reduce__(self):
-        # a copy or an unpickled model finds the shared grid, not a copy of it
-        return LatticeModel, (self.kind, self.n, self.r)
+        """The model's Grid, built on first use and shared by equal models."""
+        return _model_grid(self)
 
     def facets(self):
         """The facet equations (coordinate, value): (axis, 0) and (axis, r)
@@ -336,10 +324,10 @@ class PointSet(Set):
     or a Sample.  Iteration yields the points in bit order: sorted on a Grid,
     first occurrence on a Sample.  Comparisons and & | - with a PointSet over
     the same grid are int operations.  Comparisons (<= >= < > ==) with a set
-    or frozenset convert it once through grid.set_of and compare masks; an
-    item that is not a point of the grid counts as a set counts it.  With
-    any other set, and for & | - ^ with anything but a peer, they go point
-    by point (collections.abc.Set), and & | - ^ return frozensets."""
+    or frozenset of points of the grid convert it once through grid.set_of
+    and compare masks.  With any other set, and for & | - ^ with anything
+    but a peer, they go point by point (collections.abc.Set), and & | - ^
+    return frozensets."""
 
     __slots__ = ("grid", "mask")
 
@@ -373,8 +361,9 @@ class PointSet(Set):
         if self._peer(other):
             return self.mask & other.mask == self.mask
         if isinstance(other, (set, frozenset)):
-            # the items of other that are not points cannot hold a point of self
-            return self.mask & self.grid.set_of(other)[0].mask == self.mask
+            pts, bad = self.grid.set_of(other)
+            if not bad:
+                return self.mask & pts.mask == self.mask
         return super().__le__(other)
 
     def __ge__(self, other):

@@ -1,10 +1,8 @@
 """The mask code of the lattice lab against the tuple code it replaced
 (lattice_reference), and the set semantics of PointSet."""
 
-import copy
 import dataclasses
 import itertools
-import pickle
 import random
 from fractions import Fraction
 
@@ -283,7 +281,8 @@ class TestPointIndex:
     @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
     def test_refused_items_stay_refused(self, model):
         """A float or Fraction tuple equal to a point finds it in the index;
-        set_of, `in` and the comparisons still refuse it, as bit does."""
+        set_of, `in` and >= still refuse it, as bit does, while <= and ==
+        go point by point and answer as frozenset(x) does."""
         grid = model.grid()
         for p in model.points():
             x = PointSet(grid, 1 << grid.bit(p))
@@ -292,7 +291,8 @@ class TestPointIndex:
                 assert grid.bit(item) is None and item not in x
                 assert grid.set_of([p, item]) == (x, [item])
                 assert not x >= {item} and not {item} <= x
-                assert not x <= {item} and not frozenset({item}) >= x and x != {item}
+                assert x <= {item} and frozenset({item}) >= x and x == {item}
+                assert frozenset(x) == {item}
 
     def test_equal_models_share_one_grid(self):
         a, b = LatticeModel("simplex", 2, 3), LatticeModel("simplex", 2, 3)
@@ -302,13 +302,11 @@ class TestPointIndex:
         assert b.grid() is grid and a.grid() is grid
         x, y = PointSet(grid, 0b11), PointSet(b.grid(), 0b110)
         assert type(x & y) is PointSet and (x & y).mask == 0b10
-        # the grid is kept outside the fields: a model that has one is equal
-        # to one that has none, with the same hash, repr and fields
+        # asking for the grid changes nothing of the model: it is equal to
+        # one that never asked, with the same hash, repr and fields
         assert a == fresh and (hash(a), repr(a), dataclasses.asdict(a)) == before
         assert hash(fresh) == hash(a) and {a: 1}[fresh] == 1
         assert [f.name for f in dataclasses.fields(a)] == ["kind", "n", "r"]
-        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-            assert twin == a and twin.grid() is grid
 
 
 class TestKRange:
