@@ -78,12 +78,14 @@ def test_bench_pairs_summary_on_canned_lines():
     assert bench_pairs.seed_list("11-13") == [11, 12, 13]
 
 
-def test_bench_pairs_summary_reproduces_a_committed_file():
-    """BENCH_11.json keeps every pair's result lines next to its summary."""
+@pytest.mark.parametrize("name", ["BENCH_11.json", "BENCH_15.json"])
+def test_bench_pairs_summary_reproduces_a_committed_file(name):
+    """A committed BENCH file keeps every pair's result lines next to its
+    summary."""
     bench_pairs = _bench_pairs()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    with open(os.path.join(ROOT, "BENCH_11.json")) as fh:
+    with open(os.path.join(ROOT, name)) as fh:
         workloads = json.load(fh)["workloads"]
     for entry in workloads.values():
         assert bench_pairs.summarize(entry["pairs"], better) == entry["summary"]
