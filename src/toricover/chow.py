@@ -175,9 +175,10 @@ def linearly_equivalent(p: SimplePolytope, d1: Divisor, d2: Divisor) -> bool:
 def ample_from_offsets(p: SimplePolytope) -> Divisor:
     """The ample divisor whose coefficients are the facet offsets of P after
     recentering at the vertex centroid (a strictly interior point, so all
-    coefficients come out positive)."""
-    centered = p.translate(p.vertex_centroid())
-    return Divisor(centered.offsets)
+    coefficients come out positive): c_F + <u_F, centroid>, the offsets of
+    P.translate(centroid) without moving the vertices."""
+    centroid = p.vertex_centroid()
+    return Divisor(tuple(c + linalg.dot(u, centroid) for u, c in zip(p.normals, p.offsets)))
 
 
 def polytope_of_divisor(p: SimplePolytope, d: Divisor) -> Region:

@@ -36,11 +36,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Set
+from collections.abc import Collection, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import add, le, mul
 
 from . import chow
 from .polytope import InputError, SimplePolytope
@@ -170,7 +170,14 @@ def _mask(bits) -> int:
     cells = bytearray(max(bits) - low + 1)
     for b in bits:
         cells[b - low] = 1
-    return int(cells[::-1].translate(_DIGIT_OF_BYTE), 2) << low
+    return _flag_mask(cells) << low
+
+
+def _flag_mask(flags) -> int:
+    """The int whose bit i is flag i, from one byte per flag (0 or 1, or
+    False or True) in one bytes -> int step."""
+    cells = bytes(flags)
+    return int(cells[::-1].translate(_DIGIT_OF_BYTE), 2) if cells else 0
 
 
 def _repunit(period: int, count: int) -> int:
@@ -400,8 +407,11 @@ class LatticeCover:
         coerced = {}
         for name, pts in self.sets.items():
             if not (isinstance(pts, PointSet) and pts.grid is grid):
-                pts, bad = grid.set_of(frozenset(pts))
+                items = pts if isinstance(pts, Collection) else list(pts)
+                pts, bad = grid.set_of(items)
                 if bad:
+                    # named in the order of the frozenset of the set's points
+                    bad = grid.set_of(frozenset(items))[1]
                     raise InputError(f"set {name!r} has points outside the model: {bad[:3]}")
             coerced[name] = pts
         object.__setattr__(self, "sets", coerced)
@@ -545,13 +555,13 @@ def _not_a_cover_report(missing: PointSet):
         {
             "reason": "union_does_not_cover",
             "missing_count": len(missing),
-            "missing_sample": [list(p) for p in itertools.islice(missing, 16)],
+            "missing_sample": list(map(list, itertools.islice(missing, 16))),
         },
     )
 
 
 def _echo_cover(cover: LatticeCover):
-    return {name: [list(p) for p in pts] for name, pts in cover.sets.items()}
+    return {name: list(map(list, pts)) for name, pts in cover.sets.items()}
 
 
 def _meets_all(comp: PointSet, face_masks) -> bool:
@@ -586,7 +596,7 @@ def _component_witness(cover: LatticeCover, k: int, families) -> WitnessReport:
             if _meets_all(comp, face_masks):
                 return WitnessReport(
                     WITNESS_FOUND,
-                    {"component": [list(p) for p in comp], **fields, "k": k},
+                    {"component": list(map(list, comp)), **fields, "k": k},
                 )
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover), "k": k})
 
@@ -675,7 +685,7 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
                     {
                         "set": name,
                         "axis": axis,
-                        "component": [list(p) for p in comp],
+                        "component": list(map(list, comp)),
                     },
                 )
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover)})
@@ -684,7 +694,16 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
 class Sample:
     """A point sample as the index space of PointSets: input point i is bit
     at[i], the position of its first occurrence.  ints holds the points'
-    numerators over the common denominator L (den) of all coordinates."""
+    numerators over a common denominator L (den) of all coordinates, and the
+    facet and slab masks are computed on its columns.
+
+    Sample(points) reads exact points as given, hand-built or from JSON,
+    repeats allowed, and takes L as the lcm of their denominators.
+    Sample.from_grid(points, ints, r) takes a grid scan's distinct points a / r
+    together with their integer index tuples a, and L is r.  The lcm of such
+    a sample can be a proper divisor of r, so the two constructors can give
+    one sample different den and ints, but every mask, bit and spacing they
+    give is the same."""
 
     def __init__(self, points: tuple):
         self.points = points
@@ -693,6 +712,22 @@ class Sample:
         self._index = {}
         self.at = [self._index.setdefault(a, i) for i, a in enumerate(self.ints)]
         self.full = _mask(list(self._index.values()))
+
+    @classmethod
+    def from_grid(cls, points: tuple, ints: list, r: int) -> Sample:
+        """The sample of the distinct points a / r, given with their index
+        tuples a in the same order."""
+        sample = cls.__new__(cls)
+        sample.points, sample.den, sample.ints = points, r, ints
+        sample.at = list(range(len(ints)))
+        sample._index = dict(zip(ints, sample.at))
+        sample.full = (1 << len(ints)) - 1
+        return sample
+
+    @cached_property
+    def columns(self) -> list:
+        """The numerator columns: columns[k][i] is ints[i][k]."""
+        return list(zip(*self.ints))
 
     def bit(self, p):
         """The bit of point p, or None when p is not a sample point.  A point
@@ -710,9 +745,24 @@ class Sample:
     def points_of(self, mask: int):
         return map(self.points.__getitem__, _bits_of(mask))
 
+    def slab(self, axis: int, lo: int, hi: int) -> int:
+        """The mask of the points whose numerators a have lo <= a[axis] <= hi."""
+        if not self.ints:
+            return 0
+        return _flag_mask(map(range(lo, hi + 1).__contains__, self.columns[axis])) & self.full
+
     def _at_most(self, u, bound: int) -> int:
-        """The mask of the points whose numerators a have <u, a> <= bound."""
-        return _mask([i for i, a in enumerate(self.ints) if sum(map(mul, u, a)) <= bound])
+        """The mask of the input positions i whose numerators a have
+        <u, a> <= bound, a repeat at its own position: <u, a> is summed over
+        the numerator columns, one C-level map per nonzero u_k."""
+        dots = None
+        for w, col in zip(u, self.columns):
+            if w:
+                term = map(mul, col, itertools.repeat(w))
+                dots = term if dots is None else map(add, dots, term)
+        if dots is None:
+            dots = itertools.repeat(0, len(self.ints))
+        return _flag_mask(map(le, dots, itertools.repeat(bound)))
 
     def near(self, p: SimplePolytope, eps) -> list:
         """Per facet F of P, the mask of the points at slack <= eps |u_F|_1:
@@ -760,7 +810,8 @@ def sample_spacing(sample) -> Fraction:
     """Smallest positive max-norm distance between two sample points.
 
     Sweeps the numerators in sorted order: once the first coordinates differ
-    by at least the best distance so far, no later point comes closer.
+    by at least the best distance so far, no later point comes closer, and
+    a distance of 1 / den, the least two distinct points can have, ends it.
     """
     sample = sample if isinstance(sample, Sample) else Sample(tuple(sample))
     pts = sorted(sample._index)
@@ -771,6 +822,8 @@ def sample_spacing(sample) -> Fraction:
             if best is not None and q[0] - p[0] >= best:
                 break
             d = max(abs(a - b) for a, b in zip(p, q))
+            if d == 1:
+                return Fraction(1, sample.den)
             if best is None or d < best:
                 best = d
     if best is None:
@@ -779,8 +832,15 @@ def sample_spacing(sample) -> Fraction:
 
 
 def facet_touch_set(p: SimplePolytope, points, eps: Fraction):
-    """Facets F with some point at slack <= eps * |u_F|_1 (Sample.near)."""
-    return {f for f, near in enumerate(Sample(tuple(points)).near(p, eps)) if near}
+    """Facets F with some point at slack <= eps * |u_F|_1 (Sample.near).  A
+    PointSet over a Sample meets that sample's masks; other points are read
+    into a Sample of their own."""
+    if isinstance(points, PointSet) and isinstance(points.grid, Sample):
+        sample, mask = points.grid, points.mask
+    else:
+        sample = Sample(tuple(points))
+        mask = sample.full
+    return {f for f, near in enumerate(sample.near(p, eps)) if near & mask}
 
 
 def kkm_lebesgue_witness(

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import covering
 from .covering import (
@@ -253,14 +254,17 @@ def dilated_partition_cover(model: LatticeModel, parts: int, seed: int) -> Latti
     return LatticeCover(model, sets)
 
 
-def lattice_sample(p: SimplePolytope, resolution: int):
+def lattice_sample(p: SimplePolytope, resolution: int, indices: list | None = None):
     """The rational points of P on the grid (1/resolution) Z^n.
 
     A grid point a / resolution lies in P iff D_F <u_F, a> + resolution N_F >= 0
     for every facet with offset N_F / D_F, so the scan runs over integer grid
     indices a.  The first n-1 indices range over P's bounding box; each facet
     then bounds the last index to an interval, and the points are emitted in
-    lexicographic order of a.  Fractions are built once per grid value.
+    lexicographic order of a.  Fractions are built once per grid value.  When
+    indices is a list, the index tuple a of each point is appended to it in
+    the same order: the numerators over resolution that Sample.from_grid
+    computes its masks on.
     """
     if resolution < 1:
         raise InputError("resolution must be >= 1")
@@ -281,16 +285,18 @@ def lattice_sample(p: SimplePolytope, resolution: int):
         first, stop = last.start, last.stop
         for w, c in facets:
             # w[-1] * a_last + rest >= 0
-            rest = sum(x * a for x, a in zip(w, head)) + c
+            rest = sum(map(mul, w, head)) + c
             if w[-1] > 0:
                 first = max(first, -(rest // w[-1]))
             elif w[-1] < 0:
                 stop = min(stop, rest // -w[-1] + 1)
             elif rest < 0:
                 stop = first
-        coords = tuple(grid[a] for a in head)
-        for a in range(first, stop):
-            sample.append(coords + (grid[a],))
+        coords = tuple(map(grid.__getitem__, head))
+        run = range(first, stop)
+        sample.extend(coords + (grid[a],) for a in run)
+        if indices is not None:
+            indices.extend(head + (a,) for a in run)
     return tuple(sample)
 
 
@@ -300,42 +306,41 @@ def polytope_sample_cover(
     """A multiplicity-<=m cover of the lattice sample of P: coordinate slabs
     (layer 1, a partition) plus up to m-1 layers of disjoint max-norm balls.
 
-    Slabs and balls are cut on the sample's integer numerators (Sample.ints),
-    where a ball of radius k / resolution has radius k den / resolution.
+    The sample is a Sample.from_grid of the scan's index tuples, and every
+    set is a mask over its numerator columns: a slab is one column's
+    interval mask, a ball of radius k / resolution the AND of the intervals
+    [c_j - k, c_j + k] over the columns, less the balls already in its layer.
 
     Returns (PointCloudCover, eps) with eps one full grid spacing.  A tilted
     facet plane can stay further than half a spacing from every grid plane on
     its polytope side, so facet contact is judged at one grid layer.
     """
     rng = random.Random(seed)
-    sample = covering.Sample(lattice_sample(p, resolution))
+    ints = []
+    sample = covering.Sample.from_grid(lattice_sample(p, resolution, indices=ints), ints, resolution)
     if not sample.points:
         raise InputError("empty sample; raise the resolution")
     axis = rng.randrange(p.dim)
-    values = sorted({g[axis] for g in sample.ints})
+    values = sorted(set(sample.columns[axis]))
     nslabs = min(rng.randint(2, 3), len(values))
     cut_positions = sorted(rng.sample(range(1, len(values)), nslabs - 1))
     bounds = [0] + cut_positions + [len(values)]
     sets = {}
     for i in range(nslabs):
         first, last = values[bounds[i]], values[bounds[i + 1] - 1]
-        slab = [j for j, g in enumerate(sample.ints) if first <= g[axis] <= last]
-        sets[f"slab_{i}"] = PointSet(sample, covering._mask(slab))
+        sets[f"slab_{i}"] = PointSet(sample, sample.slab(axis, first, last))
 
     for layer in range(1, m):
-        used = set()
+        used = 0
         for b in range(rng.randint(1, 2)):
-            center = rng.choice(sample.ints)
-            radius = rng.randint(1, 2) * sample.den // resolution
-            ball = [
-                i
-                for i, g in enumerate(sample.ints)
-                if i not in used
-                and all(abs(a - c) <= radius for a, c in zip(g, center))
-            ]
+            center = rng.choice(ints)
+            radius = rng.randint(1, 2)
+            ball = sample.full & ~used
+            for k, c in enumerate(center):
+                ball &= sample.slab(k, c - radius, c + radius)
             if ball:
-                sets[f"ball_{layer}_{b}"] = PointSet(sample, covering._mask(ball))
-                used.update(ball)
+                sets[f"ball_{layer}_{b}"] = PointSet(sample, ball)
+                used |= ball
 
     return PointCloudCover(sample.points, sets), Fraction(1, resolution)
 

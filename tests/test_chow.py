@@ -176,6 +176,16 @@ class TestAmpleAndRegions:
     def test_unit_cube_recenters(self, q2):
         assert ample_from_offsets(q2).coeffs == (Fraction(1, 2),) * 4
 
+    def test_offsets_are_those_of_the_translated_polytope(self):
+        shapes = [construct_standard(kind, n) for kind in ("cube", "simplex") for n in range(1, 5)]
+        shapes += [
+            perturb(construct_standard(kind, 3), Fraction(1, 100), seed=seed)
+            for kind in ("cube", "simplex")
+            for seed in range(20)
+        ]
+        for p in shapes:
+            assert ample_from_offsets(p) == Divisor(p.translate(p.vertex_centroid()).offsets)
+
     def test_region_of_ample_is_translated_polytope(self, q2):
         h = ample_from_offsets(q2)
         region = polytope_of_divisor(q2, h)

@@ -189,6 +189,24 @@ class TestMembership:
             LatticeCover(model, {"X": pts})
         assert str(info.value) == f"set 'X' has points outside the model: {bad[:3]}"
 
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    @pytest.mark.parametrize("form", [list, iter], ids=["list", "iterator"])
+    def test_message_order_does_not_follow_input_order(self, model, form):
+        # the bad points are named in frozenset order whatever order they
+        # come in, also from a one-shot iterator
+        ncoords = model.n + (model.kind == "simplex")
+        outside = {
+            (-1,) * ncoords, (model.r + 1,) * ncoords, (0,) * (ncoords + 1),
+            (0,) * (ncoords - 1), (-2,) * ncoords,
+        }
+        given = list(model.points()[:2])
+        given[1:1] = [p for p in frozenset(given) | outside if p in outside][::-1]
+        bad = [p for p in frozenset(given) if p in outside]
+        assert len(bad) >= 4 and [p for p in given if p in outside][:3] != bad[:3]
+        with pytest.raises(InputError) as info:
+            LatticeCover(model, {"X": form(given)})
+        assert str(info.value) == f"set 'X' has points outside the model: {bad[:3]}"
+
     @pytest.mark.parametrize(
         "model, point",
         [

@@ -3,6 +3,7 @@ hand-built and JSON forms of one cover give the same report, and the sample
 path hashes no Fraction."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,9 +142,10 @@ class TestSample:
                 assert {b for b in range(len(sample.points)) if mask >> b & 1} == want
 
     def test_empty_sample(self, segment):
-        sample = Sample(())
-        assert sample.full == 0 and sample.near(segment, 1) == [0, 0]
-        sample.check_inside(segment)
+        for sample in (Sample(()), Sample.from_grid((), [], 3)):
+            assert sample.full == 0 and sample.near(segment, 1) == [0, 0]
+            assert sample.slab(0, 0, 3) == 0
+            sample.check_inside(segment)
 
     def test_stray_point_raises_where_the_witness_did(self, segment):
         sample = harness.lattice_sample(segment, 2)
@@ -159,3 +161,100 @@ class TestSample:
             covering.kkm_lebesgue_witness(segment, cover, -1)
         with pytest.raises(BadSampleError, match="^the sample is empty$"):
             covering.kkm_lebesgue_witness(segment, PointCloudCover((), cover.sets), 1)
+
+
+def grid_sample(p, r):
+    ints = []
+    points = harness.lattice_sample(p, r, indices=ints)
+    return Sample.from_grid(points, ints, r)
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the InputError it raises."""
+    try:
+        return f(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestGridSample:
+    @pytest.mark.parametrize("shape", [("cube", 3), ("simplex", 3), ("cube", 4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_agrees_with_the_sample_of_its_points(self, shape, seed):
+        p = perturb(construct_standard(*shape), Fraction(1, 100), seed=seed)
+        others = [construct_standard(*shape), perturb(p, Fraction(1, 10), seed=seed)]
+        for r in range(1, 9):
+            grid = grid_sample(p, r)
+            ref = Sample(harness.lattice_sample(p, r))
+            assert grid.points == ref.points
+            assert grid.den == r and [tuple(a * Fraction(1, r) for a in g) for g in grid.ints] == [
+                tuple(pt) for pt in grid.points
+            ]
+            assert grid.full == ref.full and grid.at == ref.at
+            shifted = [tuple(x + Fraction(1, 2 * r) for x in pt) for pt in ref.points]
+            for pt in ref.points + tuple(shifted):
+                assert grid.bit(pt) == ref.bit(pt)
+            for eps in (0, Fraction(1, 2 * r), Fraction(1, r), 1):
+                assert grid.near(p, eps) == ref.near(p, eps)
+            for q in [p, *others]:
+                assert outcome(grid.check_inside, q) == outcome(ref.check_inside, q)
+            assert outcome(covering.sample_spacing, grid) == outcome(covering.sample_spacing, ref)
+
+
+def reference_sample_cover(p, resolution, m, seed):
+    """The sets and eps of polytope_sample_cover, cut point by point on the
+    numerators over the lcm of the sample's denominators."""
+    rng = random.Random(seed)
+    sample = Sample(harness.lattice_sample(p, resolution))
+    if not sample.points:
+        raise InputError("empty sample; raise the resolution")
+    axis = rng.randrange(p.dim)
+    values = sorted({g[axis] for g in sample.ints})
+    nslabs = min(rng.randint(2, 3), len(values))
+    cut_positions = sorted(rng.sample(range(1, len(values)), nslabs - 1))
+    bounds = [0] + cut_positions + [len(values)]
+    sets = {}
+    for i in range(nslabs):
+        first, last = values[bounds[i]], values[bounds[i + 1] - 1]
+        slab = [j for j, g in enumerate(sample.ints) if first <= g[axis] <= last]
+        sets[f"slab_{i}"] = set(slab)
+    for layer in range(1, m):
+        used = set()
+        for b in range(rng.randint(1, 2)):
+            center = rng.choice(sample.ints)
+            radius = rng.randint(1, 2) * sample.den // resolution
+            ball = [
+                i
+                for i, g in enumerate(sample.ints)
+                if i not in used and all(abs(a - c) <= radius for a, c in zip(g, center))
+            ]
+            if ball:
+                sets[f"ball_{layer}_{b}"] = set(ball)
+                used.update(ball)
+    return sample.points, sets, Fraction(1, resolution)
+
+
+class TestColumnMasks:
+    SHAPES = [("cube", 3), ("simplex", 3), ("cube", 2), ("cube", 4), ("simplex", 2)]
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_slabs_and_balls_match_the_point_by_point_cut(self, seed):
+        shape = self.SHAPES[seed % len(self.SHAPES)]
+        r = 2 + seed % 7 if shape != ("cube", 4) else 2 + seed % 3
+        m = 2 + seed % 3
+        p = perturb(construct_standard(*shape), Fraction(1, 100), seed=seed)
+        got = outcome(harness.polytope_sample_cover, p, r, m, seed)
+        want = outcome(reference_sample_cover, p, r, m, seed)
+        if isinstance(want, str):
+            assert got == want
+            return
+        cover, eps = got
+        points, sets, want_eps = want
+        assert cover.sample == points and eps == want_eps
+        assert list(cover.sets) == list(sets)
+        assert {name: set(covering._bits_of(pts.mask)) for name, pts in cover.sets.items()} == sets
+        for pts in cover.sets.values():
+            for e in (0, eps / 2, eps):
+                assert covering.facet_touch_set(p, pts, e) == covering.facet_touch_set(
+                    p, tuple(pts), e
+                )
