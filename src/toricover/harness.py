@@ -317,7 +317,8 @@ def polytope_sample_cover(
     """
     rng = random.Random(seed)
     ints = []
-    sample = covering.Sample.from_grid(lattice_sample(p, resolution, indices=ints), ints, resolution)
+    points = lattice_sample(p, resolution, indices=ints)
+    sample = covering.Sample.from_grid(points, ints, resolution)
     if not sample.points:
         raise InputError("empty sample; raise the resolution")
     axis = rng.randrange(p.dim)

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricover import BadSampleError, InputError, PointCloudCover, construct_standard, perturb
+from toricover import (
+    BadSampleError,
+    InputError,
+    PointCloudCover,
+    construct_standard,
+    from_halfspaces,
+    perturb,
+)
 from toricover import covering, harness, jsonio
 from toricover.covering import PointSet, Sample
 
@@ -181,8 +188,15 @@ class TestGridSample:
     @pytest.mark.parametrize("shape", [("cube", 3), ("simplex", 3), ("cube", 4)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_agrees_with_the_sample_of_its_points(self, shape, seed):
-        p = perturb(construct_standard(*shape), Fraction(1, 100), seed=seed)
-        others = [construct_standard(*shape), perturb(p, Fraction(1, 10), seed=seed)]
+        base = construct_standard(*shape)
+        p = perturb(base, Fraction(1, 100), seed=seed)
+        # polytopes that hold all, part and none of the sample
+        others = [
+            base,
+            from_halfspaces(base.normals, [c / 2 for c in base.offsets]),
+            p.translate((Fraction(1, 3),) * p.dim),
+            p.translate((Fraction(-2),) * p.dim),
+        ]
         for r in range(1, 9):
             grid = grid_sample(p, r)
             ref = Sample(harness.lattice_sample(p, r))
