@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .polytope import (
@@ -178,7 +179,7 @@ def ample_from_offsets(p: SimplePolytope) -> Divisor:
     coefficients come out positive): c_F + <u_F, centroid>, the offsets of
     P.translate(centroid) without moving the vertices."""
     centroid = p.vertex_centroid()
-    return Divisor(tuple(c + linalg.dot(u, centroid) for u, c in zip(p.normals, p.offsets)))
+    return Divisor(tuple(sum(map(mul, u, centroid), c) for u, c in zip(p.normals, p.offsets)))
 
 
 def polytope_of_divisor(p: SimplePolytope, d: Divisor) -> Region:

@@ -1,13 +1,13 @@
 """Simple polytopes from half-space data, exact over the rationals.
 
 A polytope is stored as P = {x : <normal_F, x> + offset_F >= 0} with primitive
-integer inward normals and rational offsets.  Vertices are always derived from
-the half-spaces by exhaustive n-subset solving; this is exact and fast enough
-at desk scale (n <= 4, a dozen facets).  Boundedness is read off that vertex
-enumeration: every edge of a bounded simple polytope has two vertices.  The
-solving, the slack signs and the genericity test all run in integers on the
-cleared half-space data (linalg's int_* functions); Fraction is only the type
-of the stored offsets and vertex coordinates.
+integer inward normals and rational offsets.  from_halfspaces solves every
+n-subset of facets for the vertices and reads boundedness off them: every
+edge of a bounded simple polytope has two vertices.  perturb keeps its
+input's combinatorial type and solves only the input's vertex facet sets.
+The solving, the slack signs and the genericity test all run in integers on
+the cleared half-space data (linalg's int_* functions); Fraction is only the
+type of the stored offsets and vertex coordinates.
 
 Facet ids are the integer positions 0..m-1 in the facet list; that ordering is
 the one serialized to JSON and referenced by divisor coefficient maps.
@@ -21,6 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 
@@ -103,11 +104,8 @@ class SimplePolytope:
     def vertex_centroid(self):
         """Average of the vertices: always a strictly interior point."""
         n = len(self.vertices)
-        acc = [Fraction(0)] * self.dim
-        for v in self.vertices:
-            for i, x in enumerate(v.coords):
-                acc[i] += x
-        return tuple(x / n for x in acc)
+        columns = zip(*(v.coords for v in self.vertices))
+        return tuple(sum(col, Fraction(0)) / n for col in columns)
 
 
 def _primitivize(normal, offset):
@@ -129,39 +127,47 @@ def _bounded(vertices) -> bool:
     return all(count == 2 for count in edges.values())
 
 
+def _basic_point(rows, subset):
+    """((x, d), tight): the point x / d where the facets of `subset` are tight
+    and the facets whose integer slack <u_F, x> + c_F d is 0, on the rows
+    (u_F, c_F) * s_F; None if the system is singular or the point infeasible."""
+    n = len(rows[0]) - 1
+    sol = linalg.int_solve_unique(
+        [rows[i][:n] for i in subset], [-rows[i][n] for i in subset]
+    )
+    if sol is None:
+        return None
+    x, d = sol
+    slacks = [sum(map(mul, row, x)) + row[n] * d for row in rows]
+    if min(slacks) < 0:
+        return None
+    return sol, frozenset(i for i, s in enumerate(slacks) if s == 0)
+
+
 def solve_region_vertices(normals, offsets, *, require_simple):
     """Basic feasible points of {x : <u_F,x> + c_F >= 0} with their tight sets.
 
     Each half-space is scaled once to integer data (u_F, c_F) * s_F, which
-    leaves it unchanged.  Every n-subset of facets is then solved in integers
-    as x = X / d, and the m slacks are read off the integers
-    <u_F, X> + c_F d, which have the signs of the true slacks; a Fraction is
-    built only for the coordinates of a new vertex.
+    leaves it unchanged, and every n-subset of facets is solved on those
+    rows by _basic_point; a Fraction is built only for a new vertex.
 
     Returns a list of Vertex.  With require_simple, raises NotSimpleError as
     soon as a feasible basic point is tight on more than n facets.
     """
     n = len(normals[0])
-    m = len(normals)
     rows = [linalg.int_row(list(u) + [c])[0] for u, c in zip(normals, offsets)]
     seen = {}
-    for subset in itertools.combinations(rows, n):
-        sol = linalg.int_solve_unique(
-            [row[:n] for row in subset], [-row[n] for row in subset]
-        )
-        if sol is None or sol in seen:
+    for subset in itertools.combinations(range(len(rows)), n):
+        found = _basic_point(rows, subset)
+        if found is None or found[0] in seen:
             continue
-        x, d = sol
-        slacks = [sum(a * b for a, b in zip(row, x)) + row[n] * d for row in rows]
-        if any(s < 0 for s in slacks):
-            continue
-        tight = frozenset(i for i in range(m) if slacks[i] == 0)
+        (x, d), tight = found
         point = tuple(Fraction(v, d) for v in x)
         if require_simple and len(tight) > n:
             raise NotSimpleError(
                 f"vertex {point} lies on {len(tight)} facets (expected {n})"
             )
-        seen[sol] = Vertex(point, tight)
+        seen[found[0]] = Vertex(point, tight)
     return list(seen.values())
 
 
@@ -302,9 +308,16 @@ def perturb(p: SimplePolytope, budget, *, seed: int = 0) -> SimplePolytope:
     a BudgetExhaustedError is raised.  In dimension 1 every normal subset is
     already independent, so the input is returned unchanged.
 
-    After tilting, each (normal, offset) pair is rescaled to a primitive
-    integer normal; the offset is scaled by the same factor, which leaves the
-    half-space unchanged.
+    A tilt of normal u is the primitive w / g, w = u * denom + k with k drawn
+    from -4..4 and g = gcd(w); its offset is scaled by denom / g along.
+
+    An attempt solves only the input's vertex facet sets S and passes iff each
+    gives a point feasible and tight on exactly S.  These are then all the
+    vertices: each one's n edges (n-1 facets of S each) end at the point of the
+    input's neighbour sharing them, and a polytope's graph is connected
+    (Balinski 1961).  So no edge is a ray, the result is bounded, and every
+    facet carries a vertex.  Vertices are ordered by sorted facet tuple, as
+    from_halfspaces orders them.
     """
     budget = Fraction(budget)
     if budget <= 0:
@@ -312,27 +325,28 @@ def perturb(p: SimplePolytope, budget, *, seed: int = 0) -> SimplePolytope:
     if p.dim == 1:
         return p
     rng = random.Random(seed)
-    pattern = p.incidence_pattern()
+    facet_sets = sorted((v.facets for v in p.vertices), key=sorted)
     step = budget
     for _ in range(PERTURB_MAX_RETRIES):
-        denom = max(2, math.ceil(Fraction(1) / step)) * 4
-        new_normals = []
-        new_offsets = []
+        denom = max(2, math.ceil(1 / step)) * 4
+        normals, offsets = [], []
         for u, c in zip(p.normals, p.offsets):
-            delta = [Fraction(rng.randint(-4, 4), denom) for _ in range(p.dim)]
-            tilted = tuple(Fraction(x) + d for x, d in zip(u, delta))
-            prim, scale = linalg.primitive_int_vector(tilted)
-            new_normals.append(prim)
-            new_offsets.append(c * scale)
-        try:
-            candidate = from_halfspaces(new_normals, new_offsets)
-        except InputError:
-            step = step / 2
-            continue
-        if candidate.incidence_pattern() == pattern and generic_normals_check(
-            candidate
-        ):
-            return candidate
+            w = [x * denom + rng.randint(-4, 4) for x in u]
+            g = math.gcd(*w)
+            normals.append(tuple(x // g for x in w))
+            offsets.append(c * Fraction(denom, g))
+        rows = [linalg.int_row(list(u) + [c])[0] for u, c in zip(normals, offsets)]
+        vertices = []
+        for s in facet_sets:
+            found = _basic_point(rows, sorted(s))
+            if found is None or found[1] != s:
+                break
+            (x, d), _ = found
+            vertices.append(Vertex(tuple(Fraction(v, d) for v in x), s))
+        else:
+            candidate = SimplePolytope(p.dim, tuple(normals), tuple(offsets), tuple(vertices))
+            if generic_normals_check(candidate):
+                return candidate
         step = step / 2
     raise BudgetExhaustedError(
         f"no valid perturbation within {PERTURB_MAX_RETRIES} retries"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -340,6 +341,107 @@ class TestPerturb:
     def test_segment_returned_unchanged(self, segment):
         assert perturb(segment, Fraction(1, 10)) is segment
 
+    def test_solves_only_the_vertex_facet_sets(self, monkeypatch):
+        q4 = construct_standard("cube", 4)
+        solve = linalg.int_solve_unique
+        calls = []
+
+        def counted(rows, rhs):
+            calls.append(1)
+            return solve(rows, rhs)
+
+        monkeypatch.setattr(linalg, "int_solve_unique", counted)
+        perturb(q4, Fraction(1, 100), seed=0)
+        # one attempt: Q^4 has 16 vertices against C(8, 4) = 70 facet subsets
+        assert len(calls) == 16
+
+
+def enumerated_perturb(p, budget, seed, log):
+    """perturb by full enumeration, the independent route: each attempt tilts
+    over Fractions through primitive_int_vector, builds the candidate with
+    from_halfspaces (all n-subsets of facets), then compares the incidence
+    pattern and checks genericity.  Appends each attempt's verdict to `log`:
+    the name of the error from_halfspaces raised, "rejected" or "accepted"."""
+    rng = random.Random(seed)
+    pattern = p.incidence_pattern()
+    step = Fraction(budget)
+    for _ in range(polytope.PERTURB_MAX_RETRIES):
+        denom = max(2, math.ceil(1 / step)) * 4
+        normals, offsets = [], []
+        for u, c in zip(p.normals, p.offsets):
+            tilted = [x + Fraction(rng.randint(-4, 4), denom) for x in u]
+            prim, scale = linalg.primitive_int_vector(tilted)
+            normals.append(prim)
+            offsets.append(c * scale)
+        step = step / 2
+        try:
+            candidate = from_halfspaces(normals, offsets)
+        except InputError as exc:
+            log.append(type(exc).__name__)
+            continue
+        if candidate.incidence_pattern() == pattern and generic_normals_check(candidate):
+            log.append("accepted")
+            return candidate
+        log.append("rejected")
+    raise BudgetExhaustedError(
+        f"no valid perturbation within {polytope.PERTURB_MAX_RETRIES} retries"
+    )
+
+
+def outcome(run):
+    """The polytope's data, or the type and message of the error raised."""
+    try:
+        p = run()
+    except InputError as exc:
+        return type(exc), str(exc)
+    return p.dim, p.normals, p.offsets, p.vertices
+
+
+def reversed_vertices(p):
+    return polytope.SimplePolytope(p.dim, p.normals, p.offsets, p.vertices[::-1])
+
+
+PERTURB_BASES = {
+    "Q2": lambda: construct_standard("cube", 2),
+    "Q3": lambda: construct_standard("cube", 3),
+    "Q4": lambda: construct_standard("cube", 4),
+    "D2": lambda: construct_standard("simplex", 2),
+    "D3": lambda: construct_standard("simplex", 3),
+    "D4": lambda: construct_standard("simplex", 4),
+    "D2xQ1": lambda: product(construct_standard("simplex", 2), construct_standard("cube", 1)),
+    "P112": lambda: from_halfspaces([(1, 0), (0, 1), (-1, -2)], [0, 0, 2]),
+    # a base whose vertex tuple is not in from_halfspaces' order
+    "Q3rev": lambda: reversed_vertices(construct_standard("cube", 3)),
+}
+PERTURB_BUDGETS = [Fraction(1, 100), Fraction(1, 64), Fraction(1, 3), Fraction(1), Fraction(5)]
+
+
+class TestPerturbAgainstEnumeration:
+    """perturb solves only the base's vertex facet sets; on every case it
+    must return what full enumeration returns: the same normals, offsets and
+    vertex tuple in order, or the same error."""
+
+    @pytest.mark.parametrize("budget", PERTURB_BUDGETS, ids=str)
+    @pytest.mark.parametrize("base", PERTURB_BASES)
+    def test_same_polytope(self, base, budget):
+        p = PERTURB_BASES[base]()
+        log = []
+        for seed in range(50):
+            want = outcome(lambda: enumerated_perturb(p, budget, seed, log))
+            assert outcome(lambda: perturb(p, budget, seed=seed)) == want, seed
+        if budget >= 1:
+            assert len(log) > 50  # rejected tilts and retries are compared too
+
+    @pytest.mark.parametrize("base, seed", [("Q2", 210), ("Q3", 166), ("D2xQ1", 73)])
+    def test_tilt_with_a_degenerate_vertex(self, base, seed):
+        """An attempt here puts n+1 facets through one point; full
+        enumeration refuses it as not simple, and perturb must refuse it."""
+        p = PERTURB_BASES[base]()
+        log = []
+        want = outcome(lambda: enumerated_perturb(p, 1, seed, log))
+        assert "NotSimpleError" in log
+        assert outcome(lambda: perturb(p, 1, seed=seed)) == want
+
 
 class TestMomentMap:
     def test_cpn_coordinate_point(self):
@@ -422,22 +524,21 @@ class TestInputError:
         assert issubclass(cls, InputError)
 
     def test_perturb_retries_only_input_errors(self, q2, monkeypatch):
-        def broken(normals, offsets):
+        def broken(rows, subset):
             raise ValueError("bug")
 
-        monkeypatch.setattr(polytope, "from_halfspaces", broken)
+        monkeypatch.setattr(polytope, "_basic_point", broken)
         with pytest.raises(ValueError, match="bug"):
             perturb(q2, Fraction(1, 100), seed=1)
 
     def test_perturb_retries_a_rejected_tilt(self, q2, monkeypatch):
+        solve = polytope._basic_point
         calls = []
 
-        def first_not_simple(normals, offsets):
+        def first_rejected(rows, subset):
             calls.append(1)
-            if len(calls) == 1:
-                raise NotSimpleError("tilt")
-            return from_halfspaces(normals, offsets)
+            return None if len(calls) == 1 else solve(rows, subset)
 
-        monkeypatch.setattr(polytope, "from_halfspaces", first_not_simple)
+        monkeypatch.setattr(polytope, "_basic_point", first_rejected)
         assert generic_normals_check(perturb(q2, Fraction(1, 100), seed=1))
         assert len(calls) >= 2

@@ -90,10 +90,10 @@ def test_refusal(call, exc, message):
 def test_perturb_out_of_retries(monkeypatch):
     q2 = construct_standard("cube", 2)
 
-    def never(normals, offsets):
-        raise InputError("not simple")
+    def never(rows, subset):
+        return None
 
-    monkeypatch.setattr(polytope, "from_halfspaces", never)
+    monkeypatch.setattr(polytope, "_basic_point", never)
     with pytest.raises(BudgetExhaustedError, match="^no valid perturbation within 32 retries$"):
         polytope.perturb(q2, Fraction(1, 100))
 
