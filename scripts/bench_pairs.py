@@ -30,16 +30,27 @@ def seed_list(spec: str) -> list:
 
 
 def run_one(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced perfbench run in checkout."""
+    """The result line of one untraced perfbench run in checkout.
+
+    Stops the script, naming the checkout, the exit code and stderr, when
+    the run exits nonzero or its last stdout line is not a JSON object.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
+    where = f"perfbench in {checkout} (seed {seed}) exited with code {proc.returncode}"
+    if proc.returncode:
+        sys.exit(f"{where}:\n{proc.stderr}")
     lines = proc.stdout.splitlines()
-    if not lines:
-        sys.exit(f"perfbench printed no result in {checkout}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        sys.exit(f"{where} but its last line is not a JSON result:\n{proc.stderr}")
+    return result
 
 
 def _quartiles(values: list) -> list:

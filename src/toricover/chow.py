@@ -6,7 +6,13 @@ relation: D ~ 0 iff coeff_F = <u_F, v> for a single constant vector v.  Top
 intersection numbers are computed by localization at the vertices of P (the
 Brion-Lawrence vertex sum): each vertex contributes a closed rational term
 built from its facet normals, so the product is a polynomial in the
-coefficients with no shift, search over multiples or cap.  Simple non-Delzant
+coefficients with no shift, search over multiples or cap.  The sum is taken
+in integers: the normals are primitive integer vectors, so one fraction-free
+elimination per vertex cone gives its edge weights as an integer vector a_v
+over the cone's determinant d_v.  A term has degree n in the weights above
+the bar and below it, so d_v cancels and the term reads
+prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}) with every divisor cleared to
+integer numerators once per query.  Simple non-Delzant
 polytopes come out with rational (orbifold) intersection numbers
 automatically; no extra bookkeeping is done for them.
 """
@@ -132,25 +138,25 @@ def presentation(p: SimplePolytope) -> RingPresentation:
     """Linear relations from the normals plus the minimal non-faces.
 
     A facet set is a face iff it sits inside some vertex's incidence set, so
+    the faces are the subsets of the vertices' facet sets, collected once, and
     non-faces never need more than n+1 elements: every larger set contains an
     (n+1)-subset that is already a non-face.
     """
     relations = tuple(
         tuple(u[i] for u in p.normals) for i in range(p.dim)
     )
-    incidences = [v.facets for v in p.vertices]
-
-    def is_face(s) -> bool:
-        return any(s <= inc for inc in incidences)
+    faces = set()
+    for v in p.vertices:
+        facets = sorted(v.facets)
+        for size in range(len(facets) + 1):
+            faces.update(map(frozenset, itertools.combinations(facets, size)))
 
     nonfaces = []
     ids = list(p.facet_ids())
     for size in range(2, p.dim + 2):
         for combo in itertools.combinations(ids, size):
             s = frozenset(combo)
-            if is_face(s):
-                continue
-            if all(is_face(s - {f}) for f in s):
+            if s not in faces and all(s - {f} in faces for f in s):
                 nonfaces.append(s)
     return RingPresentation(
         generators=tuple(ids),
@@ -161,7 +167,7 @@ def presentation(p: SimplePolytope) -> RingPresentation:
 
 def principal_divisor(p: SimplePolytope, v) -> Divisor:
     """The divisor of fluxes <u_F, v> of the constant vector field v."""
-    return Divisor(tuple(linalg.dot(u, v) for u in p.normals))
+    return Divisor(tuple(sum(map(mul, u, v), Fraction(0)) for u in p.normals))
 
 
 def is_principal(p: SimplePolytope, d: Divisor):
@@ -269,29 +275,35 @@ def intersection_number(query: IntersectionQuery) -> Fraction:
     where the weights w_v = (<xi, e_{v,i}>)_i solve U_v^T w = xi.  xi is the
     first (1, t, t^2, ...) with t = 1, 2, ... at which no weight vanishes; each
     weight is a nonzero polynomial of degree < n in t, so the search is finite.
+
+    The sum is taken in integers.  U_v and xi are integer, so one
+    int_cramer call gives w_v = a_v / d_v with a_v integer and d_v = det U_v.
+    The term is homogeneous of degree n over degree n in w, so d_v cancels
+    from the weights and the term is
+        prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}).
+    Each divisor is cleared once to integer numerators c_j = s_j D_j, and
+    the product of the scales s_j divides the total once at the end.
     """
     p = query.polytope
     n = p.dim
-    cones = []
-    for v in p.vertices:
-        facets = sorted(v.facets)
-        rows = [p.normals[f] for f in facets]
-        cones.append((facets, list(zip(*rows)), abs(linalg.det(rows))))
+    facet_sets = [sorted(v.facets) for v in p.vertices]
+    transposed = [list(zip(*(p.normals[f] for f in facets))) for facets in facet_sets]
 
     for t in itertools.count(1):
-        xi = [Fraction(t) ** k for k in range(n)]
-        weights = [linalg.solve_unique(transposed, xi) for _, transposed, _ in cones]
-        if all(all(w) for w in weights):
+        xi = [t ** k for k in range(n)]
+        cones = [linalg.int_cramer(u, xi) for u in transposed]
+        if all(all(a) for a, _ in cones):
             break
 
+    cleared = [linalg.int_row(d.coeffs) for d in query.divisors]
     total = Fraction(0)
-    for (facets, _, det), w in zip(cones, weights):
-        num = Fraction(1)
-        for d in query.divisors:
-            num *= sum(wi * d.coeffs[f] for wi, f in zip(w, facets))
+    for facets, (a, d) in zip(facet_sets, cones):
+        num = 1
+        for c, _ in cleared:
+            num *= sum(map(mul, a, [c[f] for f in facets]))
         if num:
-            total += num / (det * math.prod(w))
-    return total
+            total += Fraction(num, abs(d) * math.prod(a))
+    return total / math.prod(s for _, s in cleared)
 
 
 def self_intersection_top(p: SimplePolytope, d: Divisor) -> Fraction:

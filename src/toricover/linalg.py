@@ -8,9 +8,11 @@ Gauss-Jordan style) then works on those integer rows: every intermediate entry
 is a minor of the scaled matrix, so each division is exact.  A Fraction is
 built only for the values a public function returns.
 
-int_row clears one row; int_det and int_solve_unique take integer rows and
-return integers, for callers that keep their own denominators (polytope's
-vertex solving and genericity test).
+int_row clears one row; int_det, int_cramer and int_solve_unique take
+integer rows and return integers, for callers that keep their own
+denominators: polytope's vertex solving and genericity test, and chow's
+localization, which reads each vertex cone's edge weights and determinant off
+one int_cramer call.
 """
 
 from __future__ import annotations
@@ -77,16 +79,31 @@ def int_det(rows) -> int:
     return sign * d if len(pivots) == len(a) else 0
 
 
+def int_cramer(rows, rhs):
+    """(x, det) for a square nonsingular integer system, or None if singular.
+
+    det is the determinant of rows and x the integer vector with
+    rows . x = det * rhs (Cramer's rule: x_i is the determinant of rows with
+    column i replaced by rhs), both read off one elimination.
+    """
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots, d, sign = _eliminate(aug, n)
+    if len(pivots) < n:
+        return None
+    if sign < 0:
+        return [-row[n] for row in aug], -d
+    return [row[n] for row in aug], d
+
+
 def int_solve_unique(rows, rhs):
     """(x, d) with rows . (x / d) = rhs for a square nonsingular integer
     system, or None if singular.  d > 0 and gcd(d, *x) == 1, so equal
     solutions give equal pairs."""
-    n = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots, d, _ = _eliminate(aug, n)
-    if len(pivots) < n:
+    solved = int_cramer(rows, rhs)
+    if solved is None:
         return None
-    x = [row[n] for row in aug]
+    x, d = solved
     if d < 0:
         d = -d
         x = [-v for v in x]

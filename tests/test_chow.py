@@ -29,6 +29,8 @@ from toricover import (
 )
 from toricover.chow import is_nef_certified
 
+import chow_reference
+
 small_rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
 )
@@ -359,6 +361,88 @@ class TestIntersectionNumbers:
         p = perturb(construct_standard("simplex", 2), Fraction(1, 100), seed=5)
         h = ample_from_offsets(p)
         assert self_intersection_top(p, h) == 2 * volume(polytope_of_divisor(p, h))
+
+
+REFERENCE_SHAPES = {
+    **ORACLE_SHAPES,
+    "Q4": lambda: construct_standard("cube", 4),
+    "S4": lambda: construct_standard("simplex", 4),
+}
+
+# zero, negative and large coefficients with mixed denominators
+wild_rationals = st.one_of(
+    st.just(Fraction(0)),
+    small_rationals,
+    st.fractions(min_value=-(10 ** 12), max_value=10 ** 12, max_denominator=10 ** 9),
+)
+
+
+def random_divisors(p, rng):
+    return tuple(
+        Divisor(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in p.facet_ids()))
+        for _ in range(p.dim)
+    )
+
+
+class TestIntegerLocalizationAgainstFractionRoute:
+    """intersection_number in integers against the Fraction vertex sum of
+    tests/chow_reference.py, by exact Fraction equality."""
+
+    @staticmethod
+    def check(p, divisors):
+        got = intersection_number(IntersectionQuery(p, divisors))
+        assert type(got) is Fraction
+        assert got == chow_reference.fraction_intersection_number(p, divisors)
+
+    @pytest.mark.parametrize("shape", list(REFERENCE_SHAPES))
+    def test_standard_shapes(self, shape):
+        p = REFERENCE_SHAPES[shape]()
+        rng = random.Random(shape)
+        self.check(p, (ample_from_offsets(p),) * p.dim)
+        for facets in itertools.combinations_with_replacement(p.facet_ids(), p.dim):
+            self.check(p, tuple(Divisor.on_facet(p, f) for f in facets))
+        for _ in range(3):
+            self.check(p, random_divisors(p, rng))
+
+    @pytest.mark.parametrize("kind, n", [("cube", 3), ("simplex", 3), ("cube", 4)])
+    def test_perturbed_over_50_seeds(self, kind, n):
+        base = construct_standard(kind, n)
+        for seed in range(50):
+            p = perturb(base, Fraction(1, 100), seed=seed)
+            self.check(p, (ample_from_offsets(p),) * n)
+            self.check(p, random_divisors(p, random.Random(seed)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["Q2", "S2", "P112", "Q3", "S2xQ1"]), st.data())
+    def test_drawn_divisors(self, shape, data):
+        p = REFERENCE_SHAPES[shape]()
+        divisors = tuple(
+            Divisor(tuple(data.draw(wild_rationals) for _ in p.facet_ids()))
+            for _ in range(p.dim)
+        )
+        self.check(p, divisors)
+
+    def test_int_and_zero_divisors(self, q3):
+        # plain int coefficients clear with scale 1
+        ints = Divisor(tuple(range(-2, 4)))
+        self.check(q3, (ints, ints, ints))
+        self.check(q3, (ints, Divisor.zero(q3), ints))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: construct_standard("cube", 6),
+        lambda: construct_standard("simplex", 6),
+        lambda: product(construct_standard("simplex", 3), construct_standard("simplex", 3)),
+    ],
+    ids=["Q6", "S6", "S3xS3"],
+)
+def test_perturbed_ample_selfint_is_scaled_volume(make):
+    """Seeded golden in dimension 6: H^n = n! vol(P) on the perturbed shape."""
+    p = perturb(make(), Fraction(1, 100), seed=1)
+    h = ample_from_offsets(p)
+    assert self_intersection_top(p, h) == factorial(p.dim) * volume(p)
 
 
 class TestAvoidanceCertificates:

@@ -251,6 +251,23 @@ class TestIntegerEntryPoints:
         assert d > 0 and math.gcd(d, *x) == 1
         assert tuple(Fraction(v, d) for v in x) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(square=True, entry=ints), st.data())
+    def test_int_cramer(self, rows, data):
+        rhs = data.draw(st.lists(ints, min_size=len(rows), max_size=len(rows)))
+        got = linalg.int_cramer(rows, rhs)
+        want = ref_solve_unique(rows, rhs)
+        if want is None:
+            assert got is None
+            return
+        x, det = got
+        assert type(det) is int and all(type(v) is int for v in x)
+        assert det == ref_det(rows)
+        # Cramer's rule: x_i is det(rows) with column i replaced by rhs
+        for i, v in enumerate(x):
+            assert v == ref_det([row[:i] + [b] + row[i + 1:] for row, b in zip(rows, rhs)])
+        assert tuple(Fraction(v, det) for v in x) == want
+
 
 # ------------------------------------------------------ polytope routes
 

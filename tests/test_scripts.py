@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts still run against the library."""
 
+import glob
 import importlib.util
 import json
 import os
@@ -78,10 +79,12 @@ def test_bench_pairs_summary_on_canned_lines():
     assert bench_pairs.seed_list("11-13") == [11, 12, 13]
 
 
-@pytest.mark.parametrize("name", ["BENCH_11.json", "BENCH_15.json"])
+@pytest.mark.parametrize(
+    "name", sorted(os.path.basename(path) for path in glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+)
 def test_bench_pairs_summary_reproduces_a_committed_file(name):
     """A committed BENCH file keeps every pair's result lines next to its
-    summary."""
+    summary, and every run in it passed its checks."""
     bench_pairs = _bench_pairs()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
@@ -89,3 +92,23 @@ def test_bench_pairs_summary_reproduces_a_committed_file(name):
         workloads = json.load(fh)["workloads"]
     for entry in workloads.values():
         assert bench_pairs.summarize(entry["pairs"], better) == entry["summary"]
+        assert entry["all_correct"]
+        for pair in entry["pairs"]:
+            assert pair["parent"]["failed"] == 0 and pair["change"]["failed"] == 0
+
+
+def test_bench_pairs_run_one_stops_on_a_failed_run(tmp_path):
+    """A nonzero exit or a last line that is not JSON stops the script with
+    the checkout, the exit code and stderr."""
+    bench_pairs = _bench_pairs()
+    run = tmp_path / "perfbench" / "run.py"
+    run.parent.mkdir()
+    run.write_text("import sys\nprint('{}')\nsys.stderr.write('boom')\nsys.exit(3)\n")
+    with pytest.raises(SystemExit, match=r"(?s)exited with code 3.*boom") as info:
+        bench_pairs.run_one(str(tmp_path), "divisor_ring", 1, 0.1)
+    assert str(tmp_path) in str(info.value)
+    run.write_text("print('{\"correct\": true}')\nprint('done')\n")
+    with pytest.raises(SystemExit, match="not a JSON result"):
+        bench_pairs.run_one(str(tmp_path), "divisor_ring", 1, 0.1)
+    run.write_text("print('{\"correct\": true}')\n")
+    assert bench_pairs.run_one(str(tmp_path), "divisor_ring", 1, 0.1) == {"correct": True}
