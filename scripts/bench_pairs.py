@@ -6,12 +6,15 @@
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`,
 with T the run_seconds of BENCHMARK.json, once in each checkout, one process
-at a time; which side runs first alternates from pair to pair.  The results go into the --out file under
-"workloads" -> W, next to any other workload already in it, in the layout of
-the committed BENCH_<pr>.json files: every pair's result lines, and per
-end-to-end metric the medians, the quartiles and the number of pairs in
-which the change reads better.  Keys written by hand ("claim", "notes",
-"limits") are kept.  Uses the standard library only.
+at a time; which side runs first alternates from pair to pair.  After the
+pairs, each side makes one run with --trace 1 on the first seed, whose
+per-layer result lines show where the time went.  The results go into the
+--out file under "workloads" -> W, next to any other workload already in it,
+in the layout of the committed BENCH_<pr>.json files: every pair's result
+lines, the traced result lines under "traced", and per end-to-end metric the
+medians, the quartiles and the number of pairs in which the change reads
+better.  Keys written by hand ("claim", "notes", "limits") are kept.  Uses
+the standard library only.
 """
 
 import argparse
@@ -29,15 +32,16 @@ def seed_list(spec: str) -> list:
     return list(range(int(lo), int(hi) + 1))
 
 
-def run_one(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced perfbench run in checkout.
+def run_one(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The result line of one perfbench run in checkout, untraced unless
+    trace is 1.
 
     Stops the script, naming the checkout, the exit code and stderr, when
     the run exits nonzero or its last stdout line is not a JSON object.
     """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     where = f"perfbench in {checkout} (seed {seed}) exited with code {proc.returncode}"
@@ -118,6 +122,10 @@ def main(argv=None):
             f"{side} {pair[side]['metrics']['items_per_ref_s']['value']:.2f}"
             for side in ("parent", "change")), file=sys.stderr)
 
+    traced = {"seed": args.seeds[0]}
+    for side in checkouts:
+        traced[side] = run_one(checkouts[side], args.workload, args.seeds[0], seconds, trace=1)
+
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -137,6 +145,7 @@ def main(argv=None):
         "seeds": [pair["seed"] for pair in pairs],
         "all_correct": all(pair[side]["correct"] for pair in pairs for side in checkouts),
         "pairs": pairs,
+        "traced": traced,
         "summary": summarize(pairs, better),
     }
     doc["workloads"] = dict(sorted(workloads.items()))

@@ -19,16 +19,17 @@ in (r+1)^n and in both models bit order is the lexicographic point order.
 Adjacency is a table of moves (shift, source mask): each cell of the source
 mask has the neighbour `shift` bits away, so the neighbours of a whole set
 come from a few shifts and ANDs.  Each facet is one mask and a face is the AND
-of its facets.  A cover's sets are PointSets: immutable sets of point tuples,
-iterated in bit order, whose operations with sets over the same grid are int
-operations on the masks.  A plain collection of points meets the masks
-through the grid's index, a dict from the model's points to their bits built
-on first use: Grid.set_of looks a collection of int tuples up in one pass,
-so a PointSet compared with a set or frozenset costs one lookup of the other
-side, while & | - with one still go point by point.  Unions and
-complements are ORs and AND-NOTs, components a frontier flood fill.  A model holds at most MAX_MODEL_POINTS
-points, and its grid's cells times its moves, the bits one expand shifts, are
-at most MAX_EXPAND_BITS.
+of its facets.  A cover's sets are PointSets over the grid it keeps as
+LatticeCover.grid: immutable sets of point tuples, iterated in bit order,
+whose operations with sets over the same grid are int operations on the masks.
+A witness component is reported as its PointSet.  A plain collection of points
+meets the masks through the grid's index, a dict from the model's points to
+their bits built on first use: Grid.set_of looks a collection of int tuples up
+in one pass, so a PointSet compared with a set or frozenset costs one lookup
+of the other side, while & | - with one still go point by point.  Unions and
+complements are ORs and AND-NOTs, components a frontier flood fill.  A model
+holds at most MAX_MODEL_POINTS points, and its grid's cells times its moves,
+the bits one expand shifts, are at most MAX_EXPAND_BITS.
 """
 
 from __future__ import annotations
@@ -399,11 +400,16 @@ class PointSet(Set):
 
 @dataclass(frozen=True)
 class LatticeCover:
+    """Named PointSets over the model's grid, which the cover keeps as
+    `grid`; other collections of model points are converted on entry."""
+
     model: LatticeModel
     sets: dict = field(default_factory=dict)
+    grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = self.model.grid()
+        object.__setattr__(self, "grid", grid)
         coerced = {}
         for name, pts in self.sets.items():
             if not (isinstance(pts, PointSet) and pts.grid is grid):
@@ -423,7 +429,7 @@ class LatticeCover:
         out = 0
         for pts in self.sets.values():
             out |= pts.mask
-        return PointSet(self.model.grid(), out)
+        return PointSet(self.grid, out)
 
 
 @dataclass(frozen=True)
@@ -463,7 +469,7 @@ def multiplicity(cover: LatticeCover) -> int:
 
 
 def touches_facet(cover: LatticeCover, set_id, facet) -> bool:
-    return cover.sets[set_id].mask & cover.model.grid().facets[facet] != 0
+    return cover.sets[set_id].mask & cover.grid.facets[facet] != 0
 
 
 def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
@@ -504,7 +510,7 @@ def connected_components(points, model: LatticeModel):
 
 
 def complement_points(cover: LatticeCover) -> PointSet:
-    grid = cover.model.grid()
+    grid = cover.grid
     return PointSet(grid, grid.full ^ cover.union().mask)
 
 
@@ -528,7 +534,7 @@ def palais_coloring(cover: LatticeCover):
     are grouped by the sets that hold them.  The piece of S is then the AND
     of the sets in S with the cells in exactly |S| sets.
     """
-    grid = cover.model.grid()
+    grid = cover.grid
     layers = _layers(pts.mask for pts in cover.sets.values())
     # exact[j]: the cells in exactly j + 1 sets
     exact = [a & ~b for a, b in zip(layers, layers[1:] + [0])]
@@ -588,16 +594,13 @@ def _component_witness(cover: LatticeCover, k: int, families) -> WitnessReport:
             HYPOTHESIS_VIOLATED,
             {"reason": "multiplicity_exceeds_k", "multiplicity": mult, "k": k},
         )
-    grid = cover.model.grid()
+    grid = cover.grid
     components = complement_components(cover)
     for fields, faces in families:
         face_masks = [grid.face(face) for face in faces]
         for comp in components:
             if _meets_all(comp, face_masks):
-                return WitnessReport(
-                    WITNESS_FOUND,
-                    {"component": list(map(list, comp)), **fields, "k": k},
-                )
+                return WitnessReport(WITNESS_FOUND, {"component": comp, **fields, "k": k})
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover), "k": k})
 
 
@@ -675,18 +678,13 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
     missing = complement_points(cover)
     if missing:
         return _not_a_cover_report(missing)
-    grid = model.grid()
+    grid = cover.grid
     for axis, name in enumerate(names):
         ends = [grid.facets[(axis, 0)], grid.facets[(axis, model.r)]]
         for comp in set_components(cover, name):
             if _meets_all(comp, ends):
                 return WitnessReport(
-                    WITNESS_FOUND,
-                    {
-                        "set": name,
-                        "axis": axis,
-                        "component": list(map(list, comp)),
-                    },
+                    WITNESS_FOUND, {"set": name, "axis": axis, "component": comp}
                 )
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, {"cover": _echo_cover(cover)})
 

@@ -494,7 +494,7 @@ def _run_instance(config: SuiteConfig, iseed: int):
         report = witness(cover, config.k)
         ok = report.verdict == WITNESS_FOUND
         if ok:
-            comp = {tuple(q) for q in report.payload["component"]}
+            comp = report.payload["component"]
             faces = model.k_faces(config.k)
             if v == "complement":
                 free = report.payload["axes"]
@@ -508,7 +508,7 @@ def _run_instance(config: SuiteConfig, iseed: int):
         report = covering.axes_witness(cover)
         ok = report.verdict == WITNESS_FOUND
         if ok:
-            comp = {tuple(q) for q in report.payload["component"]}
+            comp = report.payload["component"]
             axis = report.payload["axis"]
             ok = (
                 comp <= cover.sets[report.payload["set"]]

@@ -234,9 +234,13 @@ def moment_input_from_json(data: dict, kind: str) -> list:
 
 
 def report_to_json(report: WitnessReport) -> dict:
-    """The verdict and payload as JSON values.  Only a kkm-lebesgue payload
-    holds values JSON cannot: its eps Fraction and its certificate Divisors."""
+    """The verdict and payload as JSON values.  Two payloads hold values
+    JSON cannot: a lattice witness's component PointSet, written as the
+    list of its points as lists, and a kkm-lebesgue payload's eps Fraction
+    and certificate Divisors."""
     payload = report.payload
+    if "component" in payload:
+        payload = {**payload, "component": list(map(list, payload["component"]))}
     if "eps" in payload:
         payload = {
             **payload,

@@ -79,6 +79,43 @@ def test_component_input_has_the_length_the_tracer_reads():
     assert tracer.counts["covering.connected_components.points"] == want
 
 
+def _first_witness(theorem):
+    """The first witness_found report of a verifier on the generated
+    instances that lattice_suite feeds it, cube or simplex n=3, r=12."""
+    from toricover import covering, harness
+
+    for iseed in range(50):
+        if theorem == "axes":
+            cover = harness.dilated_partition_cover(covering.LatticeModel("cube", 3, 12), 3, iseed)
+            report = covering.axes_witness(cover)
+        else:
+            kind, witness = {
+                "kkm": ("simplex", covering.kkm_witness),
+                "complement": ("cube", covering.complement_witness),
+            }[theorem]
+            cover = harness.random_small_set_family(covering.LatticeModel(kind, 3, 12), 2, iseed)
+            report = witness(cover, 2)
+        if report.verdict == covering.WITNESS_FOUND:
+            return report
+    raise AssertionError(f"no {theorem} witness in 50 seeds")
+
+
+@pytest.mark.parametrize("theorem", ["kkm", "complement", "axes"])
+def test_witness_component_has_the_shape_the_workloads_read(theorem):
+    """lattice_suite and its oracles take the length of a witness component
+    and read its points as tuples of ints, in sorted order; report_to_json
+    writes it as the list of its points as lists."""
+    from toricover import jsonio
+
+    report = _first_witness(theorem)
+    comp = report.payload["component"]
+    points = list(comp)
+    assert len(comp) == len(points) > 0
+    assert all(type(p) is tuple and {type(x) for x in p} == {int} for p in points)
+    assert points == sorted(set(points))
+    assert jsonio.report_to_json(report)["payload"]["component"] == [list(p) for p in comp]
+
+
 def test_sample_cover_has_the_shape_the_workloads_read():
     """sample_cover re-checks cover.sets[name] with facet_touch_set and hands
     cover.sample and the sets to its oracle; cli_roundtrip passes

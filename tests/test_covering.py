@@ -220,6 +220,30 @@ class TestMembership:
             LatticeCover(model, {"X": [point]})
 
 
+class TestCoverGrid:
+    """A cover keeps its model's grid, outside its comparison and repr."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_grid_is_the_models(self, model):
+        cover = LatticeCover(model, {"X": model.points()[:2]})
+        assert cover.grid is model.grid()
+        assert cover.sets["X"].grid is cover.grid
+
+    def test_equal_models_and_sets_compare_equal(self):
+        sets = {"A": [(0, 1), (1, 1)], "B": {(2, 2)}}
+        one = LatticeCover(LatticeModel("cube", 2, 2), sets)
+        other = LatticeCover(LatticeModel("cube", 2, 2), {"B": [(2, 2)], "A": {(1, 1), (0, 1)}})
+        assert one == other
+        assert one != LatticeCover(LatticeModel("cube", 2, 2), {"A": [(0, 1)], "B": [(2, 2)]})
+
+    def test_repr_leaves_out_the_grid(self):
+        cover = LatticeCover(LatticeModel("cube", 1, 2), {"X": [(0,)]})
+        assert repr(cover) == (
+            "LatticeCover(model=LatticeModel(kind='cube', n=1, r=2), sets={'X': PointSet([(0,)])})"
+        )
+        assert "grid" not in repr(cover)
+
+
 class TestMultiplicity:
     def test_overlapping_intervals(self):
         cov = cube_cover(1, 2, {"X1": {(0,), (1,)}, "X2": {(1,), (2,)}})

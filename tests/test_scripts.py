@@ -112,3 +112,39 @@ def test_bench_pairs_run_one_stops_on_a_failed_run(tmp_path):
         bench_pairs.run_one(str(tmp_path), "divisor_ring", 1, 0.1)
     run.write_text("print('{\"correct\": true}')\n")
     assert bench_pairs.run_one(str(tmp_path), "divisor_ring", 1, 0.1) == {"correct": True}
+
+
+CANNED_RUN = """import json, sys
+args = sys.argv[1:]
+seed = int(args[args.index("--seed") + 1])
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "argv": args, "metrics": {
+    "items_per_ref_s": {"value": seed + SPEED, "unit": "1/ref_s"}}}))
+"""
+
+
+def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
+    """After the untraced pairs, each side runs once with --trace 1 on the
+    first seed, and both result lines go under the workload's "traced"."""
+    bench_pairs = _bench_pairs()
+    for side, speed in (("parent", 0), ("change", 100)):
+        run = tmp_path / side / "perfbench" / "run.py"
+        run.parent.mkdir(parents=True)
+        run.write_text(CANNED_RUN.replace("SPEED", str(speed)))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 0.5,
+        "end_to_end": [{"name": "items_per_ref_s", "better": "higher"}],
+    }))
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "lattice_suite", "--seeds", "7-9", "--out", str(out)])
+    entry = json.loads(out.read_text())["workloads"]["lattice_suite"]
+    assert [pair["seed"] for pair in entry["pairs"]] == [7, 8, 9]
+    assert all(pair[side]["argv"][-2:] == ["--trace", "0"]
+               for pair in entry["pairs"] for side in ("parent", "change"))
+    traced = entry["traced"]
+    assert traced["seed"] == 7
+    for side, speed in (("parent", 7), ("change", 107)):
+        assert traced[side]["argv"] == ["--workload", "lattice_suite", "--seed", "7",
+                                        "--seconds", "0.5", "--trace", "1"]
+        assert traced[side]["metrics"]["items_per_ref_s"]["value"] == speed
+    assert entry["summary"]["items_per_ref_s"]["pairs_change_better"] == "3/3"
