@@ -172,17 +172,17 @@ def _cmd_generate(args):
             raise InputError(f"--{name} does not apply to the {args.pattern} pattern")
     if args.pattern == "bricks":
         cover = harness.shifted_brick_cover(args.n, args.r)
-        data = jsonio.cover_to_json(cover)
+        data = jsonio.cover_payload(cover)
         summary = f"bricks: {len(cover.sets)} bricks on n={args.n} r={args.r}"
     elif args.pattern == "kkm":
         cover = harness.kkm_standard_cover(args.n, args.r)
-        data = jsonio.cover_to_json(cover)
+        data = jsonio.cover_payload(cover)
         summary = f"kkm stars: {len(cover.sets)} sets"
     else:
         model = LatticeModel(args.kind or "cube", args.n, args.r)
         m = 2 if args.m is None else args.m
         stamped = harness.random_low_multiplicity_cover(model, m, args.seed or 0)
-        data = jsonio.cover_to_json(stamped.cover, multiplicity=stamped.multiplicity)
+        data = jsonio.cover_payload(stamped.cover, multiplicity=stamped.multiplicity)
         summary = (
             f"random cover: {len(stamped.cover.sets)} sets, "
             f"measured multiplicity {stamped.multiplicity}"

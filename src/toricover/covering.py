@@ -26,7 +26,9 @@ A witness component is reported as its PointSet.  A plain collection of points
 meets the masks through the grid's index, a dict from the model's points to
 their bits built on first use: Grid.set_of looks a collection of int tuples up
 in one pass, so a PointSet compared with a set or frozenset costs one lookup
-of the other side, while & | - with one still go point by point.  Unions and
+of the other side, while & | - with one still go point by point.  The grid
+also holds each point's compact JSON text, built on first use, from which
+jsonio writes a PointSet.  Unions and
 complements are ORs and AND-NOTs, components a frontier flood fill.  A model
 holds at most MAX_MODEL_POINTS points, and its grid's cells times its moves,
 the bits one expand shifts, are at most MAX_EXPAND_BITS.
@@ -272,6 +274,16 @@ class Grid:
         """The bit of each point of the model, built on first use."""
         return dict(zip(self.points, _bits_of(self.full)))
 
+    @cached_property
+    def texts(self) -> tuple:
+        """The compact JSON text of each point ("3,0,17"), in point order,
+        built on first use.  The cube's points are the product of the digit
+        strings, so their texts are too."""
+        if self._valid is None:
+            digits = list(map(str, range(self.model.r + 1)))
+            return tuple(map(",".join, itertools.product(digits, repeat=self.model.n)))
+        return tuple(",".join(map(str, p)) for p in self.points)
+
     def set_of(self, pts):
         """The PointSet of the points of the model among pts and the list of
         the other items, in the order of pts.  Tuples of ints are looked up
@@ -284,10 +296,10 @@ class Grid:
         ) <= {int}
         return _point_set(self, pts, self.index.get if exact else self.bit)
 
-    def points_of(self, mask: int):
-        """The points of the cells of mask, in cell (= sorted) order."""
+    def positions(self, mask: int):
+        """The positions in self.points of the points of mask, in order."""
         if self._valid is None:
-            return map(self.points.__getitem__, _bits_of(mask))
+            return _bits_of(mask)
         if not mask:
             return iter(())
         # keep the digits of the cells that are points, from the lowest set
@@ -295,7 +307,11 @@ class Grid:
         low = (mask & -mask).bit_length() - 1
         digits = _digits(mask >> low)
         digits = "".join(itertools.compress(digits, self._valid[low:low + len(digits)]))
-        return map(self.points.__getitem__, _ones(digits, self._valid.count(1, 0, low)))
+        return _ones(digits, self._valid.count(1, 0, low))
+
+    def points_of(self, mask: int):
+        """The points of the cells of mask, in cell (= sorted) order."""
+        return map(self.points.__getitem__, self.positions(mask))
 
 
 def _point_set(grid, pts: list, lookup):

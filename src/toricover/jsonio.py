@@ -13,8 +13,9 @@ InputError (polytope's one input-error class) with the field's path, such as
 lie in it.
 
 `dumps` writes what the CLI prints: exactly `json.dumps(data, indent=2)`,
-with arrays of integers and of integer rows (and `PointSet`s) formatted by
-json's C encoder instead of its pure-Python indenting one.
+without json's pure-Python indenting encoder.  A `PointSet` over a model's
+grid is written from the grid's point texts, other arrays of integer rows
+by json's C encoder, and arrays of integers or of strings in one join.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .chow import Divisor, RingPresentation
-from .covering import LatticeCover, LatticeModel, PointCloudCover, PointSet, WitnessReport
-from .covering import Sample, _bits_of, _echo_cover, _mask
+from .covering import Grid, LatticeCover, LatticeModel, PointCloudCover, PointSet, WitnessReport
+from .covering import Sample, _bits_of, _echo_cover, _mask, _point_set
 from .polytope import InputError, SimplePolytope, from_halfspaces
 
 JSON_TYPES = {
@@ -170,20 +171,34 @@ def presentation_to_json(pres: RingPresentation) -> dict:
     }
 
 
-def cover_to_json(cover: LatticeCover, **extra) -> dict:
+def cover_payload(cover: LatticeCover, **extra) -> dict:
+    """The layout of a cover's JSON with its sets as the cover's PointSets,
+    which dumps writes as cover_to_json's lists."""
     m = cover.model
-    return {"model": {"kind": m.kind, "n": m.n, "r": m.r}, "sets": _echo_cover(cover), **extra}
+    return {"model": {"kind": m.kind, "n": m.n, "r": m.r}, "sets": cover.sets, **extra}
+
+
+def cover_to_json(cover: LatticeCover, **extra) -> dict:
+    """The cover as plain JSON values: each set a list of point lists."""
+    data = cover_payload(cover, **extra)
+    data["sets"] = _echo_cover(cover)
+    return data
 
 
 def cover_from_json(data: dict) -> LatticeCover:
+    """The cover of a JSON object.  Each set's checked points are looked up
+    in the model's grid once; a set with a point outside the model goes to
+    LatticeCover as it is, which names the bad points."""
     m = _field(data, "model", kind=dict)
     model = LatticeModel(
         _field(m, "kind", "model"), _field(m, "n", "model", int), _field(m, "r", "model", int)
     )
-    sets = {
-        name: _points(pts, _at("sets", name))
-        for name, pts in _field(data, "sets", kind=dict).items()
-    }
+    grid = model.grid()
+    sets = {}
+    for name, pts in _field(data, "sets", kind=dict).items():
+        pts = _points(pts, _at("sets", name))
+        found, bad = _point_set(grid, pts, grid.index.get)
+        sets[name] = pts if bad else found
     return LatticeCover(model, sets)
 
 
@@ -255,20 +270,30 @@ def report_to_json(report: WitnessReport) -> dict:
 
 def dumps(data) -> str:
     """json.dumps(data, indent=2), byte for byte, for any value json.dumps
-    accepts, and with a PointSet written as the array of its points."""
+    accepts, and with a PointSet written as the array of its points: from
+    its grid's point texts when it is a non-empty set over a model's Grid.
+    Other arrays of integer rows go through json's C encoder."""
     out = []
     _write(data, "\n", out)
     return "".join(out)
+
+
+# the text of each entry of an array whose entries are all of one such type
+_ENTRY_TEXT = {int: int.__repr__, str: encode_basestring_ascii}
 
 
 def _write(value, nl: str, out: list) -> None:
     """Append the indented text of value to out; nl is the newline and
     indent that the value's own line starts with."""
     t = type(value)
-    if t is PointSet:
+    if t is PointSet and not (value.mask and isinstance(value.grid, Grid)):
         value, t = list(value), list
     inner = nl + "  "
-    if t is str:
+    if t is PointSet:
+        grid = value.grid
+        body = ";".join(map(grid.texts.__getitem__, grid.positions(value.mask)))
+        _write_rows(body, ";", nl, out)
+    elif t is str:
         out.append(encode_basestring_ascii(value))
     elif t is dict and value and all(type(k) is str for k in value):
         sep = "{" + inner
@@ -279,17 +304,13 @@ def _write(value, nl: str, out: list) -> None:
         out.append(nl + "}")
     elif (t is list or t is tuple) and value:
         types = set(map(type, value))
-        if types == {int}:
-            out += "[", inner, ("," + inner).join(map(int.__repr__, value)), nl, "]"
+        entry = _ENTRY_TEXT.get(next(iter(types))) if len(types) == 1 else None
+        if entry:
+            out += "[", inner, ("," + inner).join(map(entry, value)), nl, "]"
         elif types <= {list, tuple} and all(value) and set(
             map(type, chain.from_iterable(value))
         ) == {int}:
-            # rows of ints: written compactly by the C encoder, then indented
-            # by replacing separators; integer text holds no ',', '[' or ']'
-            row = inner + "  "
-            body = json.dumps(value, separators=(",", ":"))[2:-2].replace(",", "," + row)
-            body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
-            out += "[", inner, "[", row, body, inner, "]", nl, "]"
+            _write_rows(json.dumps(value, separators=(",", ":"))[2:-2], "],[", nl, out)
         else:
             sep = "[" + inner
             for v in value:
@@ -301,3 +322,16 @@ def _write(value, nl: str, out: list) -> None:
         # a scalar, an empty container, non-str keys: json's own layout with
         # the indent shifted, exact because JSON text holds no raw newline
         out.append(json.dumps(value, indent=2).replace("\n", nl))
+
+
+def _write_rows(body: str, sep: str, nl: str, out: list) -> None:
+    """Append the indented text of a non-empty array of non-empty integer
+    rows, given without its outer brackets as the entries of each row
+    joined by ',' and the rows joined by sep.  Integer text holds no ',',
+    ';', '[' or ']', so two replaces indent it: the commas, then sep as the
+    first replace left it."""
+    inner = nl + "  "
+    row = inner + "  "
+    body = body.replace(",", "," + row)
+    body = body.replace(sep.replace(",", "," + row), inner + "]," + inner + "[" + row)
+    out += "[", inner, "[", row, body, inner, "]", nl, "]"

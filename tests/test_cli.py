@@ -13,7 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricover import acceptance, chow, cli, construct_standard, harness, jsonio, perturb
+from toricover import (
+    LatticeModel, acceptance, chow, cli, construct_standard, harness, jsonio, perturb,
+)
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
@@ -631,6 +633,33 @@ class TestOutputBytes:
         source = tmp_path / "cover.json"
         source.write_text(cover)
         self.emit(capsys, tmp_path, ["color", "--input", str(source)])
+
+
+def stamped_cover(kind, n, r, m, seed):
+    """The random cover generate makes, with the multiplicity it stamps."""
+    stamped = harness.random_low_multiplicity_cover(LatticeModel(kind, n, r), m, seed)
+    return stamped.cover, {"multiplicity": stamped.multiplicity}
+
+
+class TestGenerateLayout:
+    """generate writes the cover's PointSets, and its stdout is the text of
+    jsonio.cover_to_json's plain lists."""
+
+    @pytest.mark.parametrize("argv, make", [
+        (["--pattern", "bricks", "--n", "3", "--r", "12"],
+         lambda: (harness.shifted_brick_cover(3, 12), {})),
+        (["--pattern", "kkm", "--n", "3", "--r", "6"],
+         lambda: (harness.kkm_standard_cover(3, 6), {})),
+        (["--pattern", "random", "--n", "3", "--r", "8", "--m", "3", "--seed", "4"],
+         lambda: stamped_cover("cube", 3, 8, 3, 4)),
+        (["--pattern", "random", "--kind", "simplex", "--n", "3", "--r", "6", "--seed", "9"],
+         lambda: stamped_cover("simplex", 3, 6, 2, 9)),
+    ], ids=["bricks", "kkm", "random-cube", "random-simplex"])
+    def test_stdout_is_cover_to_json(self, capsys, argv, make):
+        cover, extra = make()
+        assert cli.main(["generate", *argv]) == 0
+        want = json.dumps(jsonio.cover_to_json(cover, **extra), indent=2) + "\n"
+        assert capsys.readouterr().out == want
 
 
 class TestOutputPath:

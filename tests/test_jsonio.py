@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 from collections.abc import Set as AbstractSet
@@ -12,6 +13,7 @@ from toricover import (
     InputError,
     LatticeCover,
     LatticeModel,
+    cli,
     construct_standard,
     jsonio,
     lebesgue_witness,
@@ -59,6 +61,24 @@ class TestRoundTrips:
         stamped = harness.random_low_multiplicity_cover(model, 1, 0)
         data = jsonio.cover_to_json(stamped.cover, multiplicity=stamped.multiplicity)
         assert jsonio.cover_from_json(data).sets == stamped.cover.sets
+
+    @pytest.mark.parametrize("model", [LatticeModel("cube", 2, 4), LatticeModel("simplex", 2, 3)],
+                             ids=repr)
+    def test_cover_points_outside_the_model(self, model):
+        """A JSON set with points outside the model is refused with the
+        message LatticeCover gives for the same tuples, bad points in
+        frozenset order."""
+        ncoords = len(model.points()[0])
+        strays = [(-1,) * ncoords, (model.r + 1,) * ncoords, (0,) * (ncoords + 1), (-2,) * ncoords]
+        pts = [list(model.points()[0])] + list(map(list, strays))
+        with pytest.raises(InputError) as want:
+            LatticeCover(model, {"X": list(map(tuple, pts))})
+        data = {"model": {"kind": model.kind, "n": model.n, "r": model.r},
+                "sets": {"A": [list(model.points()[1])], "X": pts}}
+        with pytest.raises(InputError) as got:
+            jsonio.cover_from_json(data)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("set 'X' has points outside the model: [")
 
     def test_point_cover(self, q2):
         p = perturb(q2, Fraction(1, 64), seed=2)
@@ -247,6 +267,20 @@ VALUES = st.recursive(
 )
 
 
+class Text(str):
+    pass
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+STRINGS = st.text(
+    st.one_of(
+        st.sampled_from('"\\\n\t\x00\x1f\x7f/\u2028\ud800\udfff'),
+        st.characters(blacklist_categories=()),
+    ),
+    max_size=8,
+)
+
+
 class TestDumps:
     """jsonio.dumps is json.dumps(..., indent=2), byte for byte."""
 
@@ -281,3 +315,37 @@ class TestDumps:
     def test_cover_to_json_stays_plain(self):
         data = jsonio.cover_to_json(harness.shifted_brick_cover(2, 8), multiplicity=3)
         assert jsonio.dumps(data) == json.dumps(data, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(STRINGS, max_size=6), st.booleans())
+    def test_lists_of_strings(self, strings, subclass):
+        assert jsonio.dumps(strings) == json.dumps(strings, indent=2)
+        assert jsonio.dumps(tuple(strings)) == json.dumps(strings, indent=2)
+        if subclass:
+            # a str subclass is no str for the joined path, and json writes it as one
+            mixed = [Text(x) for x in strings] + strings
+            assert jsonio.dumps(mixed) == json.dumps(mixed, indent=2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: harness.shifted_brick_cover(3, 12),
+        lambda: harness.random_low_multiplicity_cover(LatticeModel("simplex", 3, 6), 2, 5).cover,
+    ], ids=["bricks", "random-simplex"])
+    def test_color_payloads(self, make):
+        cover = make()
+        source = jsonio.dumps(jsonio.cover_to_json(cover))
+        data, _, _ = cli._cmd_color(argparse.Namespace(input=source))
+        plain = {
+            "classes": [
+                [{"sets": piece["sets"], "points": list(map(list, piece["points"]))}
+                 for piece in cls]
+                for cls in data["classes"]
+            ]
+        }
+        assert any(type(piece["points"]) is PointSet for cls in data["classes"] for piece in cls)
+        assert jsonio.dumps(data) == json.dumps(plain, indent=2)
+
+    def test_point_set_five_levels_deep(self):
+        points = PointSet(LatticeModel("cube", 2, 3).grid(), 0b1011000110)
+        plain = list(map(list, points))
+        nest = lambda x: [{"a": [[{"b": x}]]}]
+        assert jsonio.dumps(nest(points)) == json.dumps(nest(plain), indent=2)

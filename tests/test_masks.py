@@ -2,6 +2,7 @@
 (lattice_reference), and the set semantics of PointSet."""
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -364,3 +365,47 @@ def test_brick_masks_are_products_of_slabs():
         box = grid.slab(0, lo[0], hi[0]) & grid.slab(1, lo[1], hi[1])
         assert pts.mask == box
         assert set(pts) == set(itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)))
+
+
+TEXT_MODELS = [LatticeModel("cube", n, r) for n, r in ((1, 5), (2, 4), (3, 3), (4, 2))] + [
+    LatticeModel("simplex", n, r) for n, r in ((1, 5), (2, 4), (3, 3))
+]
+
+
+class TestTextsAndPositions:
+    """Grid.texts holds the compact JSON text of each point in point order,
+    Grid.positions the positions of a mask's points in grid.points, and the
+    texts are built only when something asks for them."""
+
+    @pytest.mark.parametrize("model", TEXT_MODELS, ids=repr)
+    def test_texts_are_the_points(self, model):
+        grid = model.grid()
+        assert len(grid.texts) == len(grid.points)
+        for i, p in enumerate(grid.points):
+            assert grid.texts[i] == ",".join(map(str, p))
+
+    @pytest.mark.parametrize("model", TEXT_MODELS, ids=repr)
+    def test_positions_index_the_points(self, model):
+        grid = model.grid()
+        rng = random.Random(20)
+        masks = [0, grid.full] + [
+            rng.getrandbits(grid.full.bit_length()) & grid.full for _ in range(198)
+        ]
+        for mask in masks:
+            want = [i for i, p in enumerate(grid.points) if mask >> grid.bit(p) & 1]
+            assert list(grid.positions(mask)) == want
+            assert list(grid.points_of(mask)) == [grid.points[i] for i in want]
+
+    @pytest.mark.parametrize("kind", ["cube", "simplex"])
+    def test_texts_are_lazy(self, kind, monkeypatch):
+        # fresh grids, so that no other test's use of the texts shows here
+        monkeypatch.setattr(covering, "_model_grid", functools.lru_cache(covering.Grid))
+        model = LatticeModel(kind, 2, 6)
+        cover = harness.random_low_multiplicity_cover(model, 2, 7).cover
+        if kind == "cube":
+            covering.lebesgue_witness(cover)
+        covering.palais_coloring(cover)
+        assert cover.grid is model.grid()
+        assert "texts" not in vars(cover.grid)
+        cover.grid.texts
+        assert "texts" in vars(cover.grid)
