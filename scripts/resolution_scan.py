@@ -39,7 +39,8 @@ def main():
             fails = len(report["failures"])
             row.append(f"{verifier}: {args.instances - fails}/{args.instances}")
             if fails:
-                row[-1] += f" (replay seeds {report['failures'][:3]})"
+                seeds = [config.seed + i for i in report["failures"][:3]]
+                row[-1] += f" (replay seeds {seeds})"
         print(f"r={r:>3}  " + "   ".join(row))
 
 

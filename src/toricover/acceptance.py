@@ -198,9 +198,10 @@ def axes_suite(instances: int = 100) -> CriterionResult:
 
 
 def kkm_lebesgue_suite(instances: int = 50) -> CriterionResult:
-    """On seeded sample covers of perturbed Q^3 and the perturbed simplex, a
-    set touching at least n+1 facets is always found and every set with at
-    most n touched facets carries an inessentiality certificate."""
+    """On seeded sample covers of perturbed Q^3 and the perturbed simplex, an
+    essential set, one whose touched facets admit no avoidance certificate,
+    is always found, and every set with at most n touched facets carries an
+    inessentiality certificate."""
     configs = [
         SuiteConfig(verifier="kkm_lebesgue", kind=kind, n=3, r=6, instances=instances,
                     seed=seed, multiplicity=2)

@@ -122,27 +122,21 @@ def _cmd_avoid(args):
 
 
 def _cmd_verify(args):
-    if args.k is not None and args.theorem not in ("kkm", "complement"):
-        raise InputError(f"--k does not apply to the {args.theorem} theorem")
-    if args.eps is not None and args.theorem != "kkm-lebesgue":
-        raise InputError(f"--eps does not apply to the {args.theorem} theorem")
+    witness, kind, extra = covering.THEOREMS[args.theorem]
+    for option in ("k", "eps"):
+        if getattr(args, option) is not None and extra != option:
+            raise InputError(f"--{option} does not apply to the {args.theorem} theorem")
     data = _load_json(args.input)
-    if args.theorem == "kkm-lebesgue":
+    if kind is None:
         p, cover, eps = jsonio.point_cover_from_json(data)
-        if args.eps is not None:
-            eps = _frac(args.eps, "--eps")
-        report = covering.kkm_lebesgue_witness(p, cover, eps)
+        inputs = [p, cover, eps if args.eps is None else _frac(args.eps, "--eps")]
     else:
-        cover = jsonio.cover_from_json(data)
-        if args.theorem == "lebesgue":
-            report = covering.lebesgue_witness(cover)
-        elif args.theorem in ("kkm", "complement"):
-            if args.k is None:
-                raise InputError(f"--k is required for the {args.theorem} theorem")
-            witness = covering.kkm_witness if args.theorem == "kkm" else covering.complement_witness
-            report = witness(cover, args.k)
-        else:
-            report = covering.axes_witness(cover)
+        inputs = [jsonio.cover_from_json(data)]
+    if extra == "k":
+        if args.k is None:
+            raise InputError(f"--k is required for the {args.theorem} theorem")
+        inputs.append(args.k)
+    report = getattr(covering, witness)(*inputs)
     return jsonio.report_to_json(report), f"verdict: {report.verdict}", _VERDICT_EXIT[report.verdict]
 
 
@@ -232,11 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("avoid", _cmd_avoid, help="divisor avoiding a facet set, if one exists")
 
     p_verify = add("verify", _cmd_verify, help="run a covering-theorem verifier")
-    p_verify.add_argument(
-        "--theorem", required=True,
-        choices=["lebesgue", "kkm", "axes", "complement", "kkm-lebesgue"],
-    )
-    p_verify.add_argument("--k", type=int, help="face dimension for kkm/complement")
+    p_verify.add_argument("--theorem", required=True, choices=list(covering.THEOREMS))
+    takes_k = [name for name, (_, _, extra) in covering.THEOREMS.items() if extra == "k"]
+    p_verify.add_argument("--k", type=int, help="face dimension for " + "/".join(takes_k))
     p_verify.add_argument(
         "--eps",
         help="touch tolerance p/q for kkm-lebesgue; overrides the payload's "

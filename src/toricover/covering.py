@@ -6,7 +6,9 @@ one coordinate; points of the simplex model are the nonnegative integer
 coordinates.  Covering sets are arbitrary point sets; "closed" has no separate
 encoding, membership is the whole story.  Verifiers search for the witness a
 covering theorem promises and report a counterexample candidate verbatim when
-none exists; they never assert the continuous statement.
+none exists; they never assert the continuous statement.  A theorem is added
+to THEOREMS, the one list of the theorems, which the CLI, the property-suite
+runner and the verifiers' model-kind refusals read.
 
 A facet is a coordinate equation (coordinate, value): the cube has (axis, 0)
 and (axis, r) for each axis, the simplex (j, 0) for each coordinate j.  A face
@@ -571,6 +573,26 @@ def palais_coloring(cover: LatticeCover):
     return classes
 
 
+# theorem: (the name of its witness function here, looked up when it runs;
+# the model kind of its cover, None for a sample cover of a polytope; its
+# one argument after the cover, "k", "eps" or None), in `verify` order
+THEOREMS = {
+    "lebesgue": ("lebesgue_witness", "cube", None),
+    "kkm": ("kkm_witness", "simplex", "k"),
+    "axes": ("axes_witness", "cube", None),
+    "complement": ("complement_witness", "cube", "k"),
+    "kkm-lebesgue": ("kkm_lebesgue_witness", None, "eps"),
+}
+
+
+def _model_of(cover: LatticeCover, theorem: str) -> LatticeModel:
+    """The cover's model, refused unless it is of the theorem's kind."""
+    witness, kind, _ = THEOREMS[theorem]
+    if cover.model.kind != kind:
+        raise InputError(f"{witness} runs on the {kind} model")
+    return cover.model
+
+
 def _not_a_cover_report(missing: PointSet):
     return WitnessReport(
         HYPOTHESIS_VIOLATED,
@@ -623,9 +645,7 @@ def _component_witness(cover: LatticeCover, k: int, families) -> WitnessReport:
 def lebesgue_witness(cover: LatticeCover) -> WitnessReport:
     """Search a full cover of the cube with multiplicity <= n for a set that
     touches two opposite facets."""
-    model = cover.model
-    if model.kind != "cube":
-        raise InputError("lebesgue_witness runs on the cube model")
+    model = _model_of(cover, "lebesgue")
     missing = complement_points(cover)
     if missing:
         return _not_a_cover_report(missing)
@@ -647,9 +667,7 @@ def kkm_witness(cover: LatticeCover, k: int) -> WitnessReport:
 
     Preconditions (verified): every set misses some facet; multiplicity <= k.
     """
-    model = cover.model
-    if model.kind != "simplex":
-        raise InputError("kkm_witness runs on the simplex model")
+    model = _model_of(cover, "kkm")
     faces = model.k_faces(k)
     for name in cover.sets:
         if all(touches_facet(cover, name, f) for f in model.facets()):
@@ -667,9 +685,7 @@ def complement_witness(cover: LatticeCover, k: int) -> WitnessReport:
     Preconditions (verified): no set spans an opposite facet pair, and the
     multiplicity is at most k.
     """
-    model = cover.model
-    if model.kind != "cube":
-        raise InputError("complement_witness runs on the cube model")
+    model = _model_of(cover, "complement")
     faces = model.k_faces(k)
     span = _spanning(cover)
     if span:
@@ -685,9 +701,7 @@ def axes_witness(cover: LatticeCover) -> WitnessReport:
     """For an n-set cover of the cube, find a connected component of the i-th
     set spanning the i-th axis pair.  Set i is paired with axis i by position
     in the cover's set order."""
-    model = cover.model
-    if model.kind != "cube":
-        raise InputError("axes_witness runs on the cube model")
+    model = _model_of(cover, "axes")
     names = cover.names()
     if len(names) != model.n:
         raise WrongArityError(f"need exactly {model.n} sets, got {len(names)}")
@@ -860,15 +874,17 @@ def facet_touch_set(p: SimplePolytope, points, eps: Fraction):
 def kkm_lebesgue_witness(
     p: SimplePolytope, cover: PointCloudCover, eps=None
 ) -> WitnessReport:
-    """Search a multiplicity-<=n sample cover of a simple polytope for a set
-    touching at least n+1 facets.
+    """Search a multiplicity-<=n sample cover of a simple polytope for an
+    essential set: one whose touched facets admit no avoidance certificate,
+    a divisor equivalent to the ample class H that avoids them.  A cover of
+    inessential sets would give H^n = 0 < n! vol(P), so the witness is the
+    first such set in cover order; on the cube, a set touching two opposite
+    facets is one however few facets it touches.
 
     eps defaults to one minimal sample spacing: a tilted facet plane can stay
     further than half a spacing from every grid plane on its polytope side.
-    Every set with at most n touched facets gets an inessentiality
-    certificate attached to the report:
-    a divisor equivalent to the ample class avoiding its touched facets, or
-    null when the flux system is inconsistent.
+    Every set with at most n touched facets gets its certificate, or null,
+    in the report; one touching more is solved only until the witness.
     """
     eps = None if eps is None else Fraction(eps)
     if eps is not None and eps < 0:
@@ -893,22 +909,18 @@ def kkm_lebesgue_witness(
         name: [f for f, mask in enumerate(near) if mask & pts.mask] for name, pts in sets.items()
     }
     ample = chow.ample_from_offsets(p)
-    certificates = {}
-    for name, touched in touched_by.items():
-        if len(touched) <= p.dim:
-            cert = chow.avoidance_certificate(p, ample, touched)
-            certificates[name] = (
-                None if cert is None else {"touched": touched, "divisor": cert}
-            )
-
+    certs = {name: chow.avoidance_certificate(p, ample, touched)
+             for name, touched in touched_by.items() if len(touched) <= p.dim}
     base = {
         "eps": eps,
         "touched_facets": touched_by,
-        "certificates": certificates,
+        "certificates": {
+            name: None if cert is None else {"touched": touched_by[name], "divisor": cert}
+            for name, cert in certs.items()
+        },
     }
     for name, touched in touched_by.items():
-        if len(touched) >= p.dim + 1:
-            return WitnessReport(
-                WITNESS_FOUND, {"set": name, "touched": touched, **base}
-            )
+        cert = certs[name] if name in certs else chow.avoidance_certificate(p, ample, touched)
+        if cert is None:
+            return WitnessReport(WITNESS_FOUND, {"set": name, "touched": touched, **base})
     return WitnessReport(COUNTEREXAMPLE_CANDIDATE, base)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import mul
 
-from . import covering
+from . import chow, covering
 from .covering import (
     HYPOTHESIS_VIOLATED,
     WITNESS_FOUND,
@@ -25,7 +25,7 @@ from .covering import (
     PointCloudCover,
     PointSet,
 )
-from .polytope import InputError, SimplePolytope
+from .polytope import InputError, SimplePolytope, construct_standard, perturb
 
 # random_low_multiplicity_cover holds at most m times the model's points and
 # counts its multiplicity m layers deep; 20 * MAX_MODEL_POINTS admits m <= n+1
@@ -407,6 +407,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.instances < 1:
             raise InputError("instances must be positive")
+        if self.verifier not in _SUITE:
+            raise InputError(f"unknown suite verifier: {self.verifier!r}")
 
 
 def _validate_coloring(cover: LatticeCover, classes) -> bool:
@@ -430,93 +432,84 @@ def _validate_coloring(cover: LatticeCover, classes) -> bool:
     return union == cover.union().mask
 
 
-def _run_instance(config: SuiteConfig, iseed: int):
-    v = config.verifier
-    if v == "kkm_lebesgue":
-        # polytope verifier: kind picks the base shape, r is the sample
-        # resolution, each instance perturbs with its own seed
-        from .polytope import construct_standard, perturb
+def _model(config: SuiteConfig):
+    return LatticeModel(config.kind, config.n, config.r)
 
-        base = construct_standard(config.kind, config.n)
-        p = perturb(base, Fraction(1, 100), seed=iseed)
-        cover, eps = polytope_sample_cover(
-            p, config.r, config.multiplicity or 2, iseed
-        )
-        report = covering.kkm_lebesgue_witness(p, cover, eps)
-        ok = report.verdict == WITNESS_FOUND
-        if ok:
-            touched = report.payload["touched"]
-            recomputed = covering.facet_touch_set(
-                p, cover.sets[report.payload["set"]], eps
-            )
-            ok = (
-                len(touched) >= config.n + 1
-                and set(touched) == recomputed
-                and all(
-                    c is not None
-                    for c in report.payload["certificates"].values()
-                )
-            )
-        return report.verdict, ok
-    model = LatticeModel(config.kind, config.n, config.r)
-    if v == "lebesgue":
-        cover = random_low_multiplicity_cover(
-            model, config.multiplicity or config.n, iseed
-        ).cover
-        report = covering.lebesgue_witness(cover)
-        ok = report.verdict == WITNESS_FOUND and covering.spans_pair(
-            cover, report.payload["set"], report.payload["axis"]
-        )
-        return report.verdict, ok
-    if v == "bricks_control":
-        cover = shifted_brick_cover(config.n, config.r)
-        no_span = not any(
-            covering.spans_pair(cover, name, axis)
-            for name in cover.sets
-            for axis in range(config.n)
-        )
-        report = covering.lebesgue_witness(cover)
-        ok = (
-            report.verdict == HYPOTHESIS_VIOLATED
-            and report.payload.get("multiplicity") == config.n + 1
-            and no_span
-        )
-        return report.verdict, ok
-    if v == "palais":
-        stamped = random_low_multiplicity_cover(
-            model, config.multiplicity or config.n, iseed
-        )
-        classes = covering.palais_coloring(stamped.cover)
-        return "coloring", _validate_coloring(stamped.cover, classes)
-    if v in ("kkm", "complement"):
-        cover = random_small_set_family(model, config.k, iseed)
-        witness = covering.kkm_witness if v == "kkm" else covering.complement_witness
-        report = witness(cover, config.k)
-        ok = report.verdict == WITNESS_FOUND
-        if ok:
-            comp = report.payload["component"]
-            faces = model.k_faces(config.k)
-            if v == "complement":
-                free = report.payload["axes"]
-                faces = [f for f in faces if all(c not in free for c, _ in f)]
-            ok = comp <= covering.complement_points(cover) and all(
-                any(model.face_contains(face, q) for q in comp) for face in faces
-            )
-        return report.verdict, ok
-    if v == "axes":
-        cover = dilated_partition_cover(model, config.n, iseed)
-        report = covering.axes_witness(cover)
-        ok = report.verdict == WITNESS_FOUND
-        if ok:
-            comp = report.payload["component"]
-            axis = report.payload["axis"]
-            ok = (
-                comp <= cover.sets[report.payload["set"]]
-                and any(q[axis] == 0 for q in comp)
-                and any(q[axis] == model.r for q in comp)
-            )
-        return report.verdict, ok
-    raise InputError(f"unknown suite verifier: {v!r}")
+
+def _random_cover(config: SuiteConfig, iseed: int):
+    m = config.multiplicity or config.n
+    return (random_low_multiplicity_cover(_model(config), m, iseed).cover,)
+
+
+def _sample_cover(config: SuiteConfig, iseed: int):
+    """kind is the base shape, r the resolution; each seed tilts its own."""
+    p = perturb(construct_standard(config.kind, config.n), Fraction(1, 100), seed=iseed)
+    return (p, *polytope_sample_cover(p, config.r, config.multiplicity or 2, iseed))
+
+
+def _meets_its_faces(payload, cover, k):
+    """The component lies in the complement and meets every k-face whose
+    coordinates avoid the free axes (a kkm payload has none)."""
+    comp, free, model = payload["component"], payload.get("axes", ()), cover.model
+    faces = [f for f in model.k_faces(k) if all(c not in free for c, _ in f)]
+    return comp <= covering.complement_points(cover) and all(
+        any(model.face_contains(face, q) for q in comp) for face in faces
+    )
+
+
+def _spans_its_axis(payload, cover):
+    comp, axis = payload["component"], payload["axis"]
+    ends = (any(q[axis] == end for q in comp) for end in (0, cover.model.r))
+    return comp <= cover.sets[payload["set"]] and all(ends)
+
+
+def _no_span(payload, cover):
+    n = cover.model.n
+    return payload.get("multiplicity") == n + 1 and not any(
+        covering.spans_pair(cover, name, axis) for name in cover.sets for axis in range(n)
+    )
+
+
+def _essential(payload, p, cover, eps):
+    touched = covering.facet_touch_set(p, cover.sets[payload["set"]], eps)
+    return (
+        set(payload["touched"]) == touched
+        and chow.avoidance_certificate(p, chow.ample_from_offsets(p), touched) is None
+        and None not in payload["certificates"].values()
+    )
+
+
+# suite verifier: (instance generator, covering.THEOREMS key, expected
+# verdict, re-check).  A generator maps the config and the instance seed to
+# the witness function's arguments, the re-check takes the report's payload
+# and those arguments; palais, with no theorem, checks palais_coloring.
+_SUITE = {
+    "kkm_lebesgue": (_sample_cover, "kkm-lebesgue", WITNESS_FOUND, _essential),
+    "lebesgue": (
+        _random_cover, "lebesgue", WITNESS_FOUND,
+        lambda payload, cover: covering.spans_pair(cover, payload["set"], payload["axis"]),
+    ),
+    "bricks_control": (lambda c, i: (shifted_brick_cover(c.n, c.r),),
+                       "lebesgue", HYPOTHESIS_VIOLATED, _no_span),
+    "palais": (_random_cover, None, "coloring",
+               lambda classes, cover: _validate_coloring(cover, classes)),
+    "kkm": (lambda c, i: (random_small_set_family(_model(c), c.k, i), c.k),
+            "kkm", WITNESS_FOUND, _meets_its_faces),
+    "complement": (lambda c, i: (random_small_set_family(_model(c), c.k, i), c.k),
+                   "complement", WITNESS_FOUND, _meets_its_faces),
+    "axes": (lambda c, i: (dilated_partition_cover(_model(c), c.n, i),),
+             "axes", WITNESS_FOUND, _spans_its_axis),
+}
+
+
+def _run_instance(config: SuiteConfig, iseed: int):
+    """(verdict, ok) of one seeded instance of the config's suite verifier."""
+    generate, theorem, verdict, recheck = _SUITE[config.verifier]
+    inputs = generate(config, iseed)
+    if theorem is None:
+        return verdict, recheck(covering.palais_coloring(*inputs), *inputs)
+    report = getattr(covering, covering.THEOREMS[theorem][0])(*inputs)
+    return report.verdict, report.verdict == verdict and recheck(report.payload, *inputs)
 
 
 def run_property_suite(config: SuiteConfig) -> dict:

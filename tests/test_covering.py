@@ -768,6 +768,94 @@ class TestKKMLebesgue:
             assert rep.verdict != "hypothesis_violated"
 
 
+def five_sets(r=4):
+    """Cube n=2 at resolution r in five sets of multiplicity 1: the four
+    corner blocks (the rows y <= r/4 and y >= 3r/4, split at x <= r/2) and
+    the middle rows between them, as lattice points."""
+    model = LatticeModel("cube", 2, r)
+    lo, hi = r // 4, r - r // 4
+    blocks = {
+        "low_left": lambda x, y: y <= lo and x <= r // 2,
+        "low_right": lambda x, y: y <= lo and x > r // 2,
+        "mid": lambda x, y: lo < y < hi,
+        "high_left": lambda x, y: y >= hi and x <= r // 2,
+        "high_right": lambda x, y: y >= hi and x > r // 2,
+    }
+    return LatticeCover(model, {
+        name: {p for p in model.points() if inside(*p)} for name, inside in blocks.items()
+    })
+
+
+def as_sample_cover(cover):
+    """A cube lattice cover as a sample cover of construct_standard("cube",
+    n): point a becomes a / r."""
+    r = cover.model.r
+
+    def scaled(points):
+        return frozenset(tuple(Fraction(a, r) for a in p) for p in points)
+
+    return PointCloudCover(
+        tuple(scaled(cover.model.points())),
+        {name: scaled(pts) for name, pts in cover.sets.items()},
+    )
+
+
+class TestEssentialSet:
+    """The kkm-lebesgue witness is the first set with no avoidance
+    certificate, whatever the number of facets it touches."""
+
+    def test_middle_row_of_five_sets(self):
+        # the middle row touches only the two facets x = 0 and x = 1, at most
+        # n, but no divisor equivalent to the ample class avoids both
+        q2 = construct_standard("cube", 2)
+        rep = kkm_lebesgue_witness(q2, as_sample_cover(five_sets()), 0)
+        assert rep.verdict == "witness_found"
+        assert (rep.payload["set"], rep.payload["touched"]) == ("mid", [0, 1])
+        certs = rep.payload["certificates"]
+        assert certs["mid"] is None
+        assert all(certs[name] is not None for name in certs if name != "mid")
+
+    def test_first_essential_set_in_cover_order(self):
+        # the middle row touches two facets and the outer rows all four; both
+        # are essential, and the witness is the first in cover order, not the
+        # first touching n+1 facets
+        q2 = construct_standard("cube", 2)
+        sample = tuple((Fraction(i, 2), Fraction(j, 2)) for i in range(3) for j in range(3))
+        sets = {
+            "middle": frozenset(p for p in sample if p[1] == Fraction(1, 2)),
+            "outer": frozenset(p for p in sample if p[1] != Fraction(1, 2)),
+        }
+        for order in (["middle", "outer"], ["outer", "middle"]):
+            cover = PointCloudCover(sample, {name: sets[name] for name in order})
+            rep = kkm_lebesgue_witness(q2, cover, 0)
+            assert (rep.verdict, rep.payload["set"]) == ("witness_found", order[0])
+
+    @pytest.mark.parametrize("cover", [
+        pytest.param(five_sets(4), id="five-sets-r4"),
+        pytest.param(five_sets(8), id="five-sets-r8"),
+        pytest.param(cube_cover(2, 1, {str(p): {p} for p in itertools.product((0, 1), repeat=2)}),
+                     id="singletons"),
+    ] + [
+        pytest.param(
+            harness.random_low_multiplicity_cover(LatticeModel("cube", n, r), m, seed).cover,
+            id=f"random-n{n}-r{r}-m{m}-seed{seed}",
+        )
+        for n, r in ((2, 4), (2, 6), (3, 4)) for m in (n, n + 1) for seed in range(8)
+    ])
+    def test_both_labs_agree(self, cover):
+        """A cube lattice cover read as a sample cover at eps = 0 gets the
+        same verdict kind from lebesgue_witness and kkm_lebesgue_witness: on
+        the unit cube a set has no certificate exactly when it touches two
+        opposite facets."""
+        lattice = lebesgue_witness(cover)
+        q = construct_standard("cube", cover.model.n)
+        sample = kkm_lebesgue_witness(q, as_sample_cover(cover), 0)
+        assert sample.verdict == lattice.verdict
+        if sample.verdict == "witness_found":
+            name = sample.payload["set"]
+            assert any(spans_pair(cover, name, axis) for axis in range(cover.model.n))
+
+
 def brute_force_spacing(sample):
     """Smallest positive max-norm distance over all pairs, or None."""
     dists = [

@@ -207,7 +207,10 @@ REPORTS = [
     ("axes-candidate", lambda: covering.axes_witness(lattice(INPUTS / "axes-checkerboard.json")),
      "counterexample_candidate", None),
     ("kkm-lebesgue-witness", schema_point_cover, "witness_found", None),
-    ("kkm-lebesgue-candidate", lambda: square_report(ROW_AND_POINTS),
+    # the row has no certificate, so it is the witness; the nine single
+    # points each have one, so no set is
+    ("kkm-lebesgue-row", lambda: square_report(ROW_AND_POINTS), "witness_found", None),
+    ("kkm-lebesgue-candidate", lambda: square_report({f"p{i}": [i] for i in range(9)}),
      "counterexample_candidate", None),
     ("kkm-lebesgue-multiplicity", lambda: square_report({k: range(9) for k in "abc"}),
      "hypothesis_violated", "multiplicity_exceeds_dimension"),

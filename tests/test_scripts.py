@@ -45,12 +45,33 @@ def _run(argv):
     return proc.stdout
 
 
-def _bench_pairs():
-    path = os.path.join(ROOT, "scripts", "bench_pairs.py")
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+def _script_module(name):
+    path = os.path.join(ROOT, "scripts", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _script_module("bench_pairs")
+
+
+def test_resolution_scan_prints_seeds_not_instance_indices(monkeypatch, capsys):
+    """A failing instance is printed as its seed, config.seed + index, which
+    replays it; instance 3 of a suite seeded at 100 has seed 103."""
+    scan = _script_module("resolution_scan")
+
+    def fail_instance_3(config):
+        return {"failures": [3] if config.verifier == "lebesgue" else []}
+
+    monkeypatch.setattr(scan, "run_property_suite", fail_instance_3)
+    monkeypatch.setattr(sys, "argv", ["resolution_scan.py", "--instances", "5", "--seed", "100"])
+    scan.main()
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 5
+    for row in rows:
+        assert "lebesgue: 4/5 (replay seeds [103])   axes: 5/5   kkm: 5/5" in row
 
 
 def _line(items, rss):
