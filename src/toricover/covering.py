@@ -34,6 +34,14 @@ jsonio writes a PointSet.  Unions and
 complements are ORs and AND-NOTs, components a frontier flood fill.  A model
 holds at most MAX_MODEL_POINTS points, and its grid's cells times its moves,
 the bits one expand shifts, are at most MAX_EXPAND_BITS.
+
+A Sample's masks (facet contact, slabs) come from packed fields: each
+numerator column, less its minimum, is one int holding a field of B bytes
+per point, built once per column and B.  A test <u, a> <= bound over all
+points is a weighted sum of those ints plus one constant per field, read
+off the fields' top bits; B is the fewest bytes with 8B at least one more
+than the bit length of <u, a - lo>'s span over the sample's bounding box,
+so no field borrows from its neighbour.
 """
 
 from __future__ import annotations
@@ -45,10 +53,10 @@ from collections.abc import Collection, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, le, mul
+from operator import add, and_, mul, rshift, sub
 
 from . import chow
-from .polytope import InputError, SimplePolytope
+from .polytope import InputError, SimplePolytope, exact
 
 
 class BadSampleError(InputError):
@@ -159,6 +167,8 @@ def _model_grid(model: LatticeModel):
 
 _BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
 _DIGIT_OF_BYTE = bytes.maketrans(b"\0\1", b"01")
+# "1" for a byte whose top bit is clear, "0" for one whose top bit is set
+_DIGIT_OF_TOP_BYTE = b"1" * 128 + b"0" * 128
 
 
 def _digits(mask: int) -> str:
@@ -731,7 +741,18 @@ class Sample:
     together with their integer index tuples a, and L is r.  The lcm of such
     a sample can be a proper divisor of r, so the two constructors can give
     one sample different den and ints, but every mask, bit and spacing they
-    give is the same."""
+    give is the same.
+
+    A mask is read off packed fields, one field per input position: column k
+    less its minimum lo_k, packed into fields of B bytes, is one int, built
+    on first use per column and B.  <u, a> <= bound is then decided for all
+    points at once by sum_k u_k column_k plus (2^(8B-1) - 1 - b) in every
+    field, b the bound less <u, lo>, and a field's top bit is clear exactly
+    where the test holds.  Over the sample's bounding box <u, a - lo> spans
+    at most s = sum_k |u_k| (max_k - lo_k), and a bound inside that range
+    puts every field in 0..2^(8B) - 1, so no field borrows from its
+    neighbour, once 8B >= s.bit_length() + 1; a bound outside it gives no
+    point or every point at once."""
 
     def __init__(self, points: tuple):
         self.points = points
@@ -740,6 +761,7 @@ class Sample:
         self._index = {}
         self.at = [self._index.setdefault(a, i) for i, a in enumerate(self.ints)]
         self.full = _mask(list(self._index.values()))
+        self._packs = {}
 
     @classmethod
     def from_grid(cls, points: tuple, ints: list, r: int) -> Sample:
@@ -750,12 +772,20 @@ class Sample:
         sample.at = list(range(len(ints)))
         sample._index = dict(zip(ints, sample.at))
         sample.full = (1 << len(ints)) - 1
+        sample._packs = {}
         return sample
 
     @cached_property
     def columns(self) -> list:
         """The numerator columns: columns[k][i] is ints[i][k]."""
         return list(zip(*self.ints))
+
+    @cached_property
+    def _box(self) -> tuple:
+        """The numerators' bounding box as (lows, spans): column k runs over
+        lows[k] .. lows[k] + spans[k]."""
+        lows = list(map(min, self.columns))
+        return lows, [hi - lo for lo, hi in zip(lows, map(max, self.columns))]
 
     def bit(self, p):
         """The bit of point p, or None when p is not a sample point.  A point
@@ -777,25 +807,73 @@ class Sample:
         """The mask of the points whose numerators a have lo <= a[axis] <= hi."""
         if not self.ints:
             return 0
-        return _flag_mask(map(range(lo, hi + 1).__contains__, self.columns[axis])) & self.full
+        unit = [0] * len(self.columns)
+        unit[axis] = 1
+        below = self._at_most(unit, hi)
+        unit[axis] = -1
+        return below & self._at_most(unit, -lo) & self.full
+
+    def _fields(self, size: int) -> tuple:
+        """The repunit of len(ints) fields of size bytes, and the dict of the
+        columns packed into such fields so far, by column."""
+        if size not in self._packs:
+            self._packs[size] = (_repunit(8 * size, len(self.ints)), {})
+        return self._packs[size]
+
+    @cached_property
+    def _planes(self) -> list:
+        """Per column k, the byte planes of its values less lows[k], low byte
+        first: plane j holds byte j of every point's value, one byte per
+        point, and the last plane holds the rest."""
+        lows, spans = self._box
+        planes = []
+        for col, lo, span in zip(self.columns, lows, spans):
+            values, bytes_of = map(sub, col, itertools.repeat(lo)), []
+            for _ in range((span.bit_length() - 1) // 8):
+                values = list(values)
+                bytes_of.append(bytes(map(and_, values, itertools.repeat(255))))
+                values = map(rshift, values, itertools.repeat(8))
+            bytes_of.append(bytes(values))
+            planes.append(bytes_of)
+        return planes
+
+    def _pack(self, k: int, size: int) -> int:
+        """Column k less its minimum as one int of size-byte fields, field i
+        holding point i, laid out from the column's byte planes."""
+        cells = bytearray(len(self.ints) * size)
+        for j, plane in enumerate(self._planes[k]):
+            cells[j::size] = plane
+        return int.from_bytes(cells, "little")
 
     def _at_most(self, u, bound: int) -> int:
         """The mask of the input positions i whose numerators a have
-        <u, a> <= bound, a repeat at its own position: <u, a> is summed over
-        the numerator columns, one C-level map per nonzero u_k."""
-        dots = None
-        for w, col in zip(u, self.columns):
-            if w:
-                term = map(mul, col, itertools.repeat(w))
-                dots = term if dots is None else map(add, dots, term)
-        if dots is None:
-            dots = itertools.repeat(0, len(self.ints))
-        return _flag_mask(map(le, dots, itertools.repeat(bound)))
+        <u, a> <= bound, a repeat at its own position, from the packed
+        fields (see the class docstring)."""
+        if not self.ints:
+            return 0
+        lows, spans = self._box
+        terms = [(w, k) for k, w in enumerate(u) if w]
+        b = bound - sum(w * lows[k] for w, k in terms)
+        least = sum(w * spans[k] for w, k in terms if w < 0)
+        most = sum(w * spans[k] for w, k in terms if w > 0)
+        if b < least:
+            return 0
+        if b >= most:
+            return (1 << len(self.ints)) - 1
+        size = ((most - least).bit_length() + 8) // 8
+        repunit, packed = self._fields(size)
+        total = ((1 << (8 * size - 1)) - 1 - b) * repunit
+        for w, k in terms:
+            if k not in packed:
+                packed[k] = self._pack(k, size)
+            total += w * packed[k]
+        tops = total.to_bytes(len(self.ints) * size, "little")[size - 1::size]
+        return int(tops.translate(_DIGIT_OF_TOP_BYTE)[::-1], 2)
 
     def near(self, p: SimplePolytope, eps) -> list:
         """Per facet F of P, the mask of the points at slack <= eps |u_F|_1:
         <u_F, x> + c_F <= t holds iff <u_F, a> <= floor(L (t - c_F))."""
-        eps = Fraction(eps)
+        eps = exact(eps, "eps")
         return [
             self._at_most(u, math.floor(self.den * (eps * sum(map(abs, u)) - c)))
             for u, c in zip(p.normals, p.offsets)
@@ -859,10 +937,19 @@ def sample_spacing(sample) -> Fraction:
     return Fraction(best, sample.den)
 
 
+def _eps(eps) -> Fraction:
+    """eps as a Fraction, refusing a float, a bool or a negative value."""
+    eps = exact(eps, "eps")
+    if eps < 0:
+        raise InputError(f"eps must be >= 0, got {eps}")
+    return eps
+
+
 def facet_touch_set(p: SimplePolytope, points, eps: Fraction):
     """Facets F with some point at slack <= eps * |u_F|_1 (Sample.near).  A
     PointSet over a Sample meets that sample's masks; other points are read
     into a Sample of their own."""
+    eps = _eps(eps)
     if isinstance(points, PointSet) and isinstance(points.grid, Sample):
         sample, mask = points.grid, points.mask
     else:
@@ -886,9 +973,7 @@ def kkm_lebesgue_witness(
     Every set with at most n touched facets gets its certificate, or null,
     in the report; one touching more is solved only until the witness.
     """
-    eps = None if eps is None else Fraction(eps)
-    if eps is not None and eps < 0:
-        raise InputError(f"eps must be >= 0, got {eps}")
+    eps = None if eps is None else _eps(eps)
     if not cover.sample:
         raise BadSampleError("the sample is empty")
     sample, sets = cover.indexed()

@@ -53,6 +53,15 @@ class BudgetExhaustedError(InputError):
     """perturb() ran out of retries without finding a good perturbation."""
 
 
+def exact(value, name: str) -> Fraction:
+    """value as a Fraction, refusing a float or bool named name: a float is
+    read as its binary value (0.1 as 3602879701896397/36028797018963968),
+    and a bool is no number."""
+    if isinstance(value, (float, bool)):
+        raise InputError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Vertex:
     coords: tuple
@@ -319,7 +328,7 @@ def perturb(p: SimplePolytope, budget, *, seed: int = 0) -> SimplePolytope:
     facet carries a vertex.  Vertices are ordered by sorted facet tuple, as
     from_halfspaces orders them.
     """
-    budget = Fraction(budget)
+    budget = exact(budget, "budget")
     if budget <= 0:
         raise InputError("budget must be positive")
     if p.dim == 1:

@@ -28,6 +28,11 @@ def cube(n, r):
     return LatticeModel("cube", n, r)
 
 
+def square_cover():
+    """A sample cover of the unit square at r = 2."""
+    return harness.polytope_sample_cover(construct_standard("cube", 2), 2, 2, 0)[0]
+
+
 # (id, call, exception class, message)
 REFUSALS = [
     ("model-n0", lambda: cube(0, 2), InputError, "need n >= 1 and r >= 1"),
@@ -74,6 +79,29 @@ REFUSALS = [
      InputError, "face dimension -1 out of range 0..2"),
     ("perturb-budget-0", lambda: polytope.perturb(construct_standard("cube", 2), 0),
      InputError, "budget must be positive"),
+    # a float is read as its binary value and a bool as 0 or 1, so neither is an eps or budget
+    ("perturb-budget-float", lambda: polytope.perturb(construct_standard("cube", 2), 0.01),
+     InputError, "budget must be an int or a Fraction, got 0.01"),
+    ("perturb-budget-bool", lambda: polytope.perturb(construct_standard("cube", 2), True),
+     InputError, "budget must be an int or a Fraction, got True"),
+    ("kkm-lebesgue-eps-float",
+     lambda: covering.kkm_lebesgue_witness(construct_standard("cube", 2), square_cover(), 0.1),
+     InputError, "eps must be an int or a Fraction, got 0.1"),
+    ("kkm-lebesgue-eps-bool",
+     lambda: covering.kkm_lebesgue_witness(construct_standard("cube", 2), square_cover(), True),
+     InputError, "eps must be an int or a Fraction, got True"),
+    ("touch-eps-float",
+     lambda: covering.facet_touch_set(construct_standard("cube", 2), [(0, 0)], 0.5),
+     InputError, "eps must be an int or a Fraction, got 0.5"),
+    ("touch-eps-bool",
+     lambda: covering.facet_touch_set(construct_standard("cube", 2), [(0, 0)], False),
+     InputError, "eps must be an int or a Fraction, got False"),
+    ("touch-eps-negative",
+     lambda: covering.facet_touch_set(construct_standard("cube", 2), [(0, 0)], -1),
+     InputError, "eps must be >= 0, got -1"),
+    ("near-eps-float",
+     lambda: covering.Sample(((Fraction(0),),)).near(construct_standard("cube", 1), 0.25),
+     InputError, "eps must be an int or a Fraction, got 0.25"),
     ("moment-kind", lambda: polytope.moment_map_eval("cp2", []),
      InputError, "unknown moment map kind: 'cp2'"),
 ]

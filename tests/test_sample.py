@@ -272,3 +272,124 @@ class TestColumnMasks:
                 assert covering.facet_touch_set(p, pts, e) == covering.facet_touch_set(
                     p, tuple(pts), e
                 )
+
+
+POLYTOPES = [construct_standard("cube", 1)] + [
+    perturb(construct_standard(kind, n), Fraction(1, 100), seed=n)
+    for kind, n in (("cube", 2), ("simplex", 2), ("cube", 3), ("simplex", 3))
+]
+# small numerators, and numerators past 2^8 and 2^16 for fields of several bytes
+NUMERATORS = st.one_of(
+    st.integers(-4, 4), st.integers(-(2**10), 2**10), st.integers(-(2**20), 2**20)
+)
+
+
+@st.composite
+def drawn_samples(draw):
+    """A polytope and points in its dimension over a random denominator,
+    drawn from a pool so that repeats come up; possibly one point or none."""
+    p = draw(st.sampled_from(POLYTOPES))
+    den = draw(st.sampled_from([1, 2, 3, 12]))
+    pool = draw(st.lists(st.tuples(*[NUMERATORS] * p.dim), min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return p, tuple(tuple(Fraction(a, den) for a in pt) for pt in picks)
+
+
+def normals(dim):
+    """Normals with small and large entries, the zero normal among them."""
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**12), 2**12))
+    return st.one_of(st.just((0,) * dim), st.tuples(*[entry] * dim))
+
+
+def dot(u, x):
+    return sum(w * c for w, c in zip(u, x))
+
+
+def at_most_reference(sample, u, bound):
+    """Point by point: the input positions i with <u, x_i> den <= bound."""
+    return sum(1 << i for i, x in enumerate(sample.points) if dot(u, x) * sample.den <= bound)
+
+
+def slab_reference(sample, axis, lo, hi):
+    """Point by point: the first occurrences x with lo <= x[axis] den <= hi."""
+    mask = 0
+    for i, x in enumerate(sample.points):
+        if lo <= x[axis] * sample.den <= hi:
+            mask |= 1 << sample.at[i]
+    return mask
+
+
+def inside_reference(sample, p):
+    """check_inside's outcome point by point: the first input position
+    outside the first facet that has one outside."""
+    for u, c in zip(p.normals, p.offsets):
+        outside = [i for i, x in enumerate(sample.points) if dot(u, x) + c < 0]
+        if outside:
+            return f"sample[{outside[0]}] lies outside the polytope"
+    return None
+
+
+def check_masks(sample, p, data):
+    """_at_most and slab of sample against the references, at bounds below,
+    inside and above the sample's range."""
+    u = data.draw(normals(p.dim))
+    dots = [int(dot(u, x) * sample.den) for x in sample.points] or [0]
+    bound = data.draw(
+        st.one_of(
+            st.integers(min(dots) - 3, max(dots) + 3),
+            st.sampled_from([min(dots) - 1, min(dots), max(dots) - 1, max(dots)]),
+            st.integers(-(2**40), 2**40),
+        )
+    )
+    assert sample._at_most(u, bound) == at_most_reference(sample, u, bound)
+    axis = data.draw(st.integers(0, p.dim - 1))
+    lo = data.draw(st.one_of(st.integers(-8, 8), st.integers(-(2**24), 2**24)))
+    hi = lo + data.draw(st.one_of(st.integers(-2, 8), st.integers(0, 2**25)))
+    assert sample.slab(axis, lo, hi) == slab_reference(sample, axis, lo, hi)
+
+
+class TestPackedFields:
+    """The packed-field masks equal a point-by-point integer reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_samples(), st.data())
+    def test_at_most_and_slab(self, drawn, data):
+        p, points = drawn
+        check_masks(Sample(points), p, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_samples(), st.fractions(min_value=0, max_value=4, max_denominator=60))
+    def test_near_and_check_inside(self, drawn, eps):
+        p, points = drawn
+        sample = Sample(points)
+        assert sample.near(p, eps) == [
+            sum(1 << i for i, x in enumerate(points) if dot(u, x) + c <= eps * sum(map(abs, u)))
+            for u, c in zip(p.normals, p.offsets)
+        ]
+        assert outcome(sample.check_inside, p) == inside_reference(sample, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(POLYTOPES), st.data())
+    def test_grid_sample_against_the_sample_of_its_points(self, p, data):
+        # the points a / r with every a a multiple of g: their lcm divides k < r
+        g, k = data.draw(st.sampled_from([2, 3])), data.draw(st.integers(1, 4))
+        r = g * k
+        base = data.draw(
+            st.lists(st.tuples(*[st.integers(-2, 2 * k)] * p.dim), unique=True, max_size=10)
+        )
+        ints = [tuple(g * b for b in t) for t in base]
+        points = tuple(tuple(Fraction(a, r) for a in t) for t in ints)
+        grid, ref = Sample.from_grid(points, ints, r), Sample(points)
+        assert ref.den != r
+        for sample in (grid, ref):
+            check_masks(sample, p, data)
+        eps = data.draw(st.fractions(min_value=0, max_value=2, max_denominator=2 * r))
+        assert grid.near(p, eps) == ref.near(p, eps)
+        assert outcome(grid.check_inside, p) == outcome(ref.check_inside, p)
+        axis = data.draw(st.integers(0, p.dim - 1))
+        lo, hi = sorted(data.draw(st.tuples(st.integers(-r, 3 * r), st.integers(-r, 3 * r))))
+        # the same interval of coordinates over den instead of r
+        assert grid.slab(axis, lo, hi) == ref.slab(
+            axis, -(-lo * ref.den // r), hi * ref.den // r
+        )
+
