@@ -13,8 +13,9 @@ per-layer result lines show where the time went.  The results go into the
 in the layout of the committed BENCH_<pr>.json files: every pair's result
 lines, the traced result lines under "traced", and per end-to-end metric the
 medians, the quartiles and the number of pairs in which the change reads
-better.  Keys written by hand ("claim", "notes", "limits") are kept.  Uses
-the standard library only.
+better.  Keys written by hand ("claim", "notes", "limits") are kept.  The
+parent must be a git checkout: its commit, resolved before the first pair,
+goes into the file as "parent".  Uses the standard library only.
 """
 
 import argparse
@@ -92,9 +93,18 @@ def summarize(pairs: list, better: dict) -> dict:
 
 
 def _head(checkout: str) -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+    """The commit checked out at the top of the git checkout `checkout`.
+
+    Stops the script, naming the checkout, when it is not one: a copy made
+    by `git archive`, or a directory inside some other repository.
+    """
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
-    return proc.stdout.strip() or "unknown"
+    lines = proc.stdout.split("\n")
+    if proc.returncode or os.path.realpath(lines[0]) != os.path.realpath(checkout):
+        sys.exit(f"{checkout} is not a git checkout, so its commit is unknown;"
+                 " make it with `git worktree add` or `git clone`")
+    return lines[1]
 
 
 def main(argv=None):
@@ -111,6 +121,7 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
+    parent = _head(args.parent)
     pairs = []
     for i, seed in enumerate(args.seeds):
         first, second = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -132,7 +143,7 @@ def main(argv=None):
             doc = json.load(fh)
     doc.update({
         "what": "perfbench end-to-end results, parent commit vs this change, in alternating pairs",
-        "parent": _head(args.parent),
+        "parent": parent,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "run_seconds": seconds,
         "order": "each pair runs both sides back to back; which side runs first "

@@ -30,10 +30,11 @@ their bits built on first use: Grid.set_of looks a collection of int tuples up
 in one pass, so a PointSet compared with a set or frozenset costs one lookup
 of the other side, while & | - with one still go point by point.  The grid
 also holds each point's compact JSON text, built on first use, from which
-jsonio writes a PointSet.  Unions and
-complements are ORs and AND-NOTs, components a frontier flood fill.  A model
-holds at most MAX_MODEL_POINTS points, and its grid's cells times its moves,
-the bits one expand shifts, are at most MAX_EXPAND_BITS.
+jsonio writes a PointSet.  Unions and complements are ORs and AND-NOTs, and
+Grid.bfs, the grid's one search, grows the generators' cells and balls and
+each component of a set.  A model holds at most MAX_MODEL_POINTS points, and
+its grid's cells times its moves, the bits one expand shifts, are at most
+MAX_EXPAND_BITS.
 
 A Sample's masks (facet contact, slabs) come from packed fields: each
 numerator column, less its minimum, is one int holding a field of B bytes
@@ -56,7 +57,7 @@ from functools import cached_property, lru_cache
 from operator import add, and_, mul, rshift, sub
 
 from . import chow
-from .polytope import InputError, SimplePolytope, exact
+from .polytope import InputError, SimplePolytope, exact, exact_int
 
 
 class BadSampleError(InputError):
@@ -84,7 +85,7 @@ class LatticeModel:
     def __post_init__(self):
         if self.kind not in ("cube", "simplex"):
             raise InputError(f"unknown lattice model kind: {self.kind!r}")
-        if self.n < 1 or self.r < 1:
+        if min(exact_int(self.n, "n"), exact_int(self.r, "r")) < 1:
             raise InputError("need n >= 1 and r >= 1")
         # (r+1)^n or C(n+r, n) as a running product, stopped once past the
         # cap; the binomial runs over the smaller of n and r
@@ -267,6 +268,30 @@ class Grid:
                 for shift in shifts:
                     out |= m << shift if shift > 0 else m >> -shift
         return out
+
+    def bfs(self, sources, radius=None, allowed=None):
+        """Layered multi-source BFS from the bits `sources`: the mask of the
+        cells each source reaches first.  In each layer the sources claim cells
+        in source order, so ties go to the earlier source.  The search stops
+        after `radius` layers (None: no bound) and enters only the cells of the
+        mask `allowed` (None: every cell)."""
+        free = self.full if allowed is None else allowed
+        cells = []
+        for s in sources:
+            cell = free & (1 << s)
+            free ^= cell
+            cells.append(cell)
+        frontier = list(cells)
+        while radius != 0 and any(frontier):
+            for idx, front in enumerate(frontier):
+                if front:
+                    front = self.expand(front) & free
+                    free ^= front
+                    cells[idx] |= front
+                    frontier[idx] = front
+            if radius is not None:
+                radius -= 1
+        return cells
 
     def bit(self, p):
         """The cell of point p, or None when p is not a point of the model."""
@@ -514,8 +539,7 @@ def connected_components(points, model: LatticeModel):
     sorted by their smallest point.
 
     The cells with no neighbour in the set come out of one expand; every
-    other component grows by a bit-parallel flood fill from the lowest cell
-    not yet reached, one move layer at a time.
+    other component is Grid.bfs from its lowest cell, within the cells left.
     """
     grid = model.grid()
     if not (isinstance(points, PointSet) and points.grid is grid):
@@ -526,13 +550,10 @@ def connected_components(points, model: LatticeModel):
     rest = points.mask ^ single
     grown = []
     while rest:
-        seed = comp = frontier = rest & -rest
-        rest ^= frontier
-        while frontier:
-            frontier = grid.expand(frontier) & rest
-            rest ^= frontier
-            comp |= frontier
-        grown.append((seed.bit_length(), comp))
+        seed = (rest & -rest).bit_length()
+        comp = grid.bfs([seed - 1], allowed=rest)[0]
+        rest ^= comp
+        grown.append((seed, comp))
     singles = ((b + 1, 1 << b) for b in _bits_of(single))
     return [PointSet(grid, comp) for _, comp in heapq.merge(grown, singles)]
 

@@ -3,7 +3,8 @@
 All randomness flows through random.Random(seed) (MT19937), so every cover and
 every suite report replays exactly from its seed.  Generators measure what
 they promise: random covers come back stamped with their measured
-multiplicity, never an assumed one.
+multiplicity, never an assumed one.  Their Voronoi cells and balls are masks
+grown by the model grid's one search, Grid.bfs.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from operator import mul
 
 from . import chow, covering
 from .covering import (
-    HYPOTHESIS_VIOLATED,
-    WITNESS_FOUND,
-    Grid,
-    LatticeCover,
-    LatticeModel,
-    PointCloudCover,
-    PointSet,
+    HYPOTHESIS_VIOLATED, WITNESS_FOUND, LatticeCover, LatticeModel, PointCloudCover, PointSet,
 )
 from .polytope import InputError, SimplePolytope, construct_standard, perturb
 
@@ -114,31 +109,6 @@ def kkm_standard_cover(n: int, r: int) -> LatticeCover:
     return LatticeCover(model, sets)
 
 
-def _bfs(grid: Grid, sources, radius=None, allowed=None):
-    """Layered multi-source BFS from the bits `sources`: the mask of the
-    cells each source reaches first.  In each layer the sources claim cells
-    in source order, so ties go to the earlier source.  The search stops
-    after `radius` layers (None: no bound) and enters only the cells of the
-    mask `allowed` (None: every cell)."""
-    free = grid.full if allowed is None else allowed
-    cells = []
-    for s in sources:
-        cell = free & (1 << s)
-        free ^= cell
-        cells.append(cell)
-    frontier = list(cells)
-    while radius != 0 and any(frontier):
-        for idx, front in enumerate(frontier):
-            if front:
-                front = grid.expand(front) & free
-                free ^= front
-                cells[idx] |= front
-                frontier[idx] = front
-        if radius is not None:
-            radius -= 1
-    return cells
-
-
 def random_low_multiplicity_cover(
     model: LatticeModel, m: int, seed: int
 ) -> StampedCover:
@@ -174,7 +144,7 @@ def random_low_multiplicity_cover(
     else:
         count = rng.randint(2, min(len(points), 2 * model.n + 2))
         sources = rng.sample(points, count)
-    for i, cell in enumerate(_bfs(grid, [grid.bit(s) for s in sources])):
+    for i, cell in enumerate(grid.bfs([grid.bit(s) for s in sources])):
         if cell:
             sets[f"cell_{i}"] = PointSet(grid, cell)
 
@@ -184,7 +154,7 @@ def random_low_multiplicity_cover(
         for b in range(rng.randint(1, 3)):
             center = anchor if b == 0 else rng.choice(points)
             radius = rng.randint(1, max(1, model.r // 3))
-            ball = _bfs(grid, [grid.bit(center)], radius)[0] & ~used
+            ball = grid.bfs([grid.bit(center)], radius)[0] & ~used
             if ball:
                 sets[f"ball_{layer}_{b}"] = PointSet(grid, ball)
                 used |= ball
@@ -221,7 +191,7 @@ def random_small_set_family(model: LatticeModel, k: int, seed: int) -> LatticeCo
             # the same draw as rng.choice over the list of allowed points
             center = _nth_bit(allowed, rng.choice(range(allowed.bit_count())))
             radius = rng.randint(1, radius_cap)
-            ball = _bfs(grid, [center], radius, allowed)[0]
+            ball = grid.bfs([center], radius, allowed)[0]
             sets[f"set_{layer}_{b}"] = PointSet(grid, ball)
             blocked |= ball | grid.expand(ball)
     return LatticeCover(model, sets)
@@ -247,7 +217,7 @@ def dilated_partition_cover(model: LatticeModel, parts: int, seed: int) -> Latti
     rng = random.Random(seed)
     grid = model.grid()
     sources = rng.sample(model.points(), parts)
-    cells = _bfs(grid, [grid.bit(s) for s in sources])
+    cells = grid.bfs([grid.bit(s) for s in sources])
     sets = {
         f"part_{i}": PointSet(grid, cell | grid.expand(cell)) for i, cell in enumerate(cells)
     }

@@ -29,13 +29,13 @@ from json.encoder import encode_basestring_ascii
 from .chow import Divisor, RingPresentation
 from .covering import Grid, LatticeCover, LatticeModel, PointCloudCover, PointSet, WitnessReport
 from .covering import Sample, _bits_of, _echo_cover, _mask, _point_set
-from .polytope import InputError, SimplePolytope, from_halfspaces
+from .polytope import RATIONAL, InputError, SimplePolytope, from_halfspaces
 
 JSON_TYPES = {
     dict: "object", list: "array", str: "string", int: "number", float: "number",
     bool: "boolean", type(None): "null",
 }
-RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def frac_from_str(s) -> Fraction:
     """A rational from a JSON integer or a "p/q" string of ASCII digits with

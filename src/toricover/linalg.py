@@ -13,6 +13,9 @@ integer rows and return integers, for callers that keep their own
 denominators: polytope's vertex solving and genericity test, and chow's
 localization, which reads each vertex cone's edge weights and determinant off
 one int_cramer call.
+
+Of the Fraction routes, solve_unique and nullspace_vector have no caller in
+the library: they stay because the benchmark's tracer and the tests name them.
 """
 
 from __future__ import annotations
@@ -111,10 +114,6 @@ def int_solve_unique(rows, rhs):
     return tuple(v // g for v in x), d // g
 
 
-def _augmented(rows, rhs):
-    return [int_row(list(row) + [b])[0] for row, b in zip(rows, rhs)]
-
-
 def det(rows) -> Fraction:
     """Determinant of a square rational matrix."""
     a = []
@@ -141,7 +140,7 @@ def solve(rows, rhs):
     if not rows:
         return ()
     n = len(rows[0])
-    aug = _augmented(rows, rhs)
+    aug = [int_row(list(row) + [b])[0] for row, b in zip(rows, rhs)]
     pivots, d, _ = _eliminate(aug, n)
     if any(row[n] for row in aug[len(pivots):]):
         return None
@@ -153,12 +152,7 @@ def solve(rows, rhs):
 
 def solve_unique(rows, rhs):
     """Solution of a square nonsingular system, or None if singular."""
-    n = len(rows)
-    aug = _augmented(rows, rhs)
-    pivots, d, _ = _eliminate(aug, n)
-    if len(pivots) < n:
-        return None
-    return tuple(Fraction(row[n], d) for row in aug)
+    return solve(rows, rhs) if rank(rows) == len(rows) else None
 
 
 def nullspace_vector(rows, n):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,13 +54,29 @@ class BudgetExhaustedError(InputError):
     """perturb() ran out of retries without finding a good perturbation."""
 
 
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # "p" or "p/q", ASCII digits
+
+
 def exact(value, name: str) -> Fraction:
     """value as a Fraction, refusing a float or bool named name: a float is
     read as its binary value (0.1 as 3602879701896397/36028797018963968),
-    and a bool is no number."""
+    and a bool is no number.  A string must be RATIONAL with q nonzero;
+    Fraction alone would read "0.1" and take seconds over "1e2000000"."""
     if isinstance(value, (float, bool)):
         raise InputError(f"{name} must be an int or a Fraction, got {value!r}")
-    return Fraction(value)
+    if isinstance(value, str) and not RATIONAL.fullmatch(value):
+        raise InputError(f'{name} must be an integer or "p/q" string, got {value!r}')
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:  # q = 0, or more digits than int() reads
+        raise InputError(f"{name}: {exc}") from None
+
+
+def exact_int(value, name: str) -> int:
+    """value, refusing anything but an int named name (a bool is no number)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -232,7 +249,7 @@ def construct_standard(kind: str, n: int) -> SimplePolytope:
       simplex: facet j is x_{j+1} >= 0 for j = 0..n-1, facet n is the slant
                1 - sum(x) >= 0.
     """
-    if n < 1:
+    if exact_int(n, "n") < 1:
         raise InputError("n must be >= 1")
     if kind == "cube":
         normals = []
@@ -371,6 +388,14 @@ def _norm_sq(pair) -> Fraction:
     return Fraction(re) ** 2 + Fraction(im) ** 2
 
 
+def _normalised(weights, message: str) -> tuple:
+    """The weights divided by their sum, refusing a zero sum with message."""
+    total = sum(weights)
+    if total == 0:
+        raise ZeroVectorError(message)
+    return tuple(w / total for w in weights)
+
+
 def moment_map_eval(kind: str, value):
     """Evaluate a standard moment map on exact rational input.
 
@@ -387,23 +412,11 @@ def moment_map_eval(kind: str, value):
         normalization onto the unit sphere.
     """
     if kind == "cpn":
-        weights = [_norm_sq(z) for z in value]
-        total = sum(weights)
-        if total == 0:
-            raise ZeroVectorError("cpn moment map needs a nonzero vector")
-        return tuple(w / total for w in weights)
+        return _normalised([_norm_sq(z) for z in value], "cpn moment map needs a nonzero vector")
     if kind == "product_cp1":
-        out = []
-        for z0, z1 in value:
-            w0, w1 = _norm_sq(z0), _norm_sq(z1)
-            if w0 + w1 == 0:
-                raise ZeroVectorError("each line factor needs a nonzero pair")
-            out.append(w1 / (w0 + w1))
-        return tuple(out)
+        message = "each line factor needs a nonzero pair"
+        return tuple(_normalised([_norm_sq(z0), _norm_sq(z1)], message)[1] for z0, z1 in value)
     if kind == "real_sphere":
         squares = [Fraction(x) ** 2 for x in value]
-        total = sum(squares)
-        if total == 0:
-            raise ZeroVectorError("real sphere moment map needs a nonzero vector")
-        return tuple(s / total for s in squares)
+        return _normalised(squares, "real sphere moment map needs a nonzero vector")
     raise InputError(f"unknown moment map kind: {kind!r}")

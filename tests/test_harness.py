@@ -186,7 +186,7 @@ class TestBFSAgainstReference:
             return [frozenset(p for p, i in owner.items() if i == idx) for idx in range(count)]
 
         bits = [grid.bit(s) for s in sources]
-        assert point_sets(harness._bfs(grid, bits)) == ref.bfs_partition(model, sources)
+        assert point_sets(grid.bfs(bits)) == ref.bfs_partition(model, sources)
 
         center = data.draw(st.sampled_from(points))
         radius = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=r)))
@@ -198,13 +198,13 @@ class TestBFSAgainstReference:
 
         allowed_mask = grid.full & ~grid.facets[(coord, value)]
         allowed_mask &= ~covering.LatticeCover(model, {"B": blocked}).sets["B"].mask
-        assert point_sets(harness._bfs(grid, [grid.bit(center)], radius)) == [
+        assert point_sets(grid.bfs([grid.bit(center)], radius)) == [
             frozenset(ref.bfs(model, [center], radius))
         ]
-        assert point_sets(
-            harness._bfs(grid, [grid.bit(center)], radius, allowed=allowed_mask)
-        ) == [frozenset(ref.bfs(model, [center], radius, allowed))]
-        assert point_sets(harness._bfs(grid, bits, radius, allowed=allowed_mask)) == owned(
+        assert point_sets(grid.bfs([grid.bit(center)], radius, allowed=allowed_mask)) == [
+            frozenset(ref.bfs(model, [center], radius, allowed))
+        ]
+        assert point_sets(grid.bfs(bits, radius, allowed=allowed_mask)) == owned(
             ref.bfs(model, sources, radius, allowed), len(sources)
         )
 

@@ -36,6 +36,11 @@ def square_cover():
 # (id, call, exception class, message)
 REFUSALS = [
     ("model-n0", lambda: cube(0, 2), InputError, "need n >= 1 and r >= 1"),
+    # n and r are counts: a float, bool or str is refused, not read as one
+    ("model-n-float", lambda: cube(2.0, 3), InputError, "n must be an int, got 2.0"),
+    ("model-n-bool", lambda: cube(True, 3), InputError, "n must be an int, got True"),
+    ("model-r-str", lambda: cube(2, "3"), InputError, "r must be an int, got '3'"),
+    ("model-r-float-n0", lambda: cube(0, 2.5), InputError, "r must be an int, got 2.5"),
     ("spans-pair-simplex",
      lambda: covering.spans_pair(harness.kkm_standard_cover(2, 3), "0", 0),
      InputError, "spans_pair is a cube-model notion"),
@@ -69,6 +74,10 @@ REFUSALS = [
     ("halfspaces-few-facets", lambda: from_halfspaces([(1, 0), (0, 1)], [0, 0]),
      UnboundedError, "fewer than n+1 facets cannot bound a polytope"),
     ("standard-n0", lambda: construct_standard("cube", 0), InputError, "n must be >= 1"),
+    ("standard-n-float", lambda: construct_standard("cube", 2.0),
+     InputError, "n must be an int, got 2.0"),
+    ("standard-n-bool", lambda: construct_standard("simplex", True),
+     InputError, "n must be an int, got True"),
     ("standard-kind", lambda: construct_standard("prism", 2),
      InputError, "unknown standard polytope kind: 'prism'"),
     ("cube-facet-sign", lambda: polytope.cube_facet_id(0, "0"),
@@ -99,6 +108,16 @@ REFUSALS = [
     ("touch-eps-negative",
      lambda: covering.facet_touch_set(construct_standard("cube", 2), [(0, 0)], -1),
      InputError, "eps must be >= 0, got -1"),
+    # a string is read only as "p" or "p/q": no decimals, exponents or zero q
+    ("touch-eps-decimal-string",
+     lambda: covering.facet_touch_set(construct_standard("cube", 2), [(0, 0)], "0.1"),
+     InputError, 'eps must be an integer or "p/q" string, got \'0.1\''),
+    ("touch-eps-zero-denominator",
+     lambda: covering.facet_touch_set(construct_standard("cube", 2), [(0, 0)], "1/0"),
+     InputError, "eps: Fraction(1, 0)"),
+    ("perturb-budget-exponent-string",
+     lambda: polytope.perturb(construct_standard("cube", 2), "1e-2"),
+     InputError, 'budget must be an integer or "p/q" string, got \'1e-2\''),
     ("near-eps-float",
      lambda: covering.Sample(((Fraction(0),),)).near(construct_standard("cube", 1), 0.25),
      InputError, "eps must be an int or a Fraction, got 0.25"),
@@ -113,6 +132,13 @@ def test_refusal(call, exc, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is exc
+
+
+def test_exact_reads_p_over_q_strings():
+    assert polytope.exact("1/4", "eps") == Fraction(1, 4)
+    assert polytope.exact("-1/4", "eps") == Fraction(-1, 4)
+    assert polytope.exact("7", "eps") == 7
+    assert polytope.exact(Fraction(2, 3), "eps") == Fraction(2, 3)
 
 
 def test_perturb_out_of_retries(monkeypatch):

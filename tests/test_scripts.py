@@ -143,6 +143,13 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "argv": args, "m
 """
 
 
+def _git(checkout, *args):
+    return subprocess.run(
+        ["git", "-C", str(checkout), "-c", "user.name=canned", "-c", "user.email=canned@example.org",
+         *args], check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
 def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
     """After the untraced pairs, each side runs once with --trace 1 on the
     first seed, and both result lines go under the workload's "traced"."""
@@ -151,6 +158,9 @@ def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
         run = tmp_path / side / "perfbench" / "run.py"
         run.parent.mkdir(parents=True)
         run.write_text(CANNED_RUN.replace("SPEED", str(speed)))
+        _git(tmp_path / side, "init", "-q")
+        _git(tmp_path / side, "add", "-A")
+        _git(tmp_path / side, "commit", "-q", "-m", f"canned {side}")
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 0.5,
         "end_to_end": [{"name": "items_per_ref_s", "better": "higher"}],
@@ -158,7 +168,9 @@ def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
     out = tmp_path / "BENCH.json"
     bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                       "--workload", "lattice_suite", "--seeds", "7-9", "--out", str(out)])
-    entry = json.loads(out.read_text())["workloads"]["lattice_suite"]
+    doc = json.loads(out.read_text())
+    assert doc["parent"] == _git(tmp_path / "parent", "rev-parse", "HEAD")
+    entry = doc["workloads"]["lattice_suite"]
     assert [pair["seed"] for pair in entry["pairs"]] == [7, 8, 9]
     assert all(pair[side]["argv"][-2:] == ["--trace", "0"]
                for pair in entry["pairs"] for side in ("parent", "change"))
@@ -169,3 +181,22 @@ def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
                                         "--seconds", "0.5", "--trace", "1"]
         assert traced[side]["metrics"]["items_per_ref_s"]["value"] == speed
     assert entry["summary"]["items_per_ref_s"]["pairs_change_better"] == "3/3"
+
+
+def test_bench_pairs_refuses_a_parent_that_is_not_a_git_checkout(tmp_path):
+    """A parent copied without its .git stops the script before the first
+    pair, naming the checkout, instead of writing an unknown parent."""
+    bench_pairs = _bench_pairs()
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 0.5,
+        "end_to_end": [{"name": "items_per_ref_s", "better": "higher"}],
+    }))
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="is not a git checkout.*git worktree add") as info:
+        bench_pairs.main(["--parent", str(parent), "--change", str(tmp_path / "change"),
+                          "--workload", "lattice_suite", "--seeds", "7-8", "--out", str(out)])
+    assert str(info.value).startswith(str(parent))
+    assert not out.exists()
