@@ -13,9 +13,13 @@ per-layer result lines show where the time went.  The results go into the
 in the layout of the committed BENCH_<pr>.json files: every pair's result
 lines, the traced result lines under "traced", and per end-to-end metric the
 medians, the quartiles and the number of pairs in which the change reads
-better.  Keys written by hand ("claim", "notes", "limits") are kept.  The
-parent must be a git checkout: its commit, resolved before the first pair,
-goes into the file as "parent".  Uses the standard library only.
+better, and under "failures" each side's attempted and failed items over
+the pairs with the failed share.  Keys written by hand ("claim", "notes",
+"limits") are kept.  The parent must be a git checkout: its commit, resolved
+before the first pair, goes into the file as "parent".  After writing the
+file the script exits nonzero if any run reads "correct": false or the
+change fails a larger share of its items than the parent.  Uses the
+standard library only.
 """
 
 import argparse
@@ -92,6 +96,18 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
+def failures(pairs: list) -> dict:
+    """Per side of the result lines in pairs: the attempted and failed items
+    summed over the pairs and the failed share of them."""
+    out = {}
+    for side in ("parent", "change"):
+        attempted = sum(pair[side]["attempted"] for pair in pairs)
+        failed = sum(pair[side]["failed"] for pair in pairs)
+        out[side] = {"attempted": attempted, "failed": failed,
+                     "failed_share": round(failed / attempted, 6) if attempted else 0.0}
+    return out
+
+
 def _head(checkout: str) -> str:
     """The commit checked out at the top of the git checkout `checkout`.
 
@@ -152,17 +168,29 @@ def main(argv=None):
                 f"Python {platform.python_version()}",
     })
     workloads = doc.setdefault("workloads", {})
+    failed = failures(pairs)
     workloads[args.workload] = {
         "seeds": [pair["seed"] for pair in pairs],
         "all_correct": all(pair[side]["correct"] for pair in pairs for side in checkouts),
         "pairs": pairs,
         "traced": traced,
         "summary": summarize(pairs, better),
+        "failures": failed,
     }
     doc["workloads"] = dict(sorted(workloads.items()))
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+    wrong = [f"{side} seed {run['seed']}{' (traced)' if run is traced else ''}"
+             for run in pairs + [traced] for side in checkouts if not run[side]["correct"]]
+    if wrong:
+        sys.exit(f"{args.workload}: runs read correct: false: {', '.join(wrong)}")
+    parent_side, change_side = failed["parent"], failed["change"]
+    if change_side["failed"] * parent_side["attempted"] > parent_side["failed"] * change_side["attempted"]:
+        sys.exit(f"{args.workload}: the change fails {change_side['failed']} of"
+                 f" {change_side['attempted']} items, the parent {parent_side['failed']} of"
+                 f" {parent_side['attempted']}")
 
 
 if __name__ == "__main__":

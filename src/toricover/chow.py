@@ -9,12 +9,16 @@ built from its facet normals, so the product is a polynomial in the
 coefficients with no shift, search over multiples or cap.  The sum is taken
 in integers: the normals are primitive integer vectors, so one fraction-free
 elimination per vertex cone gives its edge weights as an integer vector a_v
-over the cone's determinant d_v.  A term has degree n in the weights above
-the bar and below it, so d_v cancels and the term reads
-prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}) with every divisor cleared to
-integer numerators once per query.  Simple non-Delzant
+over the cone's determinant d_v.  Those eliminations depend only on the
+polytope, so they run once per polytope and are kept on it
+(SimplePolytope.vertex_cones); a query only clears its divisors to integer
+numerators.  A term has degree n in the weights above the bar and below it,
+so d_v cancels and the term reads
+prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}).  Simple non-Delzant
 polytopes come out with rational (orbifold) intersection numbers
-automatically; no extra bookkeeping is done for them.
+automatically; no extra bookkeeping is done for them.  Principal divisors,
+and with them the avoidance certificates, are built in integers too: v is
+cleared once and each flux is one integer dot product over v's scale.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .polytope import (
     InputError,
     NotSimpleError,
     SimplePolytope,
+    exact,
     solve_region_vertices,
 )
 
@@ -166,8 +171,19 @@ def presentation(p: SimplePolytope) -> RingPresentation:
 
 
 def principal_divisor(p: SimplePolytope, v) -> Divisor:
-    """The divisor of fluxes <u_F, v> of the constant vector field v."""
-    return Divisor(tuple(sum(map(mul, u, v), Fraction(0)) for u in p.normals))
+    """The divisor of fluxes <u_F, v> of the constant vector field v.
+
+    Each entry of v is read by polytope.exact, so a float, a bool or a
+    malformed string raises InputError naming v.
+    """
+    return _flux_divisor(p, [exact(x, "v") for x in v])
+
+
+def _flux_divisor(p: SimplePolytope, v) -> Divisor:
+    """principal_divisor of a vector of ints and Fractions: v is cleared once
+    to x / s with x integer, and each flux is <u_F, x> / s."""
+    x, s = linalg.int_row(v)
+    return Divisor(tuple(Fraction(sum(map(mul, u, x)), s) for u in p.normals))
 
 
 def is_principal(p: SimplePolytope, d: Divisor):
@@ -278,23 +294,16 @@ def intersection_number(query: IntersectionQuery) -> Fraction:
 
     The sum is taken in integers.  U_v and xi are integer, so one
     int_cramer call gives w_v = a_v / d_v with a_v integer and d_v = det U_v.
+    Those calls and the xi search depend only on the polytope: they run once
+    per polytope, in SimplePolytope.vertex_cones, and every later query on
+    the same polytope object reads them from there.
     The term is homogeneous of degree n over degree n in w, so d_v cancels
     from the weights and the term is
         prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}).
     Each divisor is cleared once to integer numerators c_j = s_j D_j, and
     the product of the scales s_j divides the total once at the end.
     """
-    p = query.polytope
-    n = p.dim
-    facet_sets = [sorted(v.facets) for v in p.vertices]
-    transposed = [list(zip(*(p.normals[f] for f in facets))) for facets in facet_sets]
-
-    for t in itertools.count(1):
-        xi = [t ** k for k in range(n)]
-        cones = [linalg.int_cramer(u, xi) for u in transposed]
-        if all(all(a) for a, _ in cones):
-            break
-
+    facet_sets, cones = query.polytope.vertex_cones
     cleared = [linalg.int_row(d.coeffs) for d in query.divisors]
     total = Fraction(0)
     for facets, (a, d) in zip(facet_sets, cones):
@@ -329,5 +338,5 @@ def avoidance_certificate(p: SimplePolytope, h: Divisor, touched):
     v = linalg.solve(rows, rhs)
     if v is None:
         return None
-    return h + principal_divisor(p, v)
+    return h + _flux_divisor(p, v)
 

@@ -39,10 +39,14 @@ JSON_TYPES = {
 
 def frac_from_str(s) -> Fraction:
     """A rational from a JSON integer or a "p/q" string of ASCII digits with
-    an optional minus sign; floats, decimals and exponents are refused."""
+    an optional minus sign; floats, decimals and exponents are refused, and
+    so are q = 0 and more digits than int() reads, all as InputError."""
     if type(s) is not int and not (isinstance(s, str) and RATIONAL.fullmatch(s)):
         raise InputError(f'rationals must be integers or "p/q" strings, got {s!r}')
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(str(exc)) from None
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -99,7 +103,7 @@ def _points(value, path: str) -> list:
 def _frac(value, path: str) -> Fraction:
     try:
         return frac_from_str(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 

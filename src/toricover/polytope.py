@@ -22,6 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from . import linalg
@@ -116,6 +117,28 @@ class SimplePolytope:
     def incidence_pattern(self):
         """The combinatorial type: set of vertex incidence sets."""
         return frozenset(v.facets for v in self.vertices)
+
+    @cached_property
+    def vertex_cones(self):
+        """(facet_sets, cones): the data of the vertex localization, built
+        once per polytope and kept on it (chow.intersection_number reads it).
+
+        facet_sets[i] is the sorted tuple of vertex i's facet ids.  With U
+        the matrix of those facets' normals as rows, cones[i] is (a, d): the
+        integer a with U^T a = d xi and d = det U^T, from one int_cramer
+        call, so the edge weights of the cone are a / d.  xi is the first
+        (1, t, t^2, ...) with t = 1, 2, ... at which no weight of any cone
+        vanishes; each weight is a nonzero polynomial of degree < n in t, so
+        the search is finite.  The value depends only on the normals and the
+        facet sets, is not a field, and leaves ==, hash and repr alone.
+        """
+        facet_sets = tuple(tuple(sorted(v.facets)) for v in self.vertices)
+        transposed = [list(zip(*(self.normals[f] for f in facets))) for facets in facet_sets]
+        for t in itertools.count(1):
+            xi = [t ** k for k in range(self.dim)]
+            cones = [linalg.int_cramer(u, xi) for u in transposed]
+            if all(all(a) for a, _ in cones):
+                return facet_sets, tuple((tuple(a), d) for a, d in cones)
 
     def translate(self, shift) -> "SimplePolytope":
         """The polytope P - shift (so that `shift` maps to the origin)."""

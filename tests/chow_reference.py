@@ -1,5 +1,6 @@
 """The Fraction localization, kept as a reference oracle for the integer
-route in toricover.chow.intersection_number.
+route in toricover.chow.intersection_number, and the Fraction flux sum, kept
+as one for the integer toricover.chow.principal_divisor.
 
 Every vertex term is built over Fraction from a plain Gaussian elimination
 written here, not from toricover.linalg: the edge weights w_v solve
@@ -12,6 +13,7 @@ searches xi = (1, t, t^2, ...) from t = 2 rather than the library's t = 1.
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 
 def fraction_solve(rows, rhs):
@@ -56,3 +58,8 @@ def fraction_intersection_number(p, divisors) -> Fraction:
             num *= sum(wi * Fraction(d.coeffs[f]) for wi, f in zip(w, facets))
         total += num / (abs(det) * math.prod(w))
     return total
+
+
+def fraction_principal_coeffs(p, v) -> tuple:
+    """The fluxes <u_F, v> of v, each summed into a Fraction(0)."""
+    return tuple(sum(map(mul, u, v), Fraction(0)) for u in p.normals)

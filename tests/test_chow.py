@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from toricover import (
     self_intersection_top,
     volume,
 )
+from toricover import linalg
 from toricover.chow import is_nef_certified
 
 import chow_reference
@@ -156,6 +158,19 @@ class TestPrincipal:
 
     def test_not_principal(self, q2):
         assert is_principal(q2, Divisor.on_facet(q2, 0)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["Q2", "S3", "P112", "pQ3"]), st.data())
+    def test_integer_fluxes_match_the_fraction_sum(self, shape, data):
+        p = ORACLE_SHAPES[shape]()
+        v = tuple(data.draw(wild_rationals) for _ in range(p.dim))
+        got = principal_divisor(p, v).coeffs
+        assert all(type(c) is Fraction for c in got)
+        assert got == chow_reference.fraction_principal_coeffs(p, v)
+
+    def test_flux_reads_ints_and_p_over_q_strings(self, q2):
+        assert principal_divisor(q2, ("1/2", 1)) == principal_divisor(q2, (Fraction(1, 2), 1))
+        assert principal_divisor(q2, (3, -2)).coeffs == (3, -3, -2, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(st.tuples(small_rationals, small_rationals))
@@ -427,6 +442,74 @@ class TestIntegerLocalizationAgainstFractionRoute:
         ints = Divisor(tuple(range(-2, 4)))
         self.check(q3, (ints, ints, ints))
         self.check(q3, (ints, Divisor.zero(q3), ints))
+
+
+def xi_of(p):
+    """The xi of p's vertex cones, read back from the first cone: U^T a = d xi."""
+    (facets, *_), ((a, d), *_) = p.vertex_cones
+    rows = zip(*(p.normals[f] for f in facets))
+    return tuple(Fraction(sum(x * y for x, y in zip(row, a)), d) for row in rows)
+
+
+class TestVertexConesKeptOnThePolytope:
+    """SimplePolytope.vertex_cones is built on the first query and read by
+    every later one on the same polytope object."""
+
+    def test_second_query_makes_no_elimination(self, monkeypatch):
+        p = construct_standard("cube", 3)
+        calls = []
+        solve = linalg.int_cramer
+
+        def counted(rows, rhs):
+            calls.append(rhs)
+            return solve(rows, rhs)
+
+        monkeypatch.setattr(linalg, "int_cramer", counted)
+        h = ample_from_offsets(p)
+        first = self_intersection_top(p, h)
+        assert len(calls) == len(p.vertices)
+        calls.clear()
+        assert self_intersection_top(p, h) == first == 6
+        for facets in [(0, 2, 4), (1, 3, 5), (0, 0, 2)]:
+            intersection_number(IntersectionQuery(p, tuple(Divisor.on_facet(p, f) for f in facets)))
+        assert calls == []
+
+    def test_cached_value_is_immutable_and_no_field(self, q3):
+        copy = construct_standard("cube", 3)
+        facet_sets, cones = q3.vertex_cones
+        assert q3.vertex_cones is q3.vertex_cones
+        assert type(facet_sets) is tuple and all(type(s) is tuple for s in facet_sets)
+        assert type(cones) is tuple and all(type(a) is tuple for a, _ in cones)
+        # the cache is not a field: equality, hash, repr and asdict ignore it
+        assert q3 == copy and hash(q3) == hash(copy) and repr(q3) == repr(copy)
+        assert "vertex_cones" not in dataclasses.asdict(q3)
+        assert "vertex_cones" not in repr(q3)
+
+    @pytest.mark.parametrize("shape", list(ORACLE_SHAPES) + ["translated pQ3"])
+    def test_repeated_queries_match_the_fraction_route(self, shape):
+        if shape == "translated pQ3":
+            p = ORACLE_SHAPES["pQ3"]().translate((Fraction(1, 3), Fraction(-2), Fraction(5, 7)))
+        else:
+            p = ORACLE_SHAPES[shape]()
+        rng = random.Random(shape)
+        queries = [(ample_from_offsets(p),) * p.dim]
+        queries += [random_divisors(p, rng) for _ in range(4)]
+        queries += [tuple(Divisor.on_facet(p, f) for f in facets)
+                    for facets in itertools.combinations(p.facet_ids(), p.dim)]
+        for divisors in queries:
+            TestIntegerLocalizationAgainstFractionRoute.check(p, divisors)
+
+    def test_translate_keeps_the_cones(self):
+        p = ORACLE_SHAPES["pS3"]()
+        moved = p.translate((Fraction(1, 2), Fraction(1, 3), Fraction(-1)))
+        assert moved.vertex_cones == p.vertex_cones
+
+    def test_xi_search_past_t_1(self):
+        # the slant edge of the triangle runs along (1, -1), so xi = (1, 1)
+        # gives it weight 0 and the search moves on to t = 2; the triangle is
+        # ORACLE_SHAPES["S2"], checked against the Fraction route above
+        assert xi_of(ORACLE_SHAPES["S2"]()) == (1, 2)
+        assert xi_of(construct_standard("cube", 2)) == (1, 1)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricover import cli, covering, harness, polytope
+from toricover import chow, cli, covering, harness, jsonio, polytope
 from toricover.covering import LatticeModel, PointSet, RefinementPiece
 from toricover.harness import BadResolutionError, SuiteConfig
 from toricover.polytope import (
@@ -26,6 +26,16 @@ SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
 def cube(n, r):
     return LatticeModel("cube", n, r)
+
+
+def digit_limit_message(digits):
+    """Python's own message for an int() past its digit limit; its wording
+    differs between Python versions."""
+    try:
+        int("9" * digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{digits} digits are within the limit")
 
 
 def square_cover():
@@ -123,6 +133,24 @@ REFUSALS = [
      InputError, "eps must be an int or a Fraction, got 0.25"),
     ("moment-kind", lambda: polytope.moment_map_eval("cp2", []),
      InputError, "unknown moment map kind: 'cp2'"),
+    # a flux vector is read like eps: exactly, or refused naming v
+    ("principal-v-float",
+     lambda: chow.principal_divisor(construct_standard("cube", 2), (0.5, 1)),
+     InputError, "v must be an int or a Fraction, got 0.5"),
+    ("principal-v-bool",
+     lambda: chow.principal_divisor(construct_standard("cube", 2), (1, True)),
+     InputError, "v must be an int or a Fraction, got True"),
+    ("principal-v-decimal-string",
+     lambda: chow.principal_divisor(construct_standard("cube", 2), ("0.5", 1)),
+     InputError, 'v must be an integer or "p/q" string, got \'0.5\''),
+    ("principal-v-zero-denominator",
+     lambda: chow.principal_divisor(construct_standard("cube", 2), (1, "1/0")),
+     InputError, "v: Fraction(1, 0)"),
+    # the JSON reader refuses what Fraction itself refuses, as InputError
+    ("frac-zero-denominator", lambda: jsonio.frac_from_str("1/0"),
+     InputError, "Fraction(1, 0)"),
+    ("frac-past-digit-limit", lambda: jsonio.frac_from_str("9" * 5000),
+     InputError, digit_limit_message(5000)),
 ]
 
 

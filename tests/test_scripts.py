@@ -113,6 +113,8 @@ def test_bench_pairs_summary_reproduces_a_committed_file(name):
         workloads = json.load(fh)["workloads"]
     for entry in workloads.values():
         assert bench_pairs.summarize(entry["pairs"], better) == entry["summary"]
+        if "failures" in entry:  # written since the script began recording them
+            assert bench_pairs.failures(entry["pairs"]) == entry["failures"]
         assert entry["all_correct"]
         for pair in entry["pairs"]:
             assert pair["parent"]["failed"] == 0 and pair["change"]["failed"] == 0
@@ -138,7 +140,7 @@ def test_bench_pairs_run_one_stops_on_a_failed_run(tmp_path):
 CANNED_RUN = """import json, sys
 args = sys.argv[1:]
 seed = int(args[args.index("--seed") + 1])
-print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "argv": args, "metrics": {
+print(json.dumps({"correct": CORRECT, "attempted": 4, "failed": FAILED, "argv": args, "metrics": {
     "items_per_ref_s": {"value": seed + SPEED, "unit": "1/ref_s"}}}))
 """
 
@@ -150,14 +152,16 @@ def _git(checkout, *args):
     ).stdout.strip()
 
 
-def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
-    """After the untraced pairs, each side runs once with --trace 1 on the
-    first seed, and both result lines go under the workload's "traced"."""
-    bench_pairs = _bench_pairs()
-    for side, speed in (("parent", 0), ("change", 100)):
+def _canned_pairs(tmp_path, failed=(0, 0), correct=(True, True)):
+    """bench_pairs.main on two git checkouts whose perfbench/run.py prints a
+    canned result line: the parent reads seed + 0, the change seed + 100,
+    and each side fails its entry of `failed` of 4 items per run.  Returns
+    the --out path and the SystemExit main raised, or None."""
+    for side, speed, fails, ok in zip(("parent", "change"), (0, 100), failed, correct):
         run = tmp_path / side / "perfbench" / "run.py"
         run.parent.mkdir(parents=True)
-        run.write_text(CANNED_RUN.replace("SPEED", str(speed)))
+        run.write_text(CANNED_RUN.replace("SPEED", str(speed)).replace("FAILED", str(fails))
+                       .replace("CORRECT", str(ok)))
         _git(tmp_path / side, "init", "-q")
         _git(tmp_path / side, "add", "-A")
         _git(tmp_path / side, "commit", "-q", "-m", f"canned {side}")
@@ -166,8 +170,20 @@ def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
         "end_to_end": [{"name": "items_per_ref_s", "better": "higher"}],
     }))
     out = tmp_path / "BENCH.json"
-    bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-                      "--workload", "lattice_suite", "--seeds", "7-9", "--out", str(out)])
+    bench_pairs = _bench_pairs()
+    try:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                          "--workload", "lattice_suite", "--seeds", "7-9", "--out", str(out)])
+    except SystemExit as exc:
+        return out, exc
+    return out, None
+
+
+def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
+    """After the untraced pairs, each side runs once with --trace 1 on the
+    first seed, and both result lines go under the workload's "traced"."""
+    out, stopped = _canned_pairs(tmp_path)
+    assert stopped is None
     doc = json.loads(out.read_text())
     assert doc["parent"] == _git(tmp_path / "parent", "rev-parse", "HEAD")
     entry = doc["workloads"]["lattice_suite"]
@@ -181,6 +197,39 @@ def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
                                         "--seconds", "0.5", "--trace", "1"]
         assert traced[side]["metrics"]["items_per_ref_s"]["value"] == speed
     assert entry["summary"]["items_per_ref_s"]["pairs_change_better"] == "3/3"
+    assert entry["failures"] == {
+        side: {"attempted": 12, "failed": 0, "failed_share": 0.0} for side in ("parent", "change")
+    }
+
+
+@pytest.mark.parametrize("failed", [(0, 1), (1, 2)])
+def test_bench_pairs_stops_when_the_change_fails_a_larger_share(tmp_path, failed):
+    """The file is still written, with both sides' failure totals, and then
+    the script exits naming the two counts."""
+    out, stopped = _canned_pairs(tmp_path, failed=failed)
+    parent, change = (3 * f for f in failed)
+    assert str(stopped) == (f"lattice_suite: the change fails {change} of 12 items,"
+                            f" the parent {parent} of 12")
+    entry = json.loads(out.read_text())["workloads"]["lattice_suite"]
+    assert entry["failures"]["change"] == {
+        "attempted": 12, "failed": change, "failed_share": round(change / 12, 6)}
+    assert entry["failures"]["parent"]["failed"] == parent
+
+
+def test_bench_pairs_accepts_an_equal_or_smaller_failed_share(tmp_path):
+    out, stopped = _canned_pairs(tmp_path, failed=(2, 1))
+    assert stopped is None
+    assert json.loads(out.read_text())["workloads"]["lattice_suite"]["failures"]["parent"] == {
+        "attempted": 12, "failed": 6, "failed_share": 0.5}
+
+
+def test_bench_pairs_stops_on_an_incorrect_run(tmp_path):
+    """A run reading correct: false stops the script after the file is
+    written, naming every such run, the traced one included."""
+    out, stopped = _canned_pairs(tmp_path, correct=(True, False))
+    assert str(stopped) == ("lattice_suite: runs read correct: false: change seed 7,"
+                            " change seed 8, change seed 9, change seed 7 (traced)")
+    assert json.loads(out.read_text())["workloads"]["lattice_suite"]["all_correct"] is False
 
 
 def test_bench_pairs_refuses_a_parent_that_is_not_a_git_checkout(tmp_path):
