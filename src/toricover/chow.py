@@ -16,9 +16,17 @@ numerators.  A term has degree n in the weights above the bar and below it,
 so d_v cancels and the term reads
 prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}).  Simple non-Delzant
 polytopes come out with rational (orbifold) intersection numbers
-automatically; no extra bookkeeping is done for them.  Principal divisors,
-and with them the avoidance certificates, are built in integers too: v is
-cleared once and each flux is one integer dot product over v's scale.
+automatically; no extra bookkeeping is done for them.
+
+The other constructions run in integers too, with one Fraction built per
+returned coefficient.  A principal divisor clears v once, so each flux is
+one integer dot product over v's scale.  The ample class reads the vertex
+centroid as one integer vector over one denominator
+(SimplePolytope.cleared_centroid).  An avoidance certificate clears H once
+and takes its flux vector from linalg.int_solve, an integer solution over
+one pivot.  A divisor handed to IntersectionQuery, avoidance_certificate,
+is_principal or linearly_equivalent must be exactly one int or Fraction per
+facet, and InputError names it otherwise.
 """
 
 from __future__ import annotations
@@ -101,6 +109,31 @@ class IntersectionQuery:
             raise InputError(
                 f"need exactly {self.polytope.dim} divisors, got {len(self.divisors)}"
             )
+        for i, d in enumerate(self.divisors):
+            _check_divisor(self.polytope, d, "divisors", i)
+
+
+def _check_divisor(p: SimplePolytope, d: Divisor, name: str, index=None) -> None:
+    """Refuse a divisor that is not exactly one int or Fraction per facet of
+    p, naming it name, or name[index] when an index is given: a bool or
+    float is no exact coefficient, and a short or long divisor would be cut
+    to the facets silently.  The accepted case is one length test and one
+    type pass, with the message built only on refusal."""
+    coeffs = d.coeffs
+    if len(coeffs) == len(p.normals):
+        for c in coeffs:
+            if type(c) is not Fraction and type(c) is not int:
+                break
+        else:
+            return
+    if index is not None:
+        name = f"{name}[{index}]"
+    if len(coeffs) != len(p.normals):
+        raise InputError(
+            f"{name} must have one coefficient per facet ({len(p.normals)}), got {len(coeffs)}"
+        )
+    bad = next(c for c in coeffs if type(c) is not Fraction and type(c) is not int)
+    raise InputError(f"{name} coefficients must be ints or Fractions, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -173,25 +206,29 @@ def presentation(p: SimplePolytope) -> RingPresentation:
 def principal_divisor(p: SimplePolytope, v) -> Divisor:
     """The divisor of fluxes <u_F, v> of the constant vector field v.
 
-    Each entry of v is read by polytope.exact, so a float, a bool or a
-    malformed string raises InputError naming v.
+    v must have one entry per dimension, and each entry is read by
+    polytope.exact, so a float, a bool or a malformed string raises
+    InputError naming v.  v is cleared once to x / s with x integer, and
+    each flux is <u_F, x> / s.
     """
-    return _flux_divisor(p, [exact(x, "v") for x in v])
-
-
-def _flux_divisor(p: SimplePolytope, v) -> Divisor:
-    """principal_divisor of a vector of ints and Fractions: v is cleared once
-    to x / s with x integer, and each flux is <u_F, x> / s."""
-    x, s = linalg.int_row(v)
+    if len(v) != p.dim:
+        raise InputError(f"v must have one entry per dimension ({p.dim}), got {len(v)}")
+    x, s = linalg.int_row([exact(e, "v") for e in v])
     return Divisor(tuple(Fraction(sum(map(mul, u, x)), s) for u in p.normals))
 
 
 def is_principal(p: SimplePolytope, d: Divisor):
-    """A vector v with <u_F, v> = coeff_F for every facet, or None."""
+    """A vector v with <u_F, v> = coeff_F for every facet, or None.  A d
+    that is not one int or Fraction per facet raises InputError naming d."""
+    _check_divisor(p, d, "d")
     return linalg.solve(list(p.normals), list(d.coeffs))
 
 
 def linearly_equivalent(p: SimplePolytope, d1: Divisor, d2: Divisor) -> bool:
+    """Whether d1 - d2 is principal; d1 and d2 are checked as is_principal
+    checks d, since their difference would be cut to the shorter one."""
+    _check_divisor(p, d1, "d1")
+    _check_divisor(p, d2, "d2")
     return is_principal(p, d1 - d2) is not None
 
 
@@ -199,9 +236,12 @@ def ample_from_offsets(p: SimplePolytope) -> Divisor:
     """The ample divisor whose coefficients are the facet offsets of P after
     recentering at the vertex centroid (a strictly interior point, so all
     coefficients come out positive): c_F + <u_F, centroid>, the offsets of
-    P.translate(centroid) without moving the vertices."""
-    centroid = p.vertex_centroid()
-    return Divisor(tuple(sum(map(mul, u, centroid), c) for u, c in zip(p.normals, p.offsets)))
+    P.translate(centroid) without moving the vertices.  The centroid is
+    read in integers, as S / q (SimplePolytope.cleared_centroid), so each
+    coefficient is c_F + <u_F, S> / q."""
+    total, q = p.cleared_centroid()
+    return Divisor(tuple(c + Fraction(sum(map(mul, u, total)), q)
+                         for u, c in zip(p.normals, p.offsets)))
 
 
 def polytope_of_divisor(p: SimplePolytope, d: Divisor) -> Region:
@@ -325,18 +365,26 @@ def avoidance_certificate(p: SimplePolytope, h: Divisor, touched):
 
     H' = H + div(v) where v solves <u_F, v> = -coeff_F(H) for F touched; when
     the system is underdetermined the free components of v are set to zero.
-    A touched id outside 0..m-1 raises InputError.
+    A touched id outside 0..m-1 raises InputError, and so does an h that is
+    not one int or Fraction per facet.
+
+    The solve runs in integers.  H is cleared once to c = s H, so s v
+    solves <u_F, s v> = -c_F, and linalg.int_solve gives s v = x / d.  Each
+    coefficient of H' is then (c_F d + <u_F, x>) / (s d).
     """
+    _check_divisor(p, h, "h")
     touched = sorted(touched)
     if not touched:
         return h
     for f in (touched[0], touched[-1]):
         if not 0 <= f < p.num_facets:
             raise InputError(f"touched facet id {f} not in 0..{p.num_facets - 1}")
-    rows = [p.normals[f] for f in touched]
-    rhs = [-h.coeffs[f] for f in touched]
-    v = linalg.solve(rows, rhs)
-    if v is None:
+    c, s = linalg.int_row(h.coeffs)
+    solved = linalg.int_solve([p.normals[f] for f in touched], [-c[f] for f in touched])
+    if solved is None:
         return None
-    return h + _flux_divisor(p, v)
+    x, d = solved
+    sd = s * d
+    return Divisor(tuple(Fraction(cf * d + sum(map(mul, u, x)), sd)
+                         for u, cf in zip(p.normals, c)))
 

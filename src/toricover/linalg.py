@@ -8,14 +8,19 @@ Gauss-Jordan style) then works on those integer rows: every intermediate entry
 is a minor of the scaled matrix, so each division is exact.  A Fraction is
 built only for the values a public function returns.
 
-int_row clears one row; int_det, int_cramer and int_solve_unique take
-integer rows and return integers, for callers that keep their own
-denominators: polytope's vertex solving and genericity test, and chow's
+int_row clears one row; int_det, int_cramer, int_solve_unique and int_solve
+take integer rows and return integers, for callers that keep their own
+denominators: polytope's vertex solving (int_solve_unique), chow's
 localization, which reads each vertex cone's edge weights and determinant off
-one int_cramer call.
+one int_cramer call, and chow's avoidance certificates, which read one
+particular solution off int_solve.  polytope's genericity test needs no
+elimination: it sweeps all maximal minors by Laplace expansion.  int_det
+serves det and the tests.
 
-Of the Fraction routes, solve_unique and nullspace_vector have no caller in
-the library: they stay because the benchmark's tracer and the tests name them.
+solve is int_solve over rows cleared one by one, with Fractions built for
+the result.  Of the Fraction routes, solve_unique and nullspace_vector have
+no caller in the library: they stay because the benchmark's tracer and the
+tests name them.
 """
 
 from __future__ import annotations
@@ -132,22 +137,41 @@ def rank(rows) -> int:
     return len(_eliminate(a, len(a[0]), reduce=False)[0])
 
 
+def int_solve(rows, rhs):
+    """(x, d) with rows . (x / d) = rhs for an integer system, or None if it
+    is inconsistent.
+
+    The system may be over- or under-determined: x / d is the solution whose
+    free components are 0, read off one reduced elimination.  x is an
+    integer tuple and d the last pivot, nonzero but of either sign (1 when
+    no row has a pivot).  With no rows the solution is () over 1.
+    """
+    if not rows:
+        return (), 1
+    n = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots, d, _ = _eliminate(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
+    x = [0] * n
+    for row, col in zip(aug, pivots):
+        x[col] = row[n]
+    return tuple(x), d
+
+
 def solve(rows, rhs):
     """One rational solution of rows . x = rhs, or None if inconsistent.
 
     The system may be over- or under-determined; free variables are set to 0.
+    Each row is cleared along with its right-hand side, and int_solve solves
+    the cleared system.
     """
-    if not rows:
-        return ()
-    n = len(rows[0])
     aug = [int_row(list(row) + [b])[0] for row, b in zip(rows, rhs)]
-    pivots, d, _ = _eliminate(aug, n)
-    if any(row[n] for row in aug[len(pivots):]):
+    solved = int_solve([row[:-1] for row in aug], [row[-1] for row in aug])
+    if solved is None:
         return None
-    x = [Fraction(0)] * n
-    for row, col in zip(aug, pivots):
-        x[col] = Fraction(row[n], d)
-    return tuple(x)
+    x, d = solved
+    return tuple(Fraction(v, d) for v in x)
 
 
 def solve_unique(rows, rhs):

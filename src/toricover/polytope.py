@@ -5,9 +5,12 @@ integer inward normals and rational offsets.  from_halfspaces solves every
 n-subset of facets for the vertices and reads boundedness off them: every
 edge of a bounded simple polytope has two vertices.  perturb keeps its
 input's combinatorial type and solves only the input's vertex facet sets.
-The solving, the slack signs and the genericity test all run in integers on
-the cleared half-space data (linalg's int_* functions); Fraction is only the
-type of the stored offsets and vertex coordinates.
+The solving and the slack signs run in integers on the cleared half-space
+data (linalg's int_* functions), and the genericity test sweeps every
+maximal minor of the integer normals by Laplace expansion; Fraction is only
+the type of the stored offsets and vertex coordinates.  The vertex centroid
+is read off one integer sum of the cleared vertices (cleared_centroid),
+which chow's ample class reads too.
 
 Facet ids are the integer positions 0..m-1 in the facet list; that ordering is
 the one serialized to JSON and referenced by divisor coefficient maps.
@@ -152,9 +155,20 @@ class SimplePolytope:
 
     def vertex_centroid(self):
         """Average of the vertices: always a strictly interior point."""
-        n = len(self.vertices)
-        columns = zip(*(v.coords for v in self.vertices))
-        return tuple(sum(col, Fraction(0)) / n for col in columns)
+        total, q = self.cleared_centroid()
+        return tuple(Fraction(x, q) for x in total)
+
+    def cleared_centroid(self):
+        """(total, q): the vertex centroid as the integer vector total over
+        q.  Each vertex is cleared by linalg.int_row, the sum is taken over
+        the lcm d of their scales, and q is d times the number of vertices."""
+        rows = [linalg.int_row(v.coords) for v in self.vertices]
+        d = math.lcm(*(s for _, s in rows))
+        total = [0] * self.dim
+        for x, s in rows:
+            f = d // s
+            total = [t + f * a for t, a in zip(total, x)]
+        return total, d * len(rows)
 
 
 def _primitivize(normal, offset):
@@ -339,11 +353,39 @@ def faces(p: SimplePolytope, k: int):
 
 
 def generic_normals_check(p: SimplePolytope) -> bool:
-    """True iff every n-subset of facet normals is linearly independent."""
-    for subset in itertools.combinations(p.normals, p.dim):
-        if linalg.int_det(subset) == 0:
-            return False
-    return True
+    """True iff every n-subset of facet normals is linearly independent.
+
+    All maximal minors come out of one sweep.  Level k maps every k-subset
+    S of facets (a sorted tuple) to the minor of S's normals on the first k
+    columns.  A level-(k+1) minor is the Laplace expansion along its last
+    column, column k counting from 0: the row of the last facet of S
+    carries sign +, the signs alternate towards the first, and each row's
+    entry multiplies the level-k minor of S without that facet.  The minors
+    of all n-subsets share their smaller minors, so each is computed once,
+    in integers and without division; only two levels are alive at a time.
+    """
+    normals = p.normals
+    ids = range(len(normals))
+    minors = {(f,): u[0] for f, u in zip(ids, normals)}
+    for k in range(1, p.dim):
+        column = [u[k] for u in normals]
+        level = {}
+        for s in itertools.combinations(ids, k + 1):
+            # combinations(s, k) drops the last facet of s first, then the
+            # one before it, and so on: the order of reversed(s)
+            total = 0
+            negate = False
+            for f, rest in zip(reversed(s), itertools.combinations(s, k)):
+                c = column[f]
+                if c:
+                    if negate:
+                        total -= c * minors[rest]
+                    else:
+                        total += c * minors[rest]
+                negate = not negate
+            level[s] = total
+        minors = level
+    return all(minors.values())
 
 
 PERTURB_MAX_RETRIES = 32

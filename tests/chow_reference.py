@@ -1,10 +1,13 @@
-"""The Fraction localization, kept as a reference oracle for the integer
-route in toricover.chow.intersection_number, and the Fraction flux sum, kept
-as one for the integer toricover.chow.principal_divisor.
+"""Fraction routes kept as reference oracles for the integer routes of
+toricover: the localization for chow.intersection_number, the flux sum for
+chow.principal_divisor, the centroid and ample class for
+chow.ample_from_offsets, the certificate for chow.avoidance_certificate
+and one determinant per normal subset for polytope.generic_normals_check.
+Every elimination here is a plain Gaussian elimination over Fraction
+written in this file, not toricover.linalg.
 
-Every vertex term is built over Fraction from a plain Gaussian elimination
-written here, not from toricover.linalg: the edge weights w_v solve
-U_v^T w = xi, and the term is
+In the localization the edge weights w_v solve U_v^T w = xi, and the
+vertex term is
     prod_j <w_v, D_j|_v> / (|det U_v| prod_i w_{v,i}).
 The sum does not depend on xi as long as no weight vanishes, so this route
 searches xi = (1, t, t^2, ...) from t = 2 rather than the library's t = 1.
@@ -63,3 +66,64 @@ def fraction_intersection_number(p, divisors) -> Fraction:
 def fraction_principal_coeffs(p, v) -> tuple:
     """The fluxes <u_F, v> of v, each summed into a Fraction(0)."""
     return tuple(sum(map(mul, u, v), Fraction(0)) for u in p.normals)
+
+
+def subset_generic_normals(p) -> bool:
+    """Every n-subset of p's normals independent, by one Fraction elimination
+    per subset: the route toricover.polytope.generic_normals_check replaced
+    by its sweep of minors."""
+    zeros = [0] * p.dim
+    return all(fraction_solve(list(s), zeros)[1]
+               for s in itertools.combinations(p.normals, p.dim))
+
+
+def fraction_centroid(p) -> tuple:
+    """The vertex centroid, each coordinate summed into a Fraction(0)."""
+    count = len(p.vertices)
+    return tuple(sum(col, Fraction(0)) / count for col in zip(*(v.coords for v in p.vertices)))
+
+
+def fraction_ample_coeffs(p) -> tuple:
+    """c_F + <u_F, centroid>, with the centroid and the products in Fraction."""
+    centroid = fraction_centroid(p)
+    return tuple(sum(map(mul, u, centroid), c) for u, c in zip(p.normals, p.offsets))
+
+
+def fraction_rref_solve(rows, rhs):
+    """The solution of rows . x = rhs with free components 0, by reduced
+    row echelon form over Fraction; None if the system is inconsistent."""
+    n = len(rows[0])
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(n):
+        r0 = len(pivots)
+        pivot = next((r for r in range(r0, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[r0], a[pivot] = a[pivot], a[r0]
+        inv = 1 / a[r0][col]
+        a[r0] = [v * inv for v in a[r0]]
+        for r in range(len(a)):
+            if r != r0 and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[r0])]
+        pivots.append(col)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in zip(a, pivots):
+        x[col] = row[n]
+    return tuple(x)
+
+
+def fraction_certificate(p, h_coeffs, touched):
+    """H + div(v) with <u_F, v> = -H_F on the touched facets, free
+    components of v 0, all in Fraction; H itself for no touched facet and
+    None if the system is inconsistent."""
+    touched = sorted(touched)
+    if not touched:
+        return tuple(h_coeffs)
+    v = fraction_rref_solve([p.normals[f] for f in touched], [-h_coeffs[f] for f in touched])
+    if v is None:
+        return None
+    return tuple(a + b for a, b in zip(h_coeffs, fraction_principal_coeffs(p, v)))

@@ -30,6 +30,7 @@ from toricover import (
 )
 from toricover import linalg
 from toricover.chow import is_nef_certified
+from toricover.polytope import SimplePolytope, generic_normals_check
 
 import chow_reference
 
@@ -593,3 +594,105 @@ class TestAvoidanceCertificates:
         scaled = avoidance_certificate(p, scale * h, touched)
         assert cert is not None and scaled is not None
         assert scaled.coeffs == tuple(scale * c for c in cert.coeffs)
+
+
+# the perturbed shapes the sample lab runs on, n = 2..5, and translated copies
+PERTURBED_SHAPES = {
+    f"p{letter}{n}": (lambda kind=kind, n=n: perturb(
+        construct_standard(kind, n), Fraction(1, 100), seed=n))
+    for kind, letter in (("cube", "Q"), ("simplex", "S")) for n in range(2, 6)
+}
+SHAPES_BOTH_ROUTES = {
+    **ORACLE_SHAPES,
+    **PERTURBED_SHAPES,
+    "translated pQ4": lambda: PERTURBED_SHAPES["pQ4"]().translate(
+        (Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(0))),
+    "translated S3": lambda: construct_standard("simplex", 3).translate(
+        (Fraction(-1, 2), Fraction(3), Fraction(1, 9))),
+}
+
+
+@st.composite
+def normal_matrices(draw):
+    """m >= n integer normals in dimension n = 1..5, some repeated, some
+    parallel to an earlier one and some zero, so that zero minors occur."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=n, max_value=n + 3))
+    entry = st.integers(min_value=-3, max_value=3)
+    normals = [tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(m)]
+    for i in range(1, m):
+        how = draw(st.sampled_from(["keep", "keep", "keep", "repeat", "parallel"]))
+        j = draw(st.integers(min_value=0, max_value=i - 1))
+        if how == "repeat":
+            normals[i] = normals[j]
+        elif how == "parallel":
+            k = draw(st.sampled_from([-2, -1, 2, 3]))
+            normals[i] = tuple(k * x for x in normals[j])
+    return n, tuple(normals)
+
+
+class TestIntegerRoutesAgainstFractionRoutes:
+    """The sweep of minors, the integer ample class and the integer
+    certificates against the Fraction routes of tests/chow_reference.py, by
+    exact equality, types included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(normal_matrices())
+    def test_genericity_on_random_normals(self, drawn):
+        n, normals = drawn
+        # the check reads only the dimension and the normals
+        p = SimplePolytope(n, normals, (), ())
+        assert generic_normals_check(p) is chow_reference.subset_generic_normals(p)
+
+    def test_random_normals_reach_both_answers(self):
+        square = SimplePolytope(2, ((1, 0), (0, 1), (1, 1)), (), ())
+        parallel = SimplePolytope(2, ((1, 0), (0, 1), (-2, 0)), (), ())
+        assert generic_normals_check(square) and chow_reference.subset_generic_normals(square)
+        assert not generic_normals_check(parallel)
+        assert not chow_reference.subset_generic_normals(parallel)
+
+    @pytest.mark.parametrize("shape", list(SHAPES_BOTH_ROUTES))
+    def test_genericity_and_ample_class(self, shape):
+        p = SHAPES_BOTH_ROUTES[shape]()
+        assert generic_normals_check(p) is chow_reference.subset_generic_normals(p)
+        centroid = p.vertex_centroid()
+        assert centroid == chow_reference.fraction_centroid(p)
+        assert all(type(x) is Fraction for x in centroid)
+        coeffs = ample_from_offsets(p).coeffs
+        assert coeffs == chow_reference.fraction_ample_coeffs(p)
+        assert all(type(c) is Fraction for c in coeffs)
+
+    @pytest.mark.parametrize("shape", list(SHAPES_BOTH_ROUTES))
+    def test_certificates_on_every_touched_subset(self, shape):
+        p = SHAPES_BOTH_ROUTES[shape]()
+        rng = random.Random(shape)
+        divisors = [ample_from_offsets(p)]
+        divisors += [random_divisors(p, rng)[0] for _ in range(2)]
+        # integer coefficients, as a caller may build them
+        divisors.append(Divisor(tuple(rng.randint(-3, 3) for _ in p.facet_ids())))
+        # up to n + 1 facets: inconsistent systems start at n + 1 for a
+        # generic polytope and at 2 for the cube's parallel facets; below
+        # n facets every system is underdetermined
+        sizes = range(min(p.dim + 1, p.num_facets) + 1)
+        subsets = [t for k in sizes for t in itertools.combinations(p.facet_ids(), k)]
+        if len(subsets) > 200:
+            subsets = rng.sample(subsets, 200)
+        for h in divisors:
+            for touched in subsets:
+                got = avoidance_certificate(p, h, touched)
+                want = chow_reference.fraction_certificate(p, h.coeffs, touched)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got.coeffs == want
+                if touched:
+                    assert all(type(c) is Fraction for c in got.coeffs)
+                    assert all(got.coeffs[f] == 0 for f in touched)
+
+    def test_inconsistent_and_underdetermined_both_occur(self):
+        q2 = construct_standard("cube", 2)
+        h = Divisor.from_map(q2, {0: 1, 1: 1})
+        assert chow_reference.fraction_certificate(q2, h.coeffs, [0, 1]) is None
+        assert avoidance_certificate(q2, h, [0, 1]) is None
+        # one facet in dimension 2 leaves one component of v free
+        assert avoidance_certificate(q2, h, [0]).coeffs == (0, 2, 0, 0)

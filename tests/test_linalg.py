@@ -9,6 +9,7 @@ the bounding box, the Fraction slack formula and Fraction vertex solving.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,68 @@ class TestIntegerEntryPoints:
         for i, v in enumerate(x):
             assert v == ref_det([row[:i] + [b] + row[i + 1:] for row, b in zip(rows, rhs)])
         assert tuple(Fraction(v, det) for v in x) == want
+
+
+class TestIntSolve:
+    """int_solve is the integer core of solve: on integer systems its x / d
+    is solve's answer, and both are the reference's solution with free
+    components 0."""
+
+    @staticmethod
+    def check(rows, rhs):
+        got = linalg.int_solve(rows, rhs)
+        want = ref_solve(rows, rhs)
+        assert linalg.solve(rows, rhs) == want
+        if want is None:
+            assert got is None
+            return None
+        x, d = got
+        assert type(x) is tuple and type(d) is int and d != 0
+        assert all(type(v) is int for v in x)
+        assert tuple(Fraction(v, d) for v in x) == want
+        # rows . x = d * rhs, in integers
+        assert [sum(map(operator.mul, row, x)) for row in rows] == [d * b for b in rhs]
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(entry=ints), st.data())
+    def test_against_solve(self, rows, data):
+        n = len(rows[0])
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(ints, min_size=n, max_size=n))
+            rhs = [sum(map(operator.mul, row, x)) for row in rows]
+        else:
+            rhs = data.draw(st.lists(ints, min_size=len(rows), max_size=len(rows)))
+        self.check(rows, rhs)
+
+    def test_rank_deficient_sets_free_components_to_zero(self):
+        # x + 2y - z = 3 twice over: y and z are free
+        x, d = self.check([[1, 2, -1], [2, 4, -2]], [3, 6])
+        assert Fraction(x[0], d) == 3 and x[1:] == (0, 0)
+
+    def test_over_determined_consistent(self):
+        # three lines through (1, 2)
+        x, d = self.check([[1, 0], [0, 1], [3, -1]], [1, 2, 1])
+        assert (Fraction(x[0], d), Fraction(x[1], d)) == (1, 2)
+
+    def test_over_determined_inconsistent(self):
+        assert self.check([[1, 0], [0, 1], [1, 1]], [1, 2, 4]) is None
+
+    def test_parallel_rows_inconsistent(self):
+        assert self.check([[2, 4], [1, 2]], [2, 3]) is None
+
+    def test_zero_rows(self):
+        assert self.check([[0, 0], [0, 0]], [0, 0]) == ((0, 0), 1)
+        assert self.check([[0, 0]], [5]) is None
+
+    def test_no_rows(self):
+        assert linalg.int_solve([], []) == ((), 1)
+        assert linalg.solve([], []) == ()
+
+    def test_rows_are_not_changed(self):
+        rows, rhs = [[2, 1], [1, 3]], [1, 2]
+        linalg.int_solve(rows, rhs)
+        assert (rows, rhs) == ([[2, 1], [1, 3]], [1, 2])
 
 
 # ------------------------------------------------------ polytope routes

@@ -146,6 +146,47 @@ REFUSALS = [
     ("principal-v-zero-denominator",
      lambda: chow.principal_divisor(construct_standard("cube", 2), (1, "1/0")),
      InputError, "v: Fraction(1, 0)"),
+    # a flux vector has one entry per dimension: a short or long v is not cut or padded
+    ("principal-v-short",
+     lambda: chow.principal_divisor(construct_standard("cube", 2), (1,)),
+     InputError, "v must have one entry per dimension (2), got 1"),
+    ("principal-v-long",
+     lambda: chow.principal_divisor(construct_standard("cube", 2), (1, 2, 3)),
+     InputError, "v must have one entry per dimension (2), got 3"),
+    # a divisor is exactly one int or Fraction per facet
+    ("certificate-h-short",
+     lambda: chow.avoidance_certificate(construct_standard("cube", 2), chow.Divisor((1, 1, 1)), [0]),
+     InputError, "h must have one coefficient per facet (4), got 3"),
+    ("certificate-h-long",
+     lambda: chow.avoidance_certificate(
+         construct_standard("cube", 2), chow.Divisor((1,) * 6), [0, 2]),
+     InputError, "h must have one coefficient per facet (4), got 6"),
+    ("certificate-h-float",
+     lambda: chow.avoidance_certificate(
+         construct_standard("cube", 2), chow.Divisor((0.5, 1, 1, 1)), [1]),
+     InputError, "h coefficients must be ints or Fractions, got 0.5"),
+    ("certificate-h-bool",
+     lambda: chow.avoidance_certificate(
+         construct_standard("cube", 2), chow.Divisor((1, True, 1, 1)), [0]),
+     InputError, "h coefficients must be ints or Fractions, got True"),
+    ("intersect-divisor-long",
+     lambda: chow.IntersectionQuery(
+         construct_standard("cube", 2), (chow.Divisor((1,) * 4), chow.Divisor((1,) * 6))),
+     InputError, "divisors[1] must have one coefficient per facet (4), got 6"),
+    ("intersect-divisor-float",
+     lambda: chow.IntersectionQuery(
+         construct_standard("cube", 2), (chow.Divisor((1.0, 0, 0, 0)), chow.Divisor((1,) * 4))),
+     InputError, "divisors[0] coefficients must be ints or Fractions, got 1.0"),
+    ("principal-d-short",
+     lambda: chow.is_principal(construct_standard("cube", 2), chow.Divisor((1, -1))),
+     InputError, "d must have one coefficient per facet (4), got 2"),
+    ("principal-d-float",
+     lambda: chow.is_principal(construct_standard("cube", 2), chow.Divisor((1, -1, 0.5, 0))),
+     InputError, "d coefficients must be ints or Fractions, got 0.5"),
+    ("equivalent-d1-long",
+     lambda: chow.linearly_equivalent(
+         construct_standard("cube", 2), chow.Divisor((1, -1, 0, 0, 7)), chow.Divisor((0,) * 4)),
+     InputError, "d1 must have one coefficient per facet (4), got 5"),
     # the JSON reader refuses what Fraction itself refuses, as InputError
     ("frac-zero-denominator", lambda: jsonio.frac_from_str("1/0"),
      InputError, "Fraction(1, 0)"),

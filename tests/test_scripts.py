@@ -30,6 +30,16 @@ def test_resolution_scan_skips_what_the_caps_refuse():
     assert "kkm: skipped (LatticeModel(kind='simplex', n=5, r=24) has (r+1)^n" in rows[4]
 
 
+def test_divisor_scale_prints_one_row_per_dimension():
+    rows = _run(["divisor_scale.py", "--max-n", "3"]).splitlines()
+    assert rows[:2] == ["| polytope | construct | perturb | genericity | H^n |",
+                        "|---|---|---|---|---|"]
+    assert [row.split(" | ")[0] for row in rows[2:]] == ["| Q^2", "| Q^3"]
+    for row in rows[2:]:
+        construct, perturb, generic, top = map(float, row.strip("| ").split(" | ")[1:])
+        assert min(construct, perturb, generic, top) >= 0 and generic <= perturb
+
+
 def _run(argv):
     """The script's stdout; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
