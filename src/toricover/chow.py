@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 from . import linalg
 from .polytope import (
@@ -79,14 +79,25 @@ class Divisor:
         return cls.from_map(p, {facet_id: Fraction(value)})
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        return Divisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Divisor(tuple(map(add, self.coeffs, _same_length(self, other))))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        return Divisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Divisor(tuple(map(sub, self.coeffs, _same_length(self, other))))
 
     def __rmul__(self, scalar) -> "Divisor":
-        c = Fraction(scalar)
+        c = exact(scalar, "scalar")
         return Divisor(tuple(c * a for a in self.coeffs))
+
+
+def _same_length(d: Divisor, other: Divisor) -> tuple:
+    """other's coefficients, refusing a length other than d's: zip would cut
+    the longer divisor to the shorter one."""
+    if len(other.coeffs) != len(d.coeffs):
+        raise InputError(
+            f"divisors must have the same number of coefficients, got {len(d.coeffs)}"
+            f" and {len(other.coeffs)}"
+        )
+    return other.coeffs
 
 
 @dataclass(frozen=True)

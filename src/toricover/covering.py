@@ -42,7 +42,10 @@ per point, built once per column and B.  A test <u, a> <= bound over all
 points is a weighted sum of those ints plus one constant per field, read
 off the fields' top bits; B is the fewest bytes with 8B at least one more
 than the bit length of <u, a - lo>'s span over the sample's bounding box,
-so no field borrows from its neighbour.
+so no field borrows from its neighbour.  A lattice scan hands
+Sample.from_grid its numerator columns as they are, and the numerator
+tuples and point index are built on first use.  Sample.near keeps its last
+answer, so a witness and its re-check read facet contact once.
 """
 
 from __future__ import annotations
@@ -758,11 +761,12 @@ class Sample:
 
     Sample(points) reads exact points as given, hand-built or from JSON,
     repeats allowed, and takes L as the lcm of their denominators.
-    Sample.from_grid(points, ints, r) takes a grid scan's distinct points a / r
-    together with their integer index tuples a, and L is r.  The lcm of such
-    a sample can be a proper divisor of r, so the two constructors can give
-    one sample different den and ints, but every mask, bit and spacing they
-    give is the same.
+    Sample.from_grid(points, columns, r) takes a grid scan's distinct points
+    a / r together with the numerator columns of their index tuples a, and L
+    is r; its ints and its index, the dict from ints to bits that bit reads,
+    are built on first use.  The lcm of such a sample can be a proper divisor
+    of r, so the two constructors can give one sample different den and
+    ints, but every mask, bit and spacing they give is the same.
 
     A mask is read off packed fields, one field per input position: column k
     less its minimum lo_k, packed into fields of B bytes, is one int, built
@@ -773,7 +777,10 @@ class Sample:
     at most s = sum_k |u_k| (max_k - lo_k), and a bound inside that range
     puts every field in 0..2^(8B) - 1, so no field borrows from its
     neighbour, once 8B >= s.bit_length() + 1; a bound outside it gives no
-    point or every point at once."""
+    point or every point at once.  near keeps its last answer, so a second
+    facet-contact query on the same polytope object and eps reads it."""
+
+    _near = None  # near's last (polytope, eps, masks)
 
     def __init__(self, points: tuple):
         self.points = points
@@ -785,20 +792,29 @@ class Sample:
         self._packs = {}
 
     @classmethod
-    def from_grid(cls, points: tuple, ints: list, r: int) -> Sample:
-        """The sample of the distinct points a / r, given with their index
-        tuples a in the same order."""
+    def from_grid(cls, points: tuple, columns: list, r: int) -> Sample:
+        """The sample of the distinct points a / r, given with the columns
+        of their index tuples a: columns[k][i] is a_k of points[i]."""
         sample = cls.__new__(cls)
-        sample.points, sample.den, sample.ints = points, r, ints
-        sample.at = list(range(len(ints)))
-        sample._index = dict(zip(ints, sample.at))
-        sample.full = (1 << len(ints)) - 1
+        sample.points, sample.den, sample.columns = points, r, columns
+        sample.at = list(range(len(points)))
+        sample.full = (1 << len(points)) - 1
         sample._packs = {}
         return sample
 
     @cached_property
+    def ints(self) -> list:
+        """from_grid's numerator tuples: ints[i][k] is columns[k][i]."""
+        return list(zip(*self.columns))
+
+    @cached_property
+    def _index(self) -> dict:
+        """from_grid's numerator tuples to their bits."""
+        return dict(zip(self.ints, self.at))
+
+    @cached_property
     def columns(self) -> list:
-        """The numerator columns: columns[k][i] is ints[i][k]."""
+        """Sample(points)'s numerator columns: columns[k][i] is ints[i][k]."""
         return list(zip(*self.ints))
 
     @cached_property
@@ -826,7 +842,7 @@ class Sample:
 
     def slab(self, axis: int, lo: int, hi: int) -> int:
         """The mask of the points whose numerators a have lo <= a[axis] <= hi."""
-        if not self.ints:
+        if not self.points:
             return 0
         unit = [0] * len(self.columns)
         unit[axis] = 1
@@ -835,10 +851,10 @@ class Sample:
         return below & self._at_most(unit, -lo) & self.full
 
     def _fields(self, size: int) -> tuple:
-        """The repunit of len(ints) fields of size bytes, and the dict of the
-        columns packed into such fields so far, by column."""
+        """The repunit of len(points) fields of size bytes, and the dict of
+        the columns packed into such fields so far, by column."""
         if size not in self._packs:
-            self._packs[size] = (_repunit(8 * size, len(self.ints)), {})
+            self._packs[size] = (_repunit(8 * size, len(self.points)), {})
         return self._packs[size]
 
     @cached_property
@@ -861,7 +877,7 @@ class Sample:
     def _pack(self, k: int, size: int) -> int:
         """Column k less its minimum as one int of size-byte fields, field i
         holding point i, laid out from the column's byte planes."""
-        cells = bytearray(len(self.ints) * size)
+        cells = bytearray(len(self.points) * size)
         for j, plane in enumerate(self._planes[k]):
             cells[j::size] = plane
         return int.from_bytes(cells, "little")
@@ -870,7 +886,7 @@ class Sample:
         """The mask of the input positions i whose numerators a have
         <u, a> <= bound, a repeat at its own position, from the packed
         fields (see the class docstring)."""
-        if not self.ints:
+        if not self.points:
             return 0
         lows, spans = self._box
         terms = [(w, k) for k, w in enumerate(u) if w]
@@ -880,7 +896,7 @@ class Sample:
         if b < least:
             return 0
         if b >= most:
-            return (1 << len(self.ints)) - 1
+            return (1 << len(self.points)) - 1
         size = ((most - least).bit_length() + 8) // 8
         repunit, packed = self._fields(size)
         total = ((1 << (8 * size - 1)) - 1 - b) * repunit
@@ -888,17 +904,23 @@ class Sample:
             if k not in packed:
                 packed[k] = self._pack(k, size)
             total += w * packed[k]
-        tops = total.to_bytes(len(self.ints) * size, "little")[size - 1::size]
+        tops = total.to_bytes(len(self.points) * size, "little")[size - 1::size]
         return int(tops.translate(_DIGIT_OF_TOP_BYTE)[::-1], 2)
 
     def near(self, p: SimplePolytope, eps) -> list:
         """Per facet F of P, the mask of the points at slack <= eps |u_F|_1:
-        <u_F, x> + c_F <= t holds iff <u_F, a> <= floor(L (t - c_F))."""
+        <u_F, x> + c_F <= t holds iff <u_F, a> <= floor(L (t - c_F)).  The
+        last answer is kept and given again, as the same list, for the same
+        polytope object and an equal eps."""
         eps = exact(eps, "eps")
-        return [
+        if self._near and self._near[0] is p and self._near[1] == eps:
+            return self._near[2]
+        masks = [
             self._at_most(u, math.floor(self.den * (eps * sum(map(abs, u)) - c)))
             for u, c in zip(p.normals, p.offsets)
         ]
+        self._near = (p, eps, masks)
+        return masks
 
     def check_inside(self, p: SimplePolytope) -> None:
         """Raise InputError naming sample[i], the first point outside P, facet

@@ -14,7 +14,8 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain, repeat
+from operator import floordiv, sub
 
 from . import chow, covering
 from .covering import (
@@ -224,50 +225,60 @@ def dilated_partition_cover(model: LatticeModel, parts: int, seed: int) -> Latti
     return LatticeCover(model, sets)
 
 
-def lattice_sample(p: SimplePolytope, resolution: int, indices: list | None = None):
+def lattice_sample(p: SimplePolytope, resolution: int, columns: list | None = None):
     """The rational points of P on the grid (1/resolution) Z^n.
 
     A grid point a / resolution lies in P iff D_F <u_F, a> + resolution N_F >= 0
     for every facet with offset N_F / D_F, so the scan runs over integer grid
-    indices a.  The first n-1 indices range over P's bounding box; each facet
-    then bounds the last index to an interval, and the points are emitted in
-    lexicographic order of a.  Fractions are built once per grid value.  When
-    indices is a list, the index tuple a of each point is appended to it in
-    the same order: the numerators over resolution that Sample.from_grid
-    computes its masks on.
+    indices a.  The heads, the first n-1 indices, range over P's bounding
+    box; each facet then tightens every head's interval on the last index in
+    one pass over all heads, and the points are emitted in lexicographic
+    order of a.  Fractions are built once per grid value.  When columns is a
+    list, it is extended with the n numerator columns over resolution:
+    column k holds a_k of every point, in point order, as Sample.from_grid
+    takes them.
     """
     if resolution < 1:
         raise InputError("resolution must be >= 1")
     r = resolution
-    lo = [min(v.coords[i] for v in p.vertices) for i in range(p.dim)]
-    hi = [max(v.coords[i] for v in p.vertices) for i in range(p.dim)]
+    # per axis, ceil(r x) .. floor(r x) over the vertices' coordinates x
     ranges = [
-        range(math.ceil(l * r), math.floor(h * r) + 1) for l, h in zip(lo, hi)
+        range(-max(-r * x.numerator // x.denominator for x in axis),
+              max(r * x.numerator // x.denominator for x in axis) + 1)
+        for axis in zip(*(v.coords for v in p.vertices))
     ]
-    facets = [
-        ([c.denominator * x for x in u], r * c.numerator)
-        for u, c in zip(p.normals, p.offsets)
-    ]
-    grid = {a: Fraction(a, r) for axis_range in ranges for a in axis_range}
-    last = ranges[-1]
-    sample = []
-    for head in itertools.product(*ranges[:-1]):
-        first, stop = last.start, last.stop
-        for w, c in facets:
-            # w[-1] * a_last + rest >= 0
-            rest = sum(map(mul, w, head)) + c
-            if w[-1] > 0:
-                first = max(first, -(rest // w[-1]))
-            elif w[-1] < 0:
-                stop = min(stop, rest // -w[-1] + 1)
-            elif rest < 0:
-                stop = first
-        coords = tuple(map(grid.__getitem__, head))
-        run = range(first, stop)
-        sample.extend(coords + (grid[a],) for a in run)
-        if indices is not None:
-            indices.extend(head + (a,) for a in run)
-    return tuple(sample)
+    *head_ranges, last = ranges
+    first = [last.start] * math.prod(map(len, head_ranges))
+    stop = [last.stop] * len(first)
+    for u, c in zip(p.normals, p.offsets):
+        # w_last a_last + x >= 0 with x = <w_head, head> + b
+        *w_head, w_last = (c.denominator * x for x in u)
+        b = r * c.numerator
+        if w_last > 0:
+            # a_last >= ceil(-x / w_last) = floor((w_last - 1 - x) / w_last)
+            bound = _head_sums([-x for x in w_head], head_ranges, w_last - 1 - b)
+            first = list(map(max, first, map(floordiv, bound, repeat(w_last))))
+        elif w_last < 0:
+            # a_last < floor(x / -w_last) + 1 = floor((x - w_last) / -w_last)
+            bound = _head_sums(w_head, head_ranges, b - w_last)
+            stop = list(map(min, stop, map(floordiv, bound, repeat(-w_last))))
+        else:
+            rest = _head_sums(w_head, head_ranges, b)
+            stop = [s if x >= 0 else last.start for s, x in zip(stop, rest)]
+    counts = list(map(sub, stop, first))  # <= 0 on an empty interval: no point
+    head_columns = list(zip(*itertools.product(*head_ranges))) or [()] * (p.dim - 1)
+    cols = [list(chain.from_iterable(map(repeat, col, counts))) for col in head_columns]
+    cols.append(list(chain.from_iterable(map(range, first, stop))))
+    if columns is not None:
+        columns.extend(cols)
+    frac = {a: Fraction(a, r) for axis_range in ranges for a in axis_range}
+    return tuple(zip(*(map(frac.__getitem__, col) for col in cols)))
+
+
+def _head_sums(w: list, ranges: list, b: int):
+    """<w, h> + b for every head h of the product of ranges, in product order."""
+    axes = ([x * a for a in axis_range] for x, axis_range in zip(w, ranges))
+    return map(sum, itertools.product(*axes, (b,)))
 
 
 def polytope_sample_cover(
@@ -276,23 +287,24 @@ def polytope_sample_cover(
     """A multiplicity-<=m cover of the lattice sample of P: coordinate slabs
     (layer 1, a partition) plus up to m-1 layers of disjoint max-norm balls.
 
-    The sample is a Sample.from_grid of the scan's index tuples, and every
-    set is a mask over its numerator columns: a slab is one column's
-    interval mask, a ball of radius k / resolution the AND of the intervals
-    [c_j - k, c_j + k] over the columns, less the balls already in its layer.
+    The sample is a Sample.from_grid of the scan's numerator columns, and
+    every set is a mask over them: a slab is one column's interval mask, a
+    ball of radius k / resolution the AND of the intervals [c_j - k, c_j + k]
+    over the columns, less the balls already in its layer.  A ball's centre
+    is drawn as a point position and its numerators c_j read off the columns.
 
     Returns (PointCloudCover, eps) with eps one full grid spacing.  A tilted
     facet plane can stay further than half a spacing from every grid plane on
     its polytope side, so facet contact is judged at one grid layer.
     """
     rng = random.Random(seed)
-    ints = []
-    points = lattice_sample(p, resolution, indices=ints)
-    sample = covering.Sample.from_grid(points, ints, resolution)
+    columns = []
+    points = lattice_sample(p, resolution, columns=columns)
+    sample = covering.Sample.from_grid(points, columns, resolution)
     if not sample.points:
         raise InputError("empty sample; raise the resolution")
     axis = rng.randrange(p.dim)
-    values = sorted(set(sample.columns[axis]))
+    values = sorted(set(columns[axis]))
     nslabs = min(rng.randint(2, 3), len(values))
     cut_positions = sorted(rng.sample(range(1, len(values)), nslabs - 1))
     bounds = [0] + cut_positions + [len(values)]
@@ -304,11 +316,12 @@ def polytope_sample_cover(
     for layer in range(1, m):
         used = 0
         for b in range(rng.randint(1, 2)):
-            center = rng.choice(ints)
+            # the same draw as rng.choice over the list of points
+            center = rng.choice(range(len(points)))
             radius = rng.randint(1, 2)
             ball = sample.full & ~used
-            for k, c in enumerate(center):
-                ball &= sample.slab(k, c - radius, c + radius)
+            for k, col in enumerate(columns):
+                ball &= sample.slab(k, col[center] - radius, col[center] + radius)
             if ball:
                 sets[f"ball_{layer}_{b}"] = PointSet(sample, ball)
                 used |= ball

@@ -57,6 +57,33 @@ def test_vertex_enumerator_has_the_shape_the_tracer_reads():
     assert tracer.counts["polytope.solve_region_vertices.vertices"] == 8
 
 
+def test_lattice_sample_has_the_shape_the_tracer_reads():
+    """Tracer._count reads the polytope and resolution of lattice_sample from
+    its first two positional arguments and the kept-point count from
+    len(result); polytope_sample_cover must pass them so, or the counters
+    would silently read 0."""
+    from fractions import Fraction
+
+    from toricover import construct_standard, harness, perturb
+
+    tracing = load_tracing()
+    params = list(inspect.signature(harness.lattice_sample).parameters)
+    assert params[:2] == ["p", "resolution"]
+    p = perturb(construct_standard("cube", 3), Fraction(1, 100), seed=3)
+    points = harness.lattice_sample(p, 5)
+    assert type(points) is tuple and len(points) > 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cover, _ = harness.polytope_sample_cover(p, 5, 2, 3)
+    finally:
+        tracer.uninstall()
+    assert cover.sample == points
+    assert tracer.counts["harness.lattice_sample.points_scanned"] == tracing._scanned(p, 5)
+    assert tracer.counts["harness.lattice_sample.points_kept"] == len(cover.sample)
+    assert 0 < len(cover.sample) < tracing._scanned(p, 5)
+
+
 def test_component_input_has_the_length_the_tracer_reads():
     """Tracer._count adds len(args[0]) of each connected_components call to
     covering.connected_components.points; the verifiers pass a cover's

@@ -22,6 +22,7 @@ from toricover.polytope import (
     NotSimpleError,
     Vertex,
     from_halfspaces,
+    product,
     solve_region_vertices,
 )
 
@@ -415,6 +416,51 @@ class TestLatticeSample:
         # rational offsets with assorted denominators
         p = construct_standard(*shape).translate(tuple(shift[: shape[1]]))
         assert harness.lattice_sample(p, r) == scan_sample(p, r)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "shape",
+        ["cube 1", "cube 2", "cube 3", "simplex 1", "simplex 2", "simplex 3", "prism", "q3"],
+    )
+    def test_columns_against_points_and_scan(self, shape, r):
+        # unperturbed shapes have normals whose last entry is 0
+        if shape == "prism":
+            p = product(construct_standard("simplex", 2), construct_standard("cube", 1))
+        elif shape == "q3":
+            p = perturbed("cube", 3, 2)
+        else:
+            p = construct_standard(shape.split()[0], int(shape.split()[1]))
+        points, columns = sample_columns(p, r)
+        assert points == scan_sample(p, r) and points
+        assert len(columns) == p.dim
+        assert all(len(col) == len(points) and all_ints(col) for col in columns)
+        assert all(
+            Fraction(col[i], r) == points[i][k]
+            for k, col in enumerate(columns)
+            for i in range(len(points))
+        )
+
+    def test_empty_samples_have_n_empty_columns(self):
+        # every head of the box is cut empty: x, y >= 1/3 and x + y <= 5/3 at r = 1
+        cut = construct_standard("simplex", 2).translate((Fraction(-1, 3), Fraction(-1, 3)))
+        # the box holds no grid value on the first axis
+        thin = from_halfspaces(
+            [(1, 0), (-1, 0), (0, 1), (0, -1)],
+            [Fraction(-1, 3), Fraction(2, 3), 0, 1],
+        )
+        for p in (cut, thin):
+            assert scan_sample(p, 1) == ()
+            assert sample_columns(p, 1) == ((), [[], []])
+
+
+def sample_columns(p, r):
+    columns = []
+    points = harness.lattice_sample(p, r, columns=columns)
+    return points, columns
+
+
+def all_ints(values):
+    return all(type(v) is int for v in values)
 
 
 class TestFacetTouchSet:

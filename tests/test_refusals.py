@@ -187,6 +187,17 @@ REFUSALS = [
      lambda: chow.linearly_equivalent(
          construct_standard("cube", 2), chow.Divisor((1, -1, 0, 0, 7)), chow.Divisor((0,) * 4)),
      InputError, "d1 must have one coefficient per facet (4), got 5"),
+    # divisor arithmetic pairs coefficients facet by facet and scales exactly
+    ("divisor-sub-lengths",
+     lambda: chow.Divisor((1, 2)) - chow.Divisor((1, 2, 3)),
+     InputError, "divisors must have the same number of coefficients, got 2 and 3"),
+    ("divisor-add-lengths",
+     lambda: chow.Divisor((1, 2, 3)) + chow.Divisor((1,)),
+     InputError, "divisors must have the same number of coefficients, got 3 and 1"),
+    ("divisor-scalar-float", lambda: 0.1 * chow.Divisor((1, 2)),
+     InputError, "scalar must be an int or a Fraction, got 0.1"),
+    ("divisor-scalar-bool", lambda: True * chow.Divisor((1, 2)),
+     InputError, "scalar must be an int or a Fraction, got True"),
     # the JSON reader refuses what Fraction itself refuses, as InputError
     ("frac-zero-denominator", lambda: jsonio.frac_from_str("1/0"),
      InputError, "Fraction(1, 0)"),

@@ -2,6 +2,8 @@
 hand-built and JSON forms of one cover give the same report, and the sample
 path hashes no Fraction."""
 
+import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -171,9 +173,9 @@ class TestSample:
 
 
 def grid_sample(p, r):
-    ints = []
-    points = harness.lattice_sample(p, r, indices=ints)
-    return Sample.from_grid(points, ints, r)
+    columns = []
+    points = harness.lattice_sample(p, r, columns=columns)
+    return Sample.from_grid(points, columns, r)
 
 
 def outcome(f, *args):
@@ -213,6 +215,76 @@ class TestGridSample:
             for q in [p, *others]:
                 assert outcome(grid.check_inside, q) == outcome(ref.check_inside, q)
             assert outcome(covering.sample_spacing, grid) == outcome(covering.sample_spacing, ref)
+
+
+class TestNearMemo:
+    def test_repeated_query_gives_the_same_list(self):
+        p, cover, eps = sample_cover("cube", 3, 5, 2)
+        sample, _ = cover.indexed()
+        first = sample.near(p, eps)
+        # an equal eps of another type or object finds the same answer
+        assert sample.near(p, Fraction(eps)) is first
+        assert sample.near(p, str(eps)) is first
+        fresh = Sample(cover.sample)
+        assert first == fresh.near(p, eps)
+
+    def test_other_eps_or_polytope_object_recomputes(self):
+        p, cover, eps = sample_cover("simplex", 3, 6, 4)
+        sample, _ = cover.indexed()
+        twin = dataclasses.replace(p)
+        assert twin == p and twin is not p
+        fresh = Sample(cover.sample)
+        first = sample.near(p, eps)
+        queries = [(p, eps / 2), (p, 0), (twin, eps), (p, eps), (twin, eps / 2), (p, eps)]
+        answers = [first]
+        for q, e in queries:
+            got = sample.near(q, e)
+            assert got == fresh.near(q, e)
+            # every query differs from the one before it in eps or object
+            assert got is not answers[-1]
+            answers.append(got)
+        # a different polytope with the same facet count is not served the memo
+        moved = p.translate((Fraction(1, 3),) * 3)
+        assert sample.near(moved, eps) == fresh.near(moved, eps) != first
+
+    def test_facet_touch_set_reads_the_witness_masks(self, monkeypatch):
+        p, cover, eps = sample_cover("cube", 3, 6, 1)
+        report = covering.kkm_lebesgue_witness(p, cover, eps)
+        assert report.verdict == covering.WITNESS_FOUND
+        calls = []
+        at_most = Sample._at_most
+
+        def counting(self, u, bound):
+            calls.append(u)
+            return at_most(self, u, bound)
+
+        monkeypatch.setattr(Sample, "_at_most", counting)
+        touched = covering.facet_touch_set(p, cover.sets[report.payload["set"]], eps)
+        assert touched == set(report.payload["touched"]) and calls == []
+
+
+# sha256 of json.dumps(point_cover_to_json) + json.dumps(report_to_json) of
+# polytope_sample_cover(p, r, m, seed) on the shape perturbed with seed, taken
+# from a scan that looped over heads and facets one at a time: they pin the
+# point order and the cover's random draws
+PINNED = [
+    (("cube", 2), 5, 2, 1, "2e8d0caf4d440ece"),
+    (("cube", 3), 4, 2, 2, "ff15c00ce3d25369"),
+    (("cube", 3), 7, 3, 3, "b59ec8f8b04c0edd"),
+    (("simplex", 3), 6, 2, 4, "e251bef5d3cd7b5d"),
+    (("simplex", 2), 8, 3, 5, "52f6097192dc1ddd"),
+    (("cube", 4), 3, 2, 6, "239c326f61b25645"),
+]
+
+
+@pytest.mark.parametrize("shape, r, m, seed, digest", PINNED)
+def test_pinned_sample_cover_digests(shape, r, m, seed, digest):
+    p = perturb(construct_standard(*shape), Fraction(1, 100), seed=seed)
+    cover, eps = harness.polytope_sample_cover(p, r, m, seed)
+    text = json.dumps(jsonio.point_cover_to_json(p, cover, eps)) + json.dumps(
+        jsonio.report_to_json(covering.kkm_lebesgue_witness(p, cover, eps))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def reference_sample_cover(p, resolution, m, seed):
@@ -379,7 +451,7 @@ class TestPackedFields:
         )
         ints = [tuple(g * b for b in t) for t in base]
         points = tuple(tuple(Fraction(a, r) for a in t) for t in ints)
-        grid, ref = Sample.from_grid(points, ints, r), Sample(points)
+        grid, ref = Sample.from_grid(points, list(zip(*ints)), r), Sample(points)
         assert ref.den != r
         for sample in (grid, ref):
             check_masks(sample, p, data)

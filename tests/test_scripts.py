@@ -40,6 +40,21 @@ def test_divisor_scale_prints_one_row_per_dimension():
         assert min(construct, perturb, generic, top) >= 0 and generic <= perturb
 
 
+def test_sample_scale_prints_one_row_per_polytope_and_resolution():
+    rows = _run(["sample_scale.py", "--max-r", "3", "--repeat", "1"]).splitlines()
+    assert rows[:2] == [
+        "| polytope | r | points | lattice_sample | sample and masks | witness |",
+        "|---|---|---|---|---|---|",
+    ]
+    assert [row.split(" | ")[:2] for row in rows[2:]] == [
+        ["| Q^3", "2"], ["| Q^3", "3"], ["| Q^4", "2"], ["| Q^4", "3"],
+        ["| Delta^3", "2"], ["| Delta^3", "3"],
+    ]
+    for row in rows[2:]:
+        points, *times = row.strip("| ").split(" | ")[2:]
+        assert int(points) > 0 and min(map(float, times)) >= 0
+
+
 def _run(argv):
     """The script's stdout; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
