@@ -5,10 +5,11 @@
 
 For n = 2..N the script builds the cube Q^n, perturbs it with budget 1/100
 and seed 1, and takes the top self-intersection H^n of its ample class H
-(ample_from_offsets, then self_intersection_top).  It prints one Markdown
-table row per n, with the time of each step in seconds, timed once.  The
-perturb column includes the genericity check, and the genericity column is
-that check's share of it.  The H^n column includes building the polytope's
+(ample_from_offsets, then self_intersection_top).  It also takes the ring
+presentation of Q^n (chow.presentation).  It prints one Markdown table row
+per n, with the time of each step in seconds, timed once.  The perturb
+column includes the genericity check, and the genericity column is that
+check's share of it.  The H^n column includes building the polytope's
 vertex cones, since the first query on a polytope builds them.  Uses the
 standard library only.
 """
@@ -55,7 +56,8 @@ def row(n):
     base, construct = timed(polytope.construct_standard, "cube", n)
     p, perturb, generic = perturb_with_check_time(base)
     _, top = timed(lambda: chow.self_intersection_top(p, chow.ample_from_offsets(p)))
-    return f"| Q^{n} | {construct:.4f} | {perturb:.4f} | {generic:.4f} | {top:.4f} |"
+    _, ring = timed(chow.presentation, base)
+    return f"| Q^{n} | {construct:.4f} | {perturb:.4f} | {generic:.4f} | {top:.4f} | {ring:.4f} |"
 
 
 def main():
@@ -64,8 +66,8 @@ def main():
     args = ap.parse_args()
     if args.max_n < 2:
         ap.error("--max-n must be at least 2")
-    print("| polytope | construct | perturb | genericity | H^n |")
-    print("|---|---|---|---|---|")
+    print("| polytope | construct | perturb | genericity | H^n | presentation |")
+    print("|---|---|---|---|---|---|")
     for n in range(2, args.max_n + 1):
         print(row(n), flush=True)
 

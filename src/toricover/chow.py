@@ -9,32 +9,40 @@ built from its facet normals, so the product is a polynomial in the
 coefficients with no shift, search over multiples or cap.  The sum is taken
 in integers: the normals are primitive integer vectors, so one fraction-free
 elimination per vertex cone gives its edge weights as an integer vector a_v
-over the cone's determinant d_v.  Those eliminations depend only on the
-polytope, so they run once per polytope and are kept on it
-(SimplePolytope.vertex_cones); a query only clears its divisors to integer
-numerators.  A term has degree n in the weights above the bar and below it,
-so d_v cancels and the term reads
-prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}).  Simple non-Delzant
-polytopes come out with rational (orbifold) intersection numbers
-automatically; no extra bookkeeping is done for them.
+over the cone's determinant d_v.  A term has degree n in the weights above
+the bar and below it, so d_v cancels and the term reads
+prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}).  Those eliminations and the
+terms' common denominator depend only on the polytope, so they run once per
+polytope and are kept on it (SimplePolytope.vertex_cones), and a query is
+one integer sum over the vertices with one Fraction at the end.  Each
+divisor is cleared to integer numerators once and keeps them
+(Divisor.cleared), so H^n and the certificates that share one H clear it
+once.  Simple non-Delzant polytopes come out with rational (orbifold)
+intersection numbers automatically; no extra bookkeeping is done for them.
+
+The ring presentation runs on vertex masks: facet F carries the bitmask of
+the vertices on it, a facet set is a face iff the AND of its masks is
+nonzero, and one walk over the faces in increasing facet order reads off
+the minimal non-faces.
 
 The other constructions run in integers too, with one Fraction built per
 returned coefficient.  A principal divisor clears v once, so each flux is
 one integer dot product over v's scale.  The ample class reads the vertex
 centroid as one integer vector over one denominator
-(SimplePolytope.cleared_centroid).  An avoidance certificate clears H once
-and takes its flux vector from linalg.int_solve, an integer solution over
-one pivot.  A divisor handed to IntersectionQuery, avoidance_certificate,
-is_principal or linearly_equivalent must be exactly one int or Fraction per
-facet, and InputError names it otherwise.
+(SimplePolytope.cleared_centroid).  An avoidance certificate reads H's
+cleared numerators and takes its flux vector from linalg.int_solve, an
+integer solution over one pivot.  A divisor handed to IntersectionQuery,
+avoidance_certificate, is_principal or linearly_equivalent must be exactly
+a tuple of one int or Fraction per facet, and InputError names it
+otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul, sub
 
 from . import linalg
@@ -43,6 +51,7 @@ from .polytope import (
     NotSimpleError,
     SimplePolytope,
     exact,
+    exact_int,
     solve_region_vertices,
 )
 
@@ -62,12 +71,16 @@ class Divisor:
 
     @classmethod
     def from_map(cls, p: SimplePolytope, mapping) -> "Divisor":
+        """The divisor with mapping[F] on facet F and 0 elsewhere.  A facet
+        id is read by polytope.exact_int and a value by polytope.exact, so a
+        float, a bool or a string id and a float or bool value raise
+        InputError, as does an id outside 0..m-1."""
         coeffs = [Fraction(0)] * p.num_facets
         for fid, value in mapping.items():
-            fid = int(fid)
+            fid = exact_int(fid, "facet id")
             if not 0 <= fid < p.num_facets:
                 raise InputError(f"facet id {fid} not in 0..{p.num_facets - 1}")
-            coeffs[fid] = Fraction(value)
+            coeffs[fid] = exact(value, f"facet {fid} coefficient")
         return cls(tuple(coeffs))
 
     @classmethod
@@ -76,7 +89,17 @@ class Divisor:
 
     @classmethod
     def on_facet(cls, p: SimplePolytope, facet_id: int, value=1) -> "Divisor":
-        return cls.from_map(p, {facet_id: Fraction(value)})
+        return cls.from_map(p, {facet_id: value})
+
+    @cached_property
+    def cleared(self):
+        """(c, s): the coefficients as the integer tuple c over their lcm
+        denominator s, from one linalg.int_row call, kept on the divisor.
+        It is not a field, so ==, hash, repr and asdict ignore it.  It is
+        sound because coeffs is a tuple, which the checked entry points
+        (_check_divisor) insist on."""
+        c, s = linalg.int_row(self.coeffs)
+        return tuple(c), s
 
     def __add__(self, other: "Divisor") -> "Divisor":
         return Divisor(tuple(map(add, self.coeffs, _same_length(self, other))))
@@ -125,13 +148,15 @@ class IntersectionQuery:
 
 
 def _check_divisor(p: SimplePolytope, d: Divisor, name: str, index=None) -> None:
-    """Refuse a divisor that is not exactly one int or Fraction per facet of
-    p, naming it name, or name[index] when an index is given: a bool or
-    float is no exact coefficient, and a short or long divisor would be cut
-    to the facets silently.  The accepted case is one length test and one
-    type pass, with the message built only on refusal."""
+    """Refuse a divisor that is not exactly a tuple of one int or Fraction
+    per facet of p, naming it name, or name[index] when an index is given:
+    a bool or float is no exact coefficient, a short or long divisor would
+    be cut to the facets silently, and coefficients that can change under
+    the divisor would leave Divisor.cleared stale.  The accepted case is
+    one type test, one length test and one type pass, with the message
+    built only on refusal."""
     coeffs = d.coeffs
-    if len(coeffs) == len(p.normals):
+    if type(coeffs) is tuple and len(coeffs) == len(p.normals):
         for c in coeffs:
             if type(c) is not Fraction and type(c) is not int:
                 break
@@ -139,6 +164,8 @@ def _check_divisor(p: SimplePolytope, d: Divisor, name: str, index=None) -> None
             return
     if index is not None:
         name = f"{name}[{index}]"
+    if type(coeffs) is not tuple:
+        raise InputError(f"{name} coefficients must be a tuple, got {type(coeffs).__name__}")
     if len(coeffs) != len(p.normals):
         raise InputError(
             f"{name} must have one coefficient per facet ({len(p.normals)}), got {len(coeffs)}"
@@ -186,32 +213,55 @@ class Region:
 def presentation(p: SimplePolytope) -> RingPresentation:
     """Linear relations from the normals plus the minimal non-faces.
 
-    A facet set is a face iff it sits inside some vertex's incidence set, so
-    the faces are the subsets of the vertices' facet sets, collected once, and
-    non-faces never need more than n+1 elements: every larger set contains an
-    (n+1)-subset that is already a non-face.
+    Facet F carries masks[F], the bitmask of the vertices on it, and a
+    facet set is a face iff the AND of its masks is nonzero.  A depth-first
+    walk visits every nonempty face once, as its sorted facet tuple,
+    carrying its AND.  A face S plus a facet g > max S whose AND is 0 is a
+    non-face; it is minimal iff each of its other subsets S - f + g still
+    has a nonzero AND, since dropping g leaves the face S.  The walk
+    extends only faces, and a face of a simple polytope has at most n
+    facets, so no non-face found has more than n+1 elements, and no larger
+    one is minimal: it contains an (n+1)-subset that is already a non-face.
     """
     relations = tuple(
         tuple(u[i] for u in p.normals) for i in range(p.dim)
     )
-    faces = set()
-    for v in p.vertices:
-        facets = sorted(v.facets)
-        for size in range(len(facets) + 1):
-            faces.update(map(frozenset, itertools.combinations(facets, size)))
+    m = p.num_facets
+    masks = [0] * m
+    for i, v in enumerate(p.vertices):
+        for f in v.facets:
+            masks[f] |= 1 << i
 
     nonfaces = []
-    ids = list(p.facet_ids())
-    for size in range(2, p.dim + 2):
-        for combo in itertools.combinations(ids, size):
-            s = frozenset(combo)
-            if s not in faces and all(s - {f} in faces for f in s):
-                nonfaces.append(s)
+
+    def walk(face, meet):
+        deeper = len(face) < p.dim
+        for g in range(face[-1] + 1, m):
+            mask = masks[g]
+            if meet & mask:
+                if deeper:
+                    walk(face + (g,), meet & mask)
+            elif all(_meet(masks, face, f) & mask for f in face):
+                nonfaces.append(frozenset(face + (g,)))
+
+    for f in range(m):
+        if masks[f]:
+            walk((f,), masks[f])
     return RingPresentation(
-        generators=tuple(ids),
+        generators=tuple(range(m)),
         linear_relations=relations,
         minimal_nonfaces=tuple(sorted(nonfaces, key=sorted)),
     )
+
+
+def _meet(masks, face, skip) -> int:
+    """The AND of the masks of face's facets other than skip (all ones for
+    none)."""
+    meet = -1
+    for f in face:
+        if f != skip:
+            meet &= masks[f]
+    return meet
 
 
 def principal_divisor(p: SimplePolytope, v) -> Divisor:
@@ -345,25 +395,27 @@ def intersection_number(query: IntersectionQuery) -> Fraction:
 
     The sum is taken in integers.  U_v and xi are integer, so one
     int_cramer call gives w_v = a_v / d_v with a_v integer and d_v = det U_v.
-    Those calls and the xi search depend only on the polytope: they run once
-    per polytope, in SimplePolytope.vertex_cones, and every later query on
-    the same polytope object reads them from there.
     The term is homogeneous of degree n over degree n in w, so d_v cancels
     from the weights and the term is
         prod_j <a_v, D_j|_v> / (|d_v| prod_i a_{v,i}).
-    Each divisor is cleared once to integer numerators c_j = s_j D_j, and
-    the product of the scales s_j divides the total once at the end.
+    Its denominator depends only on the polytope, as do the int_cramer
+    calls and the xi search: they run once per polytope, in
+    SimplePolytope.vertex_cones, which also keeps the lcm L of the
+    denominators and each vertex's multiplier k_v = L / (|d_v| prod_i a_{v,i}).
+    Each divisor carries its integer numerators c_j = s_j D_j
+    (Divisor.cleared), so a query is the integer sum
+        sum_v k_v prod_j <a_v, c_j|_v>
+    over the one denominator L prod_j s_j, a single Fraction.
     """
-    facet_sets, cones = query.polytope.vertex_cones
-    cleared = [linalg.int_row(d.coeffs) for d in query.divisors]
-    total = Fraction(0)
-    for facets, (a, d) in zip(facet_sets, cones):
-        num = 1
+    facet_sets, cones, scale = query.polytope.vertex_cones
+    cleared = [d.cleared for d in query.divisors]
+    total = 0
+    for facets, (a, _, k) in zip(facet_sets, cones):
+        term = 1
         for c, _ in cleared:
-            num *= sum(map(mul, a, [c[f] for f in facets]))
-        if num:
-            total += Fraction(num, abs(d) * math.prod(a))
-    return total / math.prod(s for _, s in cleared)
+            term *= sum(map(mul, a, [c[f] for f in facets]))
+        total += k * term
+    return Fraction(total, scale * math.prod(s for _, s in cleared))
 
 
 def self_intersection_top(p: SimplePolytope, d: Divisor) -> Fraction:
@@ -376,21 +428,23 @@ def avoidance_certificate(p: SimplePolytope, h: Divisor, touched):
 
     H' = H + div(v) where v solves <u_F, v> = -coeff_F(H) for F touched; when
     the system is underdetermined the free components of v are set to zero.
-    A touched id outside 0..m-1 raises InputError, and so does an h that is
-    not one int or Fraction per facet.
+    A touched id that is not an int (a bool, a float, a string) or lies
+    outside 0..m-1 raises InputError, and so does an h that is not a tuple
+    of one int or Fraction per facet.
 
-    The solve runs in integers.  H is cleared once to c = s H, so s v
+    The solve runs in integers.  H carries its numerators c = s H
+    (Divisor.cleared), so the certificates of one H clear it once, and s v
     solves <u_F, s v> = -c_F, and linalg.int_solve gives s v = x / d.  Each
     coefficient of H' is then (c_F d + <u_F, x>) / (s d).
     """
     _check_divisor(p, h, "h")
-    touched = sorted(touched)
+    touched = sorted([exact_int(f, "touched facet id") for f in touched])
     if not touched:
         return h
     for f in (touched[0], touched[-1]):
         if not 0 <= f < p.num_facets:
             raise InputError(f"touched facet id {f} not in 0..{p.num_facets - 1}")
-    c, s = linalg.int_row(h.coeffs)
+    c, s = h.cleared
     solved = linalg.int_solve([p.normals[f] for f in touched], [-c[f] for f in touched])
     if solved is None:
         return None

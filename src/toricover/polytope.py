@@ -123,17 +123,21 @@ class SimplePolytope:
 
     @cached_property
     def vertex_cones(self):
-        """(facet_sets, cones): the data of the vertex localization, built
-        once per polytope and kept on it (chow.intersection_number reads it).
+        """(facet_sets, cones, scale): the data of the vertex localization,
+        built once per polytope and kept on it (chow.intersection_number
+        reads it).
 
         facet_sets[i] is the sorted tuple of vertex i's facet ids.  With U
-        the matrix of those facets' normals as rows, cones[i] is (a, d): the
-        integer a with U^T a = d xi and d = det U^T, from one int_cramer
+        the matrix of those facets' normals as rows, cones[i] is (a, d, k):
+        the integer a with U^T a = d xi and d = det U^T, from one int_cramer
         call, so the edge weights of the cone are a / d.  xi is the first
         (1, t, t^2, ...) with t = 1, 2, ... at which no weight of any cone
         vanishes; each weight is a nonzero polynomial of degree < n in t, so
-        the search is finite.  The value depends only on the normals and the
-        facet sets, is not a field, and leaves ==, hash and repr alone.
+        the search is finite.  The vertex term's denominator |d| prod(a) is
+        brought to the common one: scale is the lcm of their absolute values
+        and k = scale // (|d| prod(a)), sign included.  The value depends
+        only on the normals and the facet sets, is not a field, and leaves
+        ==, hash and repr alone.
         """
         facet_sets = tuple(tuple(sorted(v.facets)) for v in self.vertices)
         transposed = [list(zip(*(self.normals[f] for f in facets))) for facets in facet_sets]
@@ -141,7 +145,12 @@ class SimplePolytope:
             xi = [t ** k for k in range(self.dim)]
             cones = [linalg.int_cramer(u, xi) for u in transposed]
             if all(all(a) for a, _ in cones):
-                return facet_sets, tuple((tuple(a), d) for a, d in cones)
+                break
+        dens = [abs(d) * math.prod(a) for a, d in cones]
+        scale = math.lcm(*dens)
+        return (facet_sets,
+                tuple((tuple(a), d, scale // den) for (a, d), den in zip(cones, dens)),
+                scale)
 
     def translate(self, shift) -> "SimplePolytope":
         """The polytope P - shift (so that `shift` maps to the origin)."""

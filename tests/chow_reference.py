@@ -4,7 +4,9 @@ chow.principal_divisor, the centroid and ample class for
 chow.ample_from_offsets, the certificate for chow.avoidance_certificate
 and one determinant per normal subset for polytope.generic_normals_check.
 Every elimination here is a plain Gaussian elimination over Fraction
-written in this file, not toricover.linalg.
+written in this file, not toricover.linalg.  The minimal non-faces of
+chow.presentation have a second route here too: every facet subset of size
+2..n+1 tested against the set of faces.
 
 In the localization the edge weights w_v solve U_v^T w = xi, and the
 vertex term is
@@ -127,3 +129,23 @@ def fraction_certificate(p, h_coeffs, touched):
     if v is None:
         return None
     return tuple(a + b for a, b in zip(h_coeffs, fraction_principal_coeffs(p, v)))
+
+
+def subset_minimal_nonfaces(p) -> tuple:
+    """The minimal non-faces of p, sorted as chow.presentation sorts them:
+    the faces are every subset of every vertex's facet set, and each facet
+    subset of size 2..n+1 is a minimal non-face iff it is no face and every
+    subset one smaller is.  The route chow.presentation replaced by its
+    walk over the faces with vertex masks."""
+    faces = set()
+    for v in p.vertices:
+        facets = sorted(v.facets)
+        for size in range(len(facets) + 1):
+            faces.update(map(frozenset, itertools.combinations(facets, size)))
+    nonfaces = []
+    for size in range(2, p.dim + 2):
+        for combo in itertools.combinations(p.facet_ids(), size):
+            s = frozenset(combo)
+            if s not in faces and all(s - {f} in faces for f in s):
+                nonfaces.append(s)
+    return tuple(sorted(nonfaces, key=sorted))

@@ -1,8 +1,9 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,78 @@ class TestPresentation:
         pres = presentation(segment)
         assert pres.minimal_nonfaces == (frozenset({0, 1}),)
         assert pres.linear_relations == ((1, -1),)
+
+
+PRESENTATION_SHAPES = {
+    **ORACLE_SHAPES,
+    "Q1": lambda: construct_standard("cube", 1),
+    "Q5": lambda: construct_standard("cube", 5),
+    "Q6": lambda: construct_standard("cube", 6),
+    "S3xS3": lambda: product(construct_standard("simplex", 3), construct_standard("simplex", 3)),
+    # the square with one corner cut: five edges, five non-adjacent pairs
+    "pentagon": lambda: from_halfspaces(
+        [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], [0, 0, 2, 2, 3]),
+    # [0, 2]^3 with the corner (2, 2, 2) cut: minimal non-faces of sizes 2 and 3
+    "truncated Q3": lambda: from_halfspaces(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-1, -1, -1)],
+        [0, 2, 0, 2, 0, 2, 5]),
+    **{f"p{letter}{n}#{seed}": (lambda kind=kind, n=n, seed=seed: perturb(
+        construct_standard(kind, n), Fraction(1, 100), seed=seed))
+       for kind, letter in (("cube", "Q"), ("simplex", "S")) for n in range(2, 6)
+       for seed in (0, 1, 2)},
+}
+
+
+class TestPresentationAgainstSubsetRoute:
+    """The walk over faces with vertex masks against the enumeration of
+    every facet subset of size 2..n+1 in tests/chow_reference.py, by exact
+    equality of the sorted tuples."""
+
+    @pytest.mark.parametrize("shape", list(PRESENTATION_SHAPES))
+    def test_same_minimal_nonfaces(self, shape):
+        p = PRESENTATION_SHAPES[shape]()
+        got = presentation(p).minimal_nonfaces
+        assert type(got) is tuple and all(type(s) is frozenset for s in got)
+        assert got == chow_reference.subset_minimal_nonfaces(p)
+
+    def test_shapes_reach_every_size(self):
+        sizes = {len(s) for s in presentation(PRESENTATION_SHAPES["truncated Q3"]()).minimal_nonfaces}
+        assert sizes == {2, 3}
+        assert len(presentation(PRESENTATION_SHAPES["pentagon"]()).minimal_nonfaces) == 5
+        assert {len(s) for s in presentation(PRESENTATION_SHAPES["S3xS3"]()).minimal_nonfaces} == {4}
+
+
+class TestDivisorConstructors:
+    def test_from_map_reads_ints_and_fractions(self, q2):
+        d = Divisor.from_map(q2, {1: Fraction(1, 3), 3: -2})
+        assert d.coeffs == (0, Fraction(1, 3), 0, -2)
+        assert all(type(c) is Fraction for c in d.coeffs)
+        assert Divisor.on_facet(q2, 2, Fraction(3, 2)).coeffs == (0, 0, Fraction(3, 2), 0)
+
+    @pytest.mark.parametrize("fid", [1.7, 1.0, True, "1e0", "1"], ids=repr)
+    def test_from_map_refuses_a_facet_id_that_is_no_int(self, q2, fid):
+        message = f"facet id must be an int, got {fid!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Divisor.from_map(q2, {fid: 1})
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Divisor.on_facet(q2, fid)
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True], ids=repr)
+    def test_from_map_refuses_a_value_that_is_not_exact(self, q2, value):
+        message = f"facet 1 coefficient must be an int or a Fraction, got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Divisor.from_map(q2, {1: value})
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Divisor.on_facet(q2, 1, value)
+
+    def test_from_map_refuses_a_decimal_string(self, q2):
+        with pytest.raises(InputError, match="^facet 0 coefficient must be an integer or"):
+            Divisor.from_map(q2, {0: "0.1"})
+
+    @pytest.mark.parametrize("fid", [-1, 4])
+    def test_from_map_refuses_an_id_out_of_range(self, q2, fid):
+        with pytest.raises(InputError, match=f"^facet id {fid} not in 0..3$"):
+            Divisor.from_map(q2, {fid: 1})
 
 
 class TestPrincipal:
@@ -447,7 +520,7 @@ class TestIntegerLocalizationAgainstFractionRoute:
 
 def xi_of(p):
     """The xi of p's vertex cones, read back from the first cone: U^T a = d xi."""
-    (facets, *_), ((a, d), *_) = p.vertex_cones
+    (facets, *_), ((a, d, _), *_), _ = p.vertex_cones
     rows = zip(*(p.normals[f] for f in facets))
     return tuple(Fraction(sum(x * y for x, y in zip(row, a)), d) for row in rows)
 
@@ -477,10 +550,11 @@ class TestVertexConesKeptOnThePolytope:
 
     def test_cached_value_is_immutable_and_no_field(self, q3):
         copy = construct_standard("cube", 3)
-        facet_sets, cones = q3.vertex_cones
+        facet_sets, cones, scale = q3.vertex_cones
         assert q3.vertex_cones is q3.vertex_cones
         assert type(facet_sets) is tuple and all(type(s) is tuple for s in facet_sets)
-        assert type(cones) is tuple and all(type(a) is tuple for a, _ in cones)
+        assert type(cones) is tuple and all(type(a) is tuple for a, _, _ in cones)
+        assert type(scale) is int
         # the cache is not a field: equality, hash, repr and asdict ignore it
         assert q3 == copy and hash(q3) == hash(copy) and repr(q3) == repr(copy)
         assert "vertex_cones" not in dataclasses.asdict(q3)
@@ -504,6 +578,10 @@ class TestVertexConesKeptOnThePolytope:
         p = ORACLE_SHAPES["pS3"]()
         moved = p.translate((Fraction(1, 2), Fraction(1, 3), Fraction(-1)))
         assert moved.vertex_cones == p.vertex_cones
+        # the multipliers bring every vertex term to the one denominator
+        _, cones, scale = moved.vertex_cones
+        assert all(k * abs(d) * prod(a) == scale for a, d, k in cones)
+        assert scale > 0 and any(k < 0 for _, _, k in cones)
 
     def test_xi_search_past_t_1(self):
         # the slant edge of the triangle runs along (1, -1), so xi = (1, 1)
@@ -538,6 +616,13 @@ class TestAvoidanceCertificates:
     def test_facet_ids_out_of_range(self, q2, touched):
         with pytest.raises(InputError, match="not in 0..3"):
             avoidance_certificate(q2, ample_from_offsets(q2), touched)
+
+    @pytest.mark.parametrize("fid", [True, 1.0, 1.5, "1"], ids=repr)
+    def test_facet_ids_that_are_no_ints(self, q2, fid):
+        message = f"touched facet id must be an int, got {fid!r}"
+        for touched in ([fid], [0, fid]):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                avoidance_certificate(q2, ample_from_offsets(q2), touched)
 
     def test_generic_subsets_have_certificates(self, q3):
         p = perturb(q3, Fraction(1, 100), seed=9)
@@ -610,6 +695,66 @@ SHAPES_BOTH_ROUTES = {
     "translated S3": lambda: construct_standard("simplex", 3).translate(
         (Fraction(-1, 2), Fraction(3), Fraction(1, 9))),
 }
+
+
+class TestKeptNumerators:
+    """Divisor.cleared: built on first use, kept on the divisor and read by
+    every later query and certificate on it."""
+
+    def test_cleared_is_built_once_and_is_no_field(self):
+        d = Divisor((Fraction(1, 2), Fraction(-2, 3), 0, 5))
+        twin = Divisor(d.coeffs)
+        assert d.cleared is d.cleared
+        assert d.cleared == ((3, -4, 0, 30), 6)
+        assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+        assert dataclasses.asdict(d) == {"coeffs": d.coeffs}
+        assert "cleared" not in repr(d)
+
+    def test_one_divisor_is_cleared_once(self, monkeypatch):
+        p = ORACLE_SHAPES["pQ3"]()
+        h = ample_from_offsets(p)
+        rows = []
+        int_row = linalg.int_row
+
+        def counted(row):
+            rows.append(row)
+            return int_row(row)
+
+        monkeypatch.setattr(linalg, "int_row", counted)
+        first = self_intersection_top(p, h)
+        for touched in ([0], [1, 2], [0, 2, 4]):
+            avoidance_certificate(p, h, touched)
+        assert self_intersection_top(p, h) == first
+        assert rows == [h.coeffs]
+
+    def test_list_coefficients_are_refused(self, q2):
+        listed = Divisor([1, 0, 0, 0])
+        refusals = [
+            ("divisors[1]", lambda: IntersectionQuery(q2, (Divisor.zero(q2), listed))),
+            ("h", lambda: avoidance_certificate(q2, listed, [0])),
+            ("d", lambda: is_principal(q2, listed)),
+            ("d2", lambda: linearly_equivalent(q2, Divisor.zero(q2), listed)),
+        ]
+        for name, call in refusals:
+            message = f"{name} coefficients must be a tuple, got list"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.parametrize("shape", list(PERTURBED_SHAPES))
+    def test_equal_and_shared_divisors_match_the_fraction_route(self, shape):
+        p = PERTURBED_SHAPES[shape]()
+        d = random_divisors(p, random.Random(shape))[0]
+        # distinct objects with equal coefficients, and one object n times
+        twins = tuple(Divisor(tuple(list(d.coeffs))) for _ in range(p.dim))
+        want = chow_reference.fraction_intersection_number(p, twins)
+        assert intersection_number(IntersectionQuery(p, twins)) == want
+        assert self_intersection_top(p, d) == want
+        assert self_intersection_top(p, d) == want
+        h = ample_from_offsets(p)
+        check = TestIntegerLocalizationAgainstFractionRoute.check
+        check(p, (h,) * p.dim)
+        check(p, (h, d) + twins[2:])
+        check(p, (h,) * p.dim)
 
 
 @st.composite

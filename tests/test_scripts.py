@@ -32,12 +32,12 @@ def test_resolution_scan_skips_what_the_caps_refuse():
 
 def test_divisor_scale_prints_one_row_per_dimension():
     rows = _run(["divisor_scale.py", "--max-n", "3"]).splitlines()
-    assert rows[:2] == ["| polytope | construct | perturb | genericity | H^n |",
-                        "|---|---|---|---|---|"]
+    assert rows[:2] == ["| polytope | construct | perturb | genericity | H^n | presentation |",
+                        "|---|---|---|---|---|---|"]
     assert [row.split(" | ")[0] for row in rows[2:]] == ["| Q^2", "| Q^3"]
     for row in rows[2:]:
-        construct, perturb, generic, top = map(float, row.strip("| ").split(" | ")[1:])
-        assert min(construct, perturb, generic, top) >= 0 and generic <= perturb
+        construct, perturb, generic, top, ring = map(float, row.strip("| ").split(" | ")[1:])
+        assert min(construct, perturb, generic, top, ring) >= 0 and generic <= perturb
 
 
 def test_sample_scale_prints_one_row_per_polytope_and_resolution():
