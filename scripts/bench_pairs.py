@@ -42,7 +42,10 @@ def run_one(checkout: str, workload: str, seed: int, seconds: float, trace: int 
     trace is 1.
 
     Stops the script, naming the checkout, the exit code and stderr, when
-    the run exits nonzero or its last stdout line is not a JSON object.
+    the run exits nonzero or its last stdout line is not a JSON object.  A
+    run whose check failed is the exception: perfbench/run.py exits 1 after
+    writing its result line, which reads "correct": false, and that line is
+    returned, so that main records the run and names it.
     """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -50,13 +53,14 @@ def run_one(checkout: str, workload: str, seed: int, seconds: float, trace: int 
         cwd=checkout, capture_output=True, text=True,
     )
     where = f"perfbench in {checkout} (seed {seed}) exited with code {proc.returncode}"
-    if proc.returncode:
-        sys.exit(f"{where}:\n{proc.stderr}")
     lines = proc.stdout.splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
+    incorrect = proc.returncode == 1 and isinstance(result, dict) and result.get("correct") is False
+    if proc.returncode and not incorrect:
+        sys.exit(f"{where}:\n{proc.stderr}")
     if not isinstance(result, dict):
         sys.exit(f"{where} but its last line is not a JSON result:\n{proc.stderr}")
     return result

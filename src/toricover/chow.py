@@ -29,12 +29,12 @@ The other constructions run in integers too, with one Fraction built per
 returned coefficient.  A principal divisor clears v once, so each flux is
 one integer dot product over v's scale.  The ample class reads the vertex
 centroid as one integer vector over one denominator
-(SimplePolytope.cleared_centroid).  An avoidance certificate reads H's
-cleared numerators and takes its flux vector from linalg.int_solve, an
-integer solution over one pivot.  A divisor handed to IntersectionQuery,
-avoidance_certificate, is_principal or linearly_equivalent must be exactly
-a tuple of one int or Fraction per facet, and InputError names it
-otherwise.
+(SimplePolytope.cleared_centroid).  The flux solves, is_principal and the
+avoidance certificates, read the divisor's cleared numerators and take
+their vector from linalg.int_solve, an integer solution over one pivot.  A
+divisor handed to IntersectionQuery, avoidance_certificate, is_principal or
+linearly_equivalent must be exactly a tuple of one int or Fraction per
+facet, and InputError names it otherwise.
 """
 
 from __future__ import annotations
@@ -280,9 +280,12 @@ def principal_divisor(p: SimplePolytope, v) -> Divisor:
 
 def is_principal(p: SimplePolytope, d: Divisor):
     """A vector v with <u_F, v> = coeff_F for every facet, or None.  A d
-    that is not one int or Fraction per facet raises InputError naming d."""
+    that is not one int or Fraction per facet raises InputError naming d.
+    With d = c / s (Divisor.cleared), linalg.int_solve gives s v = x / e."""
     _check_divisor(p, d, "d")
-    return linalg.solve(list(p.normals), list(d.coeffs))
+    c, s = d.cleared
+    solved = linalg.int_solve(p.normals, c)
+    return None if solved is None else tuple(Fraction(v, s * solved[1]) for v in solved[0])
 
 
 def linearly_equivalent(p: SimplePolytope, d1: Divisor, d2: Divisor) -> bool:

@@ -201,6 +201,8 @@ def random_small_set_family(model: LatticeModel, k: int, seed: int) -> LatticeCo
 def _nth_bit(mask: int, j: int) -> int:
     """The position of the j-th (from 0) set bit of mask, by bisection on
     the count of set bits below a position."""
+    # kept over islice(_bits_of(mask), j, None): lattice_suite read 474-483
+    # items_per_ref_s with the bisection, 423-438 without (2 shared cores)
     lo, hi = 0, mask.bit_length()
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -8,19 +8,19 @@ Gauss-Jordan style) then works on those integer rows: every intermediate entry
 is a minor of the scaled matrix, so each division is exact.  A Fraction is
 built only for the values a public function returns.
 
-int_row clears one row; int_det, int_cramer, int_solve_unique and int_solve
-take integer rows and return integers, for callers that keep their own
-denominators: polytope's vertex solving (int_solve_unique), chow's
-localization, which reads each vertex cone's edge weights and determinant off
-one int_cramer call, and chow's avoidance certificates, which read one
-particular solution off int_solve.  polytope's genericity test needs no
-elimination: it sweeps all maximal minors by Laplace expansion.  int_det
-serves det and the tests.
+int_row clears one row; int_det, int_cramer and int_solve take integer rows
+and return integers, for callers that keep their own denominators.
+int_cramer serves polytope's vertex solving, one call per facet subset, and
+chow's localization, which reads each vertex cone's edge weights and
+determinant off one call.  int_solve serves chow's flux solves: is_principal
+and the avoidance certificates read one particular solution off it.
+polytope's genericity test needs no elimination: it sweeps all maximal
+minors by Laplace expansion.  int_det serves det and the tests.
 
 solve is int_solve over rows cleared one by one, with Fractions built for
-the result.  Of the Fraction routes, solve_unique and nullspace_vector have
-no caller in the library: they stay because the benchmark's tracer and the
-tests name them.
+the result.  No library route calls the Fraction solve, solve_unique or
+nullspace_vector: they stay because the benchmark's tracer and the tests
+name them.
 """
 
 from __future__ import annotations
@@ -102,21 +102,6 @@ def int_cramer(rows, rhs):
     if sign < 0:
         return [-row[n] for row in aug], -d
     return [row[n] for row in aug], d
-
-
-def int_solve_unique(rows, rhs):
-    """(x, d) with rows . (x / d) = rhs for a square nonsingular integer
-    system, or None if singular.  d > 0 and gcd(d, *x) == 1, so equal
-    solutions give equal pairs."""
-    solved = int_cramer(rows, rhs)
-    if solved is None:
-        return None
-    x, d = solved
-    if d < 0:
-        d = -d
-        x = [-v for v in x]
-    g = gcd(d, *x)
-    return tuple(v // g for v in x), d // g
 
 
 def det(rows) -> Fraction:

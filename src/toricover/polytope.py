@@ -5,8 +5,8 @@ integer inward normals and rational offsets.  from_halfspaces solves every
 n-subset of facets for the vertices and reads boundedness off them: every
 edge of a bounded simple polytope has two vertices.  perturb keeps its
 input's combinatorial type and solves only the input's vertex facet sets.
-The solving and the slack signs run in integers on the cleared half-space
-data (linalg's int_* functions), and the genericity test sweeps every
+A vertex is one linalg.int_cramer solve on the cleared half-space data, its
+slack signs are read in integers, and the genericity test sweeps every
 maximal minor of the integer normals by Laplace expansion; Fraction is only
 the type of the stored offsets and vertex coordinates.  The vertex centroid
 is read off one integer sum of the cleared vertices (cleared_centroid),
@@ -76,6 +76,13 @@ def exact(value, name: str) -> Fraction:
         raise InputError(f"{name}: {exc}") from None
 
 
+def exact_vector(values, n: int, name: str) -> tuple:
+    """values as n Fractions, each read by exact and named name[j]."""
+    if len(values) != n:
+        raise InputError(f"{name} must have {n} entries, got {len(values)}")
+    return tuple(exact(x, f"{name}[{j}]") for j, x in enumerate(values))
+
+
 def exact_int(value, name: str) -> int:
     """value, refusing anything but an int named name (a bool is no number)."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -112,6 +119,7 @@ class SimplePolytope:
         return range(len(self.normals))
 
     def slack(self, facet_id: int, point) -> Fraction:
+        point = exact_vector(point, self.dim, "point")
         return linalg.dot(self.normals[facet_id], point) + self.offsets[facet_id]
 
     def contains(self, point) -> bool:
@@ -154,6 +162,7 @@ class SimplePolytope:
 
     def translate(self, shift) -> "SimplePolytope":
         """The polytope P - shift (so that `shift` maps to the origin)."""
+        shift = exact_vector(shift, self.dim, "shift")
         offsets = tuple(
             c + linalg.dot(u, shift) for u, c in zip(self.normals, self.offsets)
         )
@@ -180,11 +189,6 @@ class SimplePolytope:
         return total, d * len(rows)
 
 
-def _primitivize(normal, offset):
-    prim, scale = linalg.primitive_int_vector(normal)
-    return prim, Fraction(offset) * scale
-
-
 def _bounded(vertices) -> bool:
     """True iff the simple polyhedron with these vertices is bounded.
 
@@ -200,20 +204,21 @@ def _bounded(vertices) -> bool:
 
 
 def _basic_point(rows, subset):
-    """((x, d), tight): the point x / d where the facets of `subset` are tight
-    and the facets whose integer slack <u_F, x> + c_F d is 0, on the rows
-    (u_F, c_F) * s_F; None if the system is singular or the point infeasible."""
+    """(point, tight): the Fraction point x / d, d > 0, where the facets of
+    `subset` are tight and the facets whose slack times d, <u_F, x> + c_F d,
+    is 0, on the rows (u_F, c_F) * s_F; None if singular or infeasible."""
     n = len(rows[0]) - 1
-    sol = linalg.int_solve_unique(
-        [rows[i][:n] for i in subset], [-rows[i][n] for i in subset]
-    )
+    sol = linalg.int_cramer([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
     if sol is None:
         return None
     x, d = sol
+    if d < 0:
+        x, d = [-v for v in x], -d
     slacks = [sum(map(mul, row, x)) + row[n] * d for row in rows]
     if min(slacks) < 0:
         return None
-    return sol, frozenset(i for i, s in enumerate(slacks) if s == 0)
+    return (tuple(Fraction(v, d) for v in x),
+            frozenset(i for i, s in enumerate(slacks) if s == 0))
 
 
 def solve_region_vertices(normals, offsets, *, require_simple):
@@ -221,7 +226,7 @@ def solve_region_vertices(normals, offsets, *, require_simple):
 
     Each half-space is scaled once to integer data (u_F, c_F) * s_F, which
     leaves it unchanged, and every n-subset of facets is solved on those
-    rows by _basic_point; a Fraction is built only for a new vertex.
+    rows by _basic_point; a vertex reached from several is keyed by its point.
 
     Returns a list of Vertex.  With require_simple, raises NotSimpleError as
     soon as a feasible basic point is tight on more than n facets.
@@ -233,13 +238,12 @@ def solve_region_vertices(normals, offsets, *, require_simple):
         found = _basic_point(rows, subset)
         if found is None or found[0] in seen:
             continue
-        (x, d), tight = found
-        point = tuple(Fraction(v, d) for v in x)
+        point, tight = found
         if require_simple and len(tight) > n:
             raise NotSimpleError(
                 f"vertex {point} lies on {len(tight)} facets (expected {n})"
             )
-        seen[found[0]] = Vertex(point, tight)
+        seen[point] = Vertex(point, tight)
     return list(seen.values())
 
 
@@ -249,7 +253,8 @@ def from_halfspaces(normals, offsets) -> SimplePolytope:
     Normals are primitivized (offsets rescaled along) so each stored normal
     has integer entries with gcd 1.  Every input half-space must define an
     actual facet; a redundant inequality is rejected because it would break
-    the round trip between the H-representation and the vertex set.
+    the round trip between the H-representation and the vertex set.  Each
+    entry is read by exact, named normals[i][j] or offsets[i].
     """
     if len(normals) != len(offsets):
         raise InputError("normals and offsets must have the same length")
@@ -258,16 +263,16 @@ def from_halfspaces(normals, offsets) -> SimplePolytope:
     n = len(normals[0])
     if n < 1:
         raise InputError("ambient dimension must be >= 1")
-    if any(len(u) != n for u in normals):
-        raise InputError("all normals must have the same length")
+    normals = [exact_vector(u, n, f"normals[{i}]") for i, u in enumerate(normals)]
+    offsets = [exact(c, f"offsets[{i}]") for i, c in enumerate(offsets)]
     if len(normals) < n + 1:
         raise UnboundedError("fewer than n+1 facets cannot bound a polytope")
     if not all(any(u) for u in normals):
         raise InputError("zero vector has no primitive form")
 
-    prim = [_primitivize(u, c) for u, c in zip(normals, offsets)]
-    unormals = tuple(p[0] for p in prim)
-    uoffsets = tuple(p[1] for p in prim)
+    prim = [linalg.primitive_int_vector(u) for u in normals]
+    unormals = tuple(u for u, _ in prim)
+    uoffsets = tuple(c * scale for (_, scale), c in zip(prim, offsets))
 
     vertices = solve_region_vertices(unormals, uoffsets, require_simple=True)
     if not vertices and linalg.rank(unormals) == n:
@@ -297,22 +302,12 @@ def construct_standard(kind: str, n: int) -> SimplePolytope:
     """
     if exact_int(n, "n") < 1:
         raise InputError("n must be >= 1")
+    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     if kind == "cube":
-        normals = []
-        offsets = []
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            normals.append(e)
-            offsets.append(Fraction(0))
-            normals.append(tuple(-x for x in e))
-            offsets.append(Fraction(1))
-        return from_halfspaces(normals, offsets)
+        normals = [u for e in units for u in (e, tuple(-x for x in e))]
+        return from_halfspaces(normals, [0, 1] * n)
     if kind == "simplex":
-        normals = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-        offsets = [Fraction(0)] * n
-        normals.append(tuple(-1 for _ in range(n)))
-        offsets.append(Fraction(1))
-        return from_halfspaces(normals, offsets)
+        return from_halfspaces(units + [(-1,) * n], [0] * n + [1])
     raise InputError(f"unknown standard polytope kind: {kind!r}")
 
 
@@ -441,8 +436,7 @@ def perturb(p: SimplePolytope, budget, *, seed: int = 0) -> SimplePolytope:
             found = _basic_point(rows, sorted(s))
             if found is None or found[1] != s:
                 break
-            (x, d), _ = found
-            vertices.append(Vertex(tuple(Fraction(v, d) for v in x), s))
+            vertices.append(Vertex(found[0], s))
         else:
             candidate = SimplePolytope(p.dim, tuple(normals), tuple(offsets), tuple(vertices))
             if generic_normals_check(candidate):

@@ -834,6 +834,33 @@ class TestIntegerRoutesAgainstFractionRoutes:
                     assert all(type(c) is Fraction for c in got.coeffs)
                     assert all(got.coeffs[f] == 0 for f in touched)
 
+    @pytest.mark.parametrize("shape", list(SHAPES_BOTH_ROUTES))
+    def test_principal_against_one_vertex_solve(self, shape):
+        """is_principal in integers against chow_reference.fraction_solve on
+        one vertex's facets: the normals span, so D is principal iff the v
+        solved there has D as its fluxes, and then v is the only answer."""
+        p = SHAPES_BOTH_ROUTES[shape]()
+        rng = random.Random(shape)
+        facets = sorted(p.vertices[0].facets)
+        rows = [p.normals[f] for f in facets]
+        vs = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(p.dim))
+              for _ in range(3)]
+        principal = [principal_divisor(p, v) for v in vs]
+        principal.append(Divisor.zero(p))
+        others = [d + Divisor.on_facet(p, rng.randrange(p.num_facets)) for d in principal]
+        others += [random_divisors(p, rng)[0],
+                   Divisor(tuple(rng.randint(-3, 3) for _ in p.facet_ids()))]
+        for d in principal + others:
+            v, det = chow_reference.fraction_solve(rows, [d.coeffs[f] for f in facets])
+            assert det != 0
+            want = tuple(v) if chow_reference.fraction_principal_coeffs(p, v) == d.coeffs else None
+            got = is_principal(p, d)
+            assert got == want
+            if got is not None:
+                assert all(type(x) is Fraction for x in got)
+        assert [is_principal(p, d) for d in principal[:3]] == vs
+        assert all(is_principal(p, d) is None for d in others[:4])
+
     def test_inconsistent_and_underdetermined_both_occur(self):
         q2 = construct_standard("cube", 2)
         h = Divisor.from_map(q2, {0: 1, 1: 1})

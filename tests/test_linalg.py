@@ -21,6 +21,7 @@ from toricover.chow import Divisor, polytope_of_divisor
 from toricover.polytope import (
     NotSimpleError,
     Vertex,
+    _basic_point,
     from_halfspaces,
     product,
     solve_region_vertices,
@@ -242,19 +243,6 @@ class TestIntegerEntryPoints:
 
     @settings(max_examples=150, deadline=None)
     @given(matrices(square=True, entry=ints), st.data())
-    def test_int_solve_unique(self, rows, data):
-        rhs = data.draw(st.lists(ints, min_size=len(rows), max_size=len(rows)))
-        got = linalg.int_solve_unique(rows, rhs)
-        want = ref_solve_unique(rows, rhs)
-        if want is None:
-            assert got is None
-            return
-        x, d = got
-        assert d > 0 and math.gcd(d, *x) == 1
-        assert tuple(Fraction(v, d) for v in x) == want
-
-    @settings(max_examples=150, deadline=None)
-    @given(matrices(square=True, entry=ints), st.data())
     def test_int_cramer(self, rows, data):
         rhs = data.draw(st.lists(ints, min_size=len(rows), max_size=len(rows)))
         got = linalg.int_cramer(rows, rhs)
@@ -375,6 +363,44 @@ class TestRegionVertices:
             solve_region_vertices(normals, offsets, require_simple=True)
         with pytest.raises(NotSimpleError):
             from_halfspaces(normals, offsets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(square=True, entry=ints), st.data())
+    def test_basic_point_against_fraction_elimination(self, rows, data):
+        """_basic_point on the rows (u_F, c_F) of a square system, every row
+        in the subset, gives the solution of u_F . x = -c_F as Fractions,
+        tight on every row, or None when the system is singular."""
+        rhs = data.draw(st.lists(ints, min_size=len(rows), max_size=len(rows)))
+        got = _basic_point([list(u) + [-b] for u, b in zip(rows, rhs)], range(len(rows)))
+        want = ref_solve_unique(rows, rhs)
+        if want is None:
+            assert got is None
+            return
+        assert got == (want, frozenset(range(len(rows))))
+        assert all_fractions(got[0])
+
+    @pytest.mark.parametrize("shape", ["Q3", "S3", "P112"])
+    def test_a_vertex_reached_from_several_subsets_is_one_vertex(self, shape):
+        """The zero divisor's region is the origin, tight on every facet:
+        each nonsingular facet subset reaches it, with determinants of both
+        signs and, on P112, of size 2.  Keyed by its Fraction point, it is
+        one vertex."""
+        p = {
+            "Q3": lambda: construct_standard("cube", 3),
+            "S3": lambda: construct_standard("simplex", 3),
+            "P112": lambda: from_halfspaces([(1, 0), (0, 1), (-1, -2)], [0, 0, 2]),
+        }[shape]()
+        zero = Divisor.zero(p)
+        rows = [list(u) + [0] for u in p.normals]
+        dets = {linalg.int_det([p.normals[f] for f in s])
+                for s in itertools.combinations(p.facet_ids(), p.dim)}
+        assert len(dets - {0}) > 1
+        origin = (Fraction(0),) * p.dim
+        for s in itertools.combinations(p.facet_ids(), p.dim):
+            found = _basic_point(rows, s)
+            assert found is None or found == (origin, frozenset(p.facet_ids()))
+        region = polytope_of_divisor(p, zero)
+        assert list(region.vertices) == [Vertex(origin, frozenset(p.facet_ids()))]
 
     def test_polytope_of_divisor_region(self, q3):
         d = Divisor(tuple(Fraction(c, 3) for c in (1, 2, -1, 4, 0, 5)))

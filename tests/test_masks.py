@@ -254,20 +254,22 @@ class TestPointIndex:
     def test_comparisons_answer_as_frozensets(self, model):
         grid = model.grid()
         points = model.points()
+        model_points = set(points)
         rng = random.Random(15)
         for trial in range(300):
             x = PointSet(grid, rng.getrandbits(grid.full.bit_length()) & grid.full)
             # mostly points of x, some other points and rarely a stray, so
-            # that every comparison comes out both ways.  A float or Fraction
-            # tuple equal to a point is left out: a frozenset holds it for the
-            # point, while a PointSet refuses it as bit does (tested below).
+            # that every comparison comes out both ways.  A float, Fraction or
+            # bool tuple equal to a point is left out: a frozenset holds it for
+            # the point, while a PointSet refuses it as bit does (tested below).
             mine = list(x) or [points[0]]
             y = {rng.choice(mine) for _ in range(rng.randrange(len(mine) + 2))}
             if trial % 3 == 0:
                 y.add(rng.choice(points))
             if trial % 5 == 0:
                 p = rng.choice(points)
-                strays = int_strays(model, p) + other_strays(p)[:3] + [None, "ab"]
+                others = [s for s in other_strays(p)[:3] if s not in model_points]
+                strays = int_strays(model, p) + others + [None, "ab"]
                 y.add(rng.choice(strays))
             fx = frozenset(x)
             for plain in (y, frozenset(y)):
@@ -281,13 +283,16 @@ class TestPointIndex:
 
     @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
     def test_refused_items_stay_refused(self, model):
-        """A float or Fraction tuple equal to a point finds it in the index;
+        """A float, Fraction or bool tuple equal to a point finds it in the index;
         set_of, `in` and >= still refuse it, as bit does, while <= and ==
         go point by point and answer as frozenset(x) does."""
         grid = model.grid()
         for p in model.points():
             x = PointSet(grid, 1 << grid.bit(p))
-            for item in (tuple(map(float, p)), tuple(map(Fraction, p))):
+            items = [tuple(map(float, p)), tuple(map(Fraction, p))]
+            if set(p) <= {0, 1}:
+                items.append(tuple(map(bool, p)))  # (True, False) == (1, 0)
+            for item in items:
                 assert grid.index.get(item) == grid.bit(p)
                 assert grid.bit(item) is None and item not in x
                 assert grid.set_of([p, item]) == (x, [item])

@@ -343,14 +343,14 @@ class TestPerturb:
 
     def test_solves_only_the_vertex_facet_sets(self, monkeypatch):
         q4 = construct_standard("cube", 4)
-        solve = linalg.int_solve_unique
+        solve = linalg.int_cramer
         calls = []
 
         def counted(rows, rhs):
             calls.append(1)
             return solve(rows, rhs)
 
-        monkeypatch.setattr(linalg, "int_solve_unique", counted)
+        monkeypatch.setattr(linalg, "int_cramer", counted)
         perturb(q4, Fraction(1, 100), seed=0)
         # one attempt: Q^4 has 16 vertices against C(8, 4) = 70 facet subsets
         assert len(calls) == 16

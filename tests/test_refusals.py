@@ -83,6 +83,41 @@ REFUSALS = [
      InputError, "at least one half-space is required"),
     ("halfspaces-few-facets", lambda: from_halfspaces([(1, 0), (0, 1)], [0, 0]),
      UnboundedError, "fewer than n+1 facets cannot bound a polytope"),
+    # every entry is read by polytope.exact: a float is not read as its
+    # binary value, and a bool is no number
+    ("halfspaces-offset-float",
+     lambda: from_halfspaces([(1, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, 0.1, 1]),
+     InputError, "offsets[2] must be an int or a Fraction, got 0.1"),
+    ("halfspaces-normal-float",
+     lambda: from_halfspaces([(1.5, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, 1, 1]),
+     InputError, "normals[0][0] must be an int or a Fraction, got 1.5"),
+    ("halfspaces-normal-bool",
+     lambda: from_halfspaces([(1, 0), (0, True), (-1, 0), (0, -1)], [0, 0, 1, 1]),
+     InputError, "normals[1][1] must be an int or a Fraction, got True"),
+    ("slack-point-float", lambda: construct_standard("cube", 2).slack(0, (0.1, 0)),
+     InputError, "point[0] must be an int or a Fraction, got 0.1"),
+    ("contains-point-bool", lambda: construct_standard("cube", 2).contains((True, 0.5)),
+     InputError, "point[0] must be an int or a Fraction, got True"),
+    ("contains-point-short", lambda: construct_standard("cube", 2).contains((0,)),
+     InputError, "point must have 2 entries, got 1"),
+    ("translate-shift-float", lambda: construct_standard("cube", 2).translate((0.1, 0)),
+     InputError, "shift[0] must be an int or a Fraction, got 0.1"),
+    # a lattice point is a tuple of ints: (True, 0) equals (1, 0) but is none
+    ("lattice-cover-bool",
+     lambda: covering.LatticeCover(cube(2, 1), {"X": [(True, 0)]}),
+     InputError, "set 'X' has points outside the model: [(True, 0)]"),
+    ("lattice-cover-simplex-bool",
+     lambda: covering.LatticeCover(LatticeModel("simplex", 2, 2), {"X": [(True, True, 0)]}),
+     InputError, "set 'X' has points outside the model: [(True, True, 0)]"),
+    ("sample-bool", lambda: covering.Sample(((0, 1), (True, Fraction(1, 2)))),
+     InputError, "sample[1] must be ints and Fractions, one per coordinate of sample[0],"
+     " got (True, Fraction(1, 2))"),
+    ("sample-float", lambda: covering.Sample(((0.5,),)),
+     InputError, "sample[0] must be ints and Fractions, one per coordinate of sample[0],"
+     " got (0.5,)"),
+    ("sample-ragged", lambda: covering.Sample(((1, 2), (1, 2), (1,))),
+     InputError, "sample[2] must be ints and Fractions, one per coordinate of sample[0],"
+     " got (1,)"),
     ("standard-n0", lambda: construct_standard("cube", 0), InputError, "n must be >= 1"),
     ("standard-n-float", lambda: construct_standard("cube", 2.0),
      InputError, "n must be an int, got 2.0"),

@@ -162,11 +162,34 @@ def test_bench_pairs_run_one_stops_on_a_failed_run(tmp_path):
     assert bench_pairs.run_one(str(tmp_path), "divisor_ring", 1, 0.1) == {"correct": True}
 
 
+@pytest.mark.parametrize("line, code, stops", [
+    ('{"correct": false}', 1, False),  # a failed check: run.py's own exit
+    ('{"correct": true}', 1, True),
+    ('{"correct": false}', 2, True),
+    ('{}', 1, True),
+])
+def test_bench_pairs_run_one_keeps_a_run_whose_check_failed(tmp_path, line, code, stops):
+    """Exit code 1 with a last line reading "correct": false is a run whose
+    check failed, as perfbench/run.py reports one: its line is returned.
+    Any other nonzero exit stops the script."""
+    bench_pairs = _bench_pairs()
+    run = tmp_path / "perfbench" / "run.py"
+    run.parent.mkdir()
+    run.write_text(f"import sys\nprint({line!r})\nsys.exit({code})\n")
+    if stops:
+        with pytest.raises(SystemExit, match=f"exited with code {code}"):
+            bench_pairs.run_one(str(tmp_path), "divisor_ring", 1, 0.1)
+    else:
+        assert bench_pairs.run_one(str(tmp_path), "divisor_ring", 1, 0.1) == json.loads(line)
+
+
+# exits 1 on an incorrect run, after its result line, as perfbench/run.py does
 CANNED_RUN = """import json, sys
 args = sys.argv[1:]
 seed = int(args[args.index("--seed") + 1])
 print(json.dumps({"correct": CORRECT, "attempted": 4, "failed": FAILED, "argv": args, "metrics": {
     "items_per_ref_s": {"value": seed + SPEED, "unit": "1/ref_s"}}}))
+sys.exit(0 if CORRECT else 1)
 """
 
 
