@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import chow, harness
+from . import chow, covering, harness
 from .chow import Divisor, IntersectionQuery
+from .covering import COUNTEREXAMPLE_CANDIDATE, WITNESS_FOUND, LatticeCover, LatticeModel
 from .harness import SuiteConfig
 from .polytope import construct_standard, cube_facet_id, generic_normals_check, perturb
 
@@ -211,14 +212,23 @@ def kkm_lebesgue_suite(instances: int = 50) -> CriterionResult:
 
 
 def oracle() -> CriterionResult:
-    """The tiny exhaustive enumeration agrees with the lebesgue verifier on
-    every cover (its zero violations hold by pigeonhole)."""
-    report = harness.exhaustive_oracle_tiny()
-    ok = report["violations"] == 0 and report["verifier_mismatches"] == 0
-    return CriterionResult(
-        "oracle", ok,
-        f"{report['instances']} covers, {report['checked_low_multiplicity']} checked",
-    )
+    """The Lebesgue slice of the census in tests/test_census.py: every
+    labelling of the 4 points of {0,1}^2 by sets X0..X3, empty sets kept.
+    Each is a cover of multiplicity 1, and lebesgue_witness must find a
+    witness exactly when some set holds both ends of an axis; the 24
+    labellings by four singletons hold none.  A failure names its labelling,
+    the set index of each point in model.points() order."""
+    model = LatticeModel("cube", 2, 1)
+    points = model.points()
+    candidates = 0
+    for labels in itertools.product(range(4), repeat=len(points)):
+        sets = {f"X{c}": [p for p, x in zip(points, labels) if x == c] for c in range(4)}
+        spanning = any(len({p[a] for p in pts}) == 2 for pts in sets.values() for a in (0, 1))
+        verdict = covering.lebesgue_witness(LatticeCover(model, sets)).verdict
+        if verdict != (WITNESS_FOUND if spanning else COUNTEREXAMPLE_CANDIDATE):
+            return CriterionResult("oracle", False, f"labelling {labels} reads {verdict}")
+        candidates += not spanning
+    return CriterionResult("oracle", True, f"{4 ** len(points)} covers, {candidates} candidates")
 
 
 ALL_CRITERIA = (

@@ -331,53 +331,6 @@ def polytope_sample_cover(
     return PointCloudCover(sample.points, sets), Fraction(1, resolution)
 
 
-def exhaustive_oracle_tiny() -> dict:
-    """Enumerate every cover of the 2x2 point grid by up to 3 labeled nonempty
-    sets; violations is 0 by pigeonhole (some set holds two points, spanning an
-    axis), so what counts is the lebesgue verifier's agreement with enumeration."""
-    model = LatticeModel("cube", 2, 1)
-    points = list(model.points())
-    total = checked = violations = mismatches = 0
-    for nsets in (1, 2, 3):
-        options = [
-            frozenset(c)
-            for size in range(1, nsets + 1)
-            for c in itertools.combinations(range(nsets), size)
-        ]
-        for assignment in itertools.product(options, repeat=len(points)):
-            sets = {
-                f"X{i}": frozenset(
-                    p for p, mem in zip(points, assignment) if i in mem
-                )
-                for i in range(nsets)
-            }
-            if any(not pts for pts in sets.values()):
-                continue
-            total += 1
-            mult = max(len(mem) for mem in assignment)
-            report = covering.lebesgue_witness(LatticeCover(model, sets))
-            if mult <= 2:
-                checked += 1
-                spanning = any(
-                    (any(p[axis] == 0 for p in pts) and any(p[axis] == 1 for p in pts))
-                    for pts in sets.values()
-                    for axis in (0, 1)
-                )
-                if not spanning:
-                    violations += 1
-                if (report.verdict == WITNESS_FOUND) != spanning:
-                    mismatches += 1
-            else:
-                if report.verdict != HYPOTHESIS_VIOLATED:
-                    mismatches += 1
-    return {
-        "instances": total,
-        "checked_low_multiplicity": checked,
-        "violations": violations,
-        "verifier_mismatches": mismatches,
-    }
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     verifier: str

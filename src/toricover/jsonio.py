@@ -130,13 +130,17 @@ def polytope_to_json(p: SimplePolytope) -> dict:
 
 
 def polytope_from_json(data: dict, path: str = "") -> SimplePolytope:
-    """The polytope of a JSON object; errors name fields under path."""
+    """The polytope of a JSON object; errors name fields under path, and
+    every facet normal must have the first one's length."""
     _check(data, dict, path)
     normals, offsets = [], []
     for i, f in enumerate(_field(data, "facets", path, list)):
         at = _at(_at(path, "facets"), i)
         _check(f, dict, at)
         normals.append(_ints(_field(f, "normal", at), _at(at, "normal")))
+        if len(normals[i]) != len(normals[0]):
+            raise InputError(f"{_at(at, 'normal')} has {len(normals[i])} entries,"
+                             f" the first normal has {len(normals[0])}")
         offsets.append(_frac(_field(f, "offset", at), _at(at, "offset")))
     p = from_halfspaces(normals, offsets)
     dim = _field(data, "dim", path, int)

@@ -23,6 +23,7 @@ import math
 import random
 import re
 from collections import Counter
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -72,12 +73,16 @@ def exact(value, name: str) -> Fraction:
         raise InputError(f'{name} must be an integer or "p/q" string, got {value!r}')
     try:
         return Fraction(value)
+    except TypeError:  # None, a list, a complex: no rational number
+        raise InputError(f"{name} must be an int or a Fraction, got {value!r}") from None
     except (ValueError, ZeroDivisionError) as exc:  # q = 0, or more digits than int() reads
         raise InputError(f"{name}: {exc}") from None
 
 
 def exact_vector(values, n: int, name: str) -> tuple:
     """values as n Fractions, each read by exact and named name[j]."""
+    if not isinstance(values, Sized):
+        raise InputError(f"{name} must be a sequence of {n} numbers, got {values!r}")
     if len(values) != n:
         raise InputError(f"{name} must have {n} entries, got {len(values)}")
     return tuple(exact(x, f"{name}[{j}]") for j, x in enumerate(values))
@@ -226,7 +231,10 @@ def solve_region_vertices(normals, offsets, *, require_simple):
 
     Each half-space is scaled once to integer data (u_F, c_F) * s_F, which
     leaves it unchanged, and every n-subset of facets is solved on those
-    rows by _basic_point; a vertex reached from several is keyed by its point.
+    rows by _basic_point.  A vertex reached from several is keyed by its tight
+    set, which hashes in C where a Fraction point hashes in Python: distinct
+    points have distinct tight sets, since each is the one solution of the
+    nonsingular subset it came from, and that subset lies in its tight set.
 
     Returns a list of Vertex.  With require_simple, raises NotSimpleError as
     soon as a feasible basic point is tight on more than n facets.
@@ -236,14 +244,14 @@ def solve_region_vertices(normals, offsets, *, require_simple):
     seen = {}
     for subset in itertools.combinations(range(len(rows)), n):
         found = _basic_point(rows, subset)
-        if found is None or found[0] in seen:
+        if found is None or found[1] in seen:
             continue
         point, tight = found
         if require_simple and len(tight) > n:
             raise NotSimpleError(
                 f"vertex {point} lies on {len(tight)} facets (expected {n})"
             )
-        seen[point] = Vertex(point, tight)
+        seen[tight] = Vertex(point, tight)
     return list(seen.values())
 
 

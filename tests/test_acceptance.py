@@ -1,9 +1,13 @@
 """The acceptance gate: every criterion at full scale, one pass/fail line
 each.  Run with -s to see the lines as they complete."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from toricover import acceptance, harness
+from toricover import acceptance, chow, covering, harness
+from toricover.covering import WitnessReport
 
 CRITERIA = {fn.__name__: fn for fn in acceptance.ALL_CRITERIA}
 
@@ -65,7 +69,8 @@ def test_kkm_lebesgue_suite():
 
 
 def test_oracle():
-    """Exhaustive tiny enumeration: zero violations, verifier agrees."""
+    """The census's {0,1}^2 Lebesgue slice: the verifier agrees with the
+    point brute force on all 256 labellings."""
     _check("oracle")
 
 
@@ -93,3 +98,34 @@ def test_failure_names_its_seed(monkeypatch, name, verifier, seed, where):
     result = CRITERIA[name](5)
     assert not result.ok
     assert result.detail == f"{where} fails at seed {seed}"
+
+
+@pytest.mark.parametrize(
+    "name, module, function, call, value, detail",
+    [
+        ("ring_golden", chow, "is_principal", 3, None, "pair 1 not principal at n=2"),
+        ("volume_link", chow, "volume", 4, Fraction(7), "vol(simplex,2) = 7"),
+        ("principal_identity", chow, "linearly_equivalent", 3, False, "n=3"),
+        ("flux_certificates", chow, "avoidance_certificate", 2, None, "seed 0 subset (0,)"),
+        # call 28 is labelling (0, 1, 2, 3), four singletons; call 1 is (0, 0, 0, 0)
+        ("oracle", covering, "lebesgue_witness", 28, WitnessReport("witness_found", {}),
+         "labelling (0, 1, 2, 3) reads witness_found"),
+        ("oracle", covering, "lebesgue_witness", 1,
+         WitnessReport("counterexample_candidate", {}),
+         "labelling (0, 0, 0, 0) reads counterexample_candidate"),
+    ],
+    ids=["ring_golden", "volume_link", "principal_identity", "flux_certificates",
+         "oracle-false-witness", "oracle-missed-witness"],
+)
+def test_failure_names_its_instance(monkeypatch, name, module, function, call, value, detail):
+    """A library call that answers wrongly once fails its criterion, and the
+    detail names the instance it failed on."""
+    original = getattr(module, function)
+    calls = itertools.count(1)
+
+    def wrong_once(*args):
+        return value if next(calls) == call else original(*args)
+
+    monkeypatch.setattr(module, function, wrong_once)
+    result = CRITERIA[name]()
+    assert (result.ok, result.detail) == (False, detail)

@@ -425,7 +425,7 @@ class TestSelftest:
             ("kkm_suite", True, "100 families per (n,k)"),
             ("axes_suite", True, "100 covers per config"),
             ("kkm_lebesgue_suite", True, "50 covers per shape"),
-            ("oracle", True, "2241 covers, 1136 checked"),
+            ("oracle", True, "256 covers, 24 candidates"),
         ]
         lines = err.strip().splitlines()
         assert len(lines) == 11
@@ -709,6 +709,21 @@ class TestInnerFieldTypes:
         payload = {"polytope": {"dim": 2, "facets": [{"normal": [1, 0]}]}, "divisors": []}
         expect_input_error(capsys, ["intersect"], payload,
                            "missing required field 'polytope.facets[0].offset'")
+
+    @pytest.mark.parametrize(
+        "argv, wrap, field",
+        [
+            (["ring"], lambda p: p, "facets[1].normal"),
+            (["intersect"], lambda p: {"polytope": p, "divisors": []},
+             "polytope.facets[1].normal"),
+            (["verify", "--theorem", "kkm-lebesgue"],
+             lambda p: {**kkm_lebesgue_payload(), "polytope": p}, "polytope.facets[1].normal"),
+        ],
+    )
+    def test_normal_of_another_length_names_its_field(self, capsys, argv, wrap, field):
+        cube = with_field(json.loads(CUBE2), ["facets", 1, "normal"], [0, 1, 0])
+        expect_input_error(capsys, argv, wrap(cube),
+                           f"{field} has 3 entries, the first normal has 2")
 
     def test_divisor_coefficient_names_its_path(self, capsys):
         payload = {

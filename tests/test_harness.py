@@ -16,7 +16,7 @@ from toricover import (
     spans_pair,
     touches_facet,
 )
-from toricover import covering, harness
+from toricover import acceptance, covering, harness
 
 import lattice_reference as ref
 
@@ -219,11 +219,11 @@ class TestDilatedPartition:
 
 class TestOracle:
     def test_zero_violations_and_frozen_count(self):
-        report = harness.exhaustive_oracle_tiny()
-        # 1 + (3^4 - 2) + (7^4 - 3*81 + 3) labeled covers, by inclusion-exclusion
-        assert report["instances"] == 2241
-        assert report["violations"] == 0
-        assert report["verifier_mismatches"] == 0
+        """The selftest oracle runs the census's {0,1}^2 Lebesgue slice: 4^4
+        labellings by X0..X3, and the verifier agrees with the point brute
+        force on each; the 4! labellings by four singletons span no axis."""
+        result = acceptance.oracle()
+        assert (result.ok, result.detail) == (True, "256 covers, 24 candidates")
 
 
 class TestPropertySuite:

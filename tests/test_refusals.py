@@ -102,6 +102,32 @@ REFUSALS = [
      InputError, "point must have 2 entries, got 1"),
     ("translate-shift-float", lambda: construct_standard("cube", 2).translate((0.1, 0)),
      InputError, "shift[0] must be an int or a Fraction, got 0.1"),
+    # a value that is no number, or no sequence where one is due, is refused
+    # by name as well, never left to raise TypeError
+    ("slack-point-no-sequence", lambda: construct_standard("cube", 2).slack(0, 5),
+     InputError, "point must be a sequence of 2 numbers, got 5"),
+    ("translate-shift-none", lambda: construct_standard("cube", 2).translate(None),
+     InputError, "shift must be a sequence of 2 numbers, got None"),
+    ("translate-shift-complex", lambda: construct_standard("cube", 2).translate((1j, 0)),
+     InputError, "shift[0] must be an int or a Fraction, got 1j"),
+    ("contains-point-list-entry", lambda: construct_standard("cube", 2).contains(([0], 0)),
+     InputError, "point[0] must be an int or a Fraction, got [0]"),
+    ("halfspaces-normal-none",
+     lambda: from_halfspaces([(1, 0), None, (-1, 0), (0, -1)], [0, 0, 1, 1]),
+     InputError, "normals[1] must be a sequence of 2 numbers, got None"),
+    ("halfspaces-offset-list",
+     lambda: from_halfspaces([(1, 0), (0, 1), (-1, 0), (0, -1)], [0, [0], 1, 1]),
+     InputError, "offsets[1] must be an int or a Fraction, got [0]"),
+    ("perturb-budget-none", lambda: polytope.perturb(construct_standard("cube", 2), None),
+     InputError, "budget must be an int or a Fraction, got None"),
+    ("principal-v-none-entry",
+     lambda: chow.principal_divisor(construct_standard("cube", 2), [None, 1]),
+     InputError, "v must be an int or a Fraction, got None"),
+    ("divisor-from-map-none",
+     lambda: chow.Divisor.from_map(construct_standard("cube", 2), {0: None}),
+     InputError, "facet 0 coefficient must be an int or a Fraction, got None"),
+    ("divisor-scalar-none", lambda: None * chow.Divisor.zero(construct_standard("cube", 2)),
+     InputError, "scalar must be an int or a Fraction, got None"),
     # a lattice point is a tuple of ints: (True, 0) equals (1, 0) but is none
     ("lattice-cover-bool",
      lambda: covering.LatticeCover(cube(2, 1), {"X": [(True, 0)]}),
