@@ -40,6 +40,7 @@ facet, and InputError names it otherwise.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,6 +53,7 @@ from .polytope import (
     SimplePolytope,
     exact,
     exact_int,
+    sequence,
     solve_region_vertices,
 )
 
@@ -75,6 +77,8 @@ class Divisor:
         id is read by polytope.exact_int and a value by polytope.exact, so a
         float, a bool or a string id and a float or bool value raise
         InputError, as does an id outside 0..m-1."""
+        if not isinstance(mapping, Mapping):
+            raise InputError(f"mapping must be a mapping of facet ids to numbers, got {mapping!r}")
         coeffs = [Fraction(0)] * p.num_facets
         for fid, value in mapping.items():
             fid = exact_int(fid, "facet id")
@@ -272,7 +276,7 @@ def principal_divisor(p: SimplePolytope, v) -> Divisor:
     InputError naming v.  v is cleared once to x / s with x integer, and
     each flux is <u_F, x> / s.
     """
-    if len(v) != p.dim:
+    if len(sequence(v, "v", f"{p.dim} numbers")) != p.dim:
         raise InputError(f"v must have one entry per dimension ({p.dim}), got {len(v)}")
     x, s = linalg.int_row([exact(e, "v") for e in v])
     return Divisor(tuple(Fraction(sum(map(mul, u, x)), s) for u in p.normals))
@@ -441,6 +445,8 @@ def avoidance_certificate(p: SimplePolytope, h: Divisor, touched):
     coefficient of H' is then (c_F d + <u_F, x>) / (s d).
     """
     _check_divisor(p, h, "h")
+    if not isinstance(touched, Iterable):
+        raise InputError(f"touched must be a collection of facet ids, got {touched!r}")
     touched = sorted([exact_int(f, "touched facet id") for f in touched])
     if not touched:
         return h

@@ -54,14 +54,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Collection, Set
+from collections.abc import Collection, Iterable, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, and_, mul, rshift, sub
 
 from . import chow
-from .polytope import InputError, SimplePolytope, exact, exact_int
+from .polytope import InputError, SimplePolytope, exact, exact_int, sequence
 
 
 class BadSampleError(InputError):
@@ -464,6 +464,9 @@ class LatticeCover:
         coerced = {}
         for name, pts in self.sets.items():
             if not (isinstance(pts, PointSet) and pts.grid is grid):
+                if not isinstance(pts, Iterable):
+                    raise InputError(f"set {name!r} must be a collection of model points,"
+                                     f" got {pts!r}")
                 items = pts if isinstance(pts, Collection) else list(pts)
                 pts, bad = grid.set_of(items)
                 if bad:
@@ -784,7 +787,7 @@ class Sample:
     _near = None  # near's last (polytope, eps, masks)
 
     def __init__(self, points: tuple):
-        for i, pt in enumerate(points):
+        for i, pt in enumerate(sequence(points, "sample", "points")):
             if not pt or len(pt) != len(points[0]) or not set(map(type, pt)) <= {int, Fraction}:
                 raise InputError(f"sample[{i}] must be ints and Fractions, one per coordinate"
                                  f" of sample[0], got {pt!r}")

@@ -10,7 +10,7 @@ The loaders check every field they read: a missing field, a value of the
 wrong JSON type, or a float or boolean where an integer belongs raises
 InputError (polytope's one input-error class) with the field's path, such as
 `facets[0].normal[1]`.  Sample points must have the polytope's dimension and
-lie in it.
+lie in it; a sample's rationals are read once per distinct string.
 
 `dumps` writes what the CLI prints: exactly `json.dumps(data, indent=2)`,
 without json's pure-Python indenting encoder.  A `PointSet` over a model's
@@ -84,8 +84,12 @@ def _check(value, kind, path: str):
 
 
 def _ints(value, path: str) -> tuple:
-    """An array of integers."""
-    return tuple(_check(x, int, _at(path, i)) for i, x in enumerate(_check(value, list, path)))
+    """An array of integers, checked in one type pass; the path of an entry
+    is built only to name a bad one."""
+    if not set(map(type, _check(value, list, path))) <= {int}:
+        for i, x in enumerate(value):
+            _check(x, int, _at(path, i))
+    return tuple(value)
 
 
 def _points(value, path: str) -> list:
@@ -222,24 +226,50 @@ def point_cover_to_json(p: SimplePolytope, cover: PointCloudCover, eps=None) -> 
     return data
 
 
+def _sample_points(rows: list, dim: int) -> tuple:
+    """The points of a sample array, each an array of dim rationals.  A
+    sample repeats few coordinate values, so each distinct string is read
+    once; only a str is looked up, since 1, 1.0 and True are equal keys.
+    A refused value or shape is named by the per-coordinate pass, which
+    builds the paths and meets the values in the same order."""
+    known = {}
+
+    def read(x):
+        if type(x) is not str:
+            return frac_from_str(x)
+        value = known.get(x)
+        if value is None:
+            value = known[x] = frac_from_str(x)
+        return value
+
+    if set(map(type, rows)) <= {list} and all(len(pt) == dim for pt in rows):
+        try:
+            return tuple(tuple(map(read, pt)) for pt in rows)
+        except InputError:
+            pass
+    sample = []
+    for i, pt in enumerate(rows):
+        at = _at("sample", i)
+        point = tuple(_frac(x, _at(at, j)) for j, x in enumerate(_check(pt, list, at)))
+        if len(point) != dim:
+            raise InputError(f"{at} has {len(point)} coordinates, the polytope has {dim}")
+        sample.append(point)
+    return tuple(sample)
+
+
 def point_cover_from_json(data: dict):
     """Returns (polytope, PointCloudCover, eps or None); see Sample for repeats."""
     p = polytope_from_json(_field(data, "polytope"), "polytope")
-    sample = []
-    for i, pt in enumerate(_field(data, "sample", kind=list)):
-        at = _at("sample", i)
-        point = tuple(_frac(x, _at(at, j)) for j, x in enumerate(_check(pt, list, at)))
-        if len(point) != p.dim:
-            raise InputError(f"{at} has {len(point)} coordinates, the polytope has {p.dim}")
-        sample.append(point)
-    sample = Sample(tuple(sample))
+    sample = Sample(_sample_points(_field(data, "sample", kind=list), p.dim))
     sample.check_inside(p)
+    size = len(sample.points)
     sets = {}
     for name, idxs in _field(data, "sets", kind=dict).items():
         at = _at("sets", name)
-        for j, i in enumerate(_ints(idxs, at)):
-            if not 0 <= i < len(sample.points):
-                raise InputError(f"{_at(at, j)}: sample index {i} out of range")
+        idxs = _ints(idxs, at)
+        if idxs and not (0 <= min(idxs) and max(idxs) < size):
+            j, i = next((j, i) for j, i in enumerate(idxs) if not 0 <= i < size)
+            raise InputError(f"{_at(at, j)}: sample index {i} out of range")
         sets[name] = PointSet(sample, _mask([sample.at[i] for i in idxs]))
     eps = _frac(data["eps"], "eps") if "eps" in data else None
     return p, PointCloudCover(sample.points, sets), eps

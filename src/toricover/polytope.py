@@ -79,11 +79,16 @@ def exact(value, name: str) -> Fraction:
         raise InputError(f"{name}: {exc}") from None
 
 
+def sequence(values, name: str, what: str):
+    """values, refusing a value with no length as no sequence of what."""
+    if not isinstance(values, Sized):
+        raise InputError(f"{name} must be a sequence of {what}, got {values!r}")
+    return values
+
+
 def exact_vector(values, n: int, name: str) -> tuple:
     """values as n Fractions, each read by exact and named name[j]."""
-    if not isinstance(values, Sized):
-        raise InputError(f"{name} must be a sequence of {n} numbers, got {values!r}")
-    if len(values) != n:
+    if len(sequence(values, name, f"{n} numbers")) != n:
         raise InputError(f"{name} must have {n} entries, got {len(values)}")
     return tuple(exact(x, f"{name}[{j}]") for j, x in enumerate(values))
 
@@ -268,7 +273,7 @@ def from_halfspaces(normals, offsets) -> SimplePolytope:
         raise InputError("normals and offsets must have the same length")
     if not normals:
         raise InputError("at least one half-space is required")
-    n = len(normals[0])
+    n = len(sequence(normals[0], "normals[0]", "numbers"))
     if n < 1:
         raise InputError("ambient dimension must be >= 1")
     normals = [exact_vector(u, n, f"normals[{i}]") for i, u in enumerate(normals)]

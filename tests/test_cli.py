@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -1096,6 +1097,46 @@ class TestLibraryBugsPropagate:
         with pytest.raises(exc, match="missing"):
             cli.main(["ring", "--input", CUBE2])
         assert "input error" not in capsys.readouterr().err
+
+
+class TestCollectorState:
+    """main pauses the cyclic collector while the subcommand runs and leaves
+    it as the caller had it, whether the subcommand succeeds, exits 4 or
+    lets a library bug propagate."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("ending", ["success", "input-error", "library-bug"])
+    def test_state_after_main(self, capsys, monkeypatch, enabled, ending):
+        seen = []
+
+        def presentation(p, real=chow.presentation):
+            seen.append(gc.isenabled())
+            if ending == "library-bug":
+                raise KeyError("missing")
+            return real(p)
+
+        monkeypatch.setattr(chow, "presentation", presentation)
+        payload = "[]" if ending == "input-error" else CUBE2
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if ending == "library-bug":
+                with pytest.raises(KeyError, match="missing"):
+                    cli.main(["ring", "--input", payload])
+            else:
+                assert cli.main(["ring", "--input", payload]) == (
+                    cli.EXIT_INPUT_ERROR if ending == "input-error" else cli.EXIT_OK)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen == ([] if ending == "input-error" else [False])
+
+    def test_parser_exit_keeps_the_state(self, capsys):
+        """argparse's own exit comes before the pause."""
+        assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            cli.main(["ring"])
+        assert gc.isenabled()
 
 
 @pytest.mark.parametrize(

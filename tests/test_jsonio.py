@@ -91,6 +91,119 @@ class TestRoundTrips:
         assert eps2 == eps
 
 
+def per_coordinate_point_cover(data):
+    """point_cover_from_json as it read each coordinate and index by
+    itself, building every path on the way: the reference for the reader
+    that reads each distinct string once."""
+    p = jsonio.polytope_from_json(jsonio._field(data, "polytope"), "polytope")
+    sample = []
+    for i, pt in enumerate(jsonio._field(data, "sample", kind=list)):
+        at = f"sample[{i}]"
+        point = tuple(jsonio._frac(x, f"{at}[{j}]")
+                      for j, x in enumerate(jsonio._check(pt, list, at)))
+        if len(point) != p.dim:
+            raise InputError(f"{at} has {len(point)} coordinates, the polytope has {p.dim}")
+        sample.append(point)
+    sample = covering.Sample(tuple(sample))
+    sample.check_inside(p)
+    sets = {}
+    for name, idxs in jsonio._field(data, "sets", kind=dict).items():
+        at = f"sets.{name}"
+        idxs = [jsonio._check(x, int, f"{at}[{j}]")
+                for j, x in enumerate(jsonio._check(idxs, list, at))]
+        for j, i in enumerate(idxs):
+            if not 0 <= i < len(sample.points):
+                raise InputError(f"{at}[{j}]: sample index {i} out of range")
+        sets[name] = {sample.points[i] for i in idxs}
+    eps = jsonio._frac(data["eps"], "eps") if "eps" in data else None
+    return p.normals, sample.points, sets, eps
+
+
+def read_point_cover(read, data):
+    """What a reader gives for data: its polytope's normals, the sample,
+    each set's points and eps, or the message of its InputError."""
+    try:
+        return read(data)
+    except InputError as exc:
+        return str(exc)
+
+
+def memoized_point_cover(data):
+    p, cover, eps = jsonio.point_cover_from_json(data)
+    return p.normals, cover.sample, {name: set(pts) for name, pts in cover.sets.items()}, eps
+
+
+# the box [0, 4]^2, in which every drawn coordinate lies
+BOX = {"dim": 2, "facets": [{"normal": u, "offset": c} for u, c in
+                            [([1, 0], 0), ([0, 1], 0), ([-1, 0], 4), ([0, -1], 4)]]}
+
+# ways to write the rational a / b in JSON: canonical, non-canonical and int
+SPELLINGS = [
+    lambda a, b: f"{a}/{b}" if b > 1 else str(a),
+    lambda a, b: f"{2 * a}/{2 * b}",
+    lambda a, b: f"00{a}/{b}",
+    lambda a, b: a if b == 1 else f"{a}/{b}",
+    lambda a, b: "-0" if a == 0 else f"{a}/{b}",
+]
+
+# values refused where a rational belongs; 1.0, True, 0.0 and False equal
+# the ints 1 and 0 that each drawn sample starts with
+REFUSED = [1.0, True, 0.0, False, "1.5", "1/0", None, "1e3", [1], "+1"]
+
+
+class TestSampleReader:
+    """point_cover_from_json reads each distinct coordinate string once and
+    gives what reading every coordinate by itself gives: the same sample,
+    sets and eps, or the same refusal, naming the same entry first."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_as_per_coordinate_reader(self, data):
+        rationals = st.tuples(st.integers(0, 8), st.sampled_from([1, 2]))
+        rows = data.draw(st.lists(st.lists(st.tuples(rationals, st.sampled_from(SPELLINGS)),
+                                           min_size=2, max_size=2), min_size=1, max_size=12))
+        sample = [[1, 0]] + [[spell(a, b) for (a, b), spell in row] for row in rows]
+        sets = data.draw(st.dictionaries(st.sampled_from("ABC"),
+                                         st.lists(st.integers(0, len(sample) - 1))))
+        payload = {"polytope": BOX, "sample": sample, "sets": sets}
+        if data.draw(st.booleans()):
+            payload["eps"] = data.draw(st.sampled_from(["1/2", 1, "2/4"]))
+        fault = data.draw(st.sampled_from(["none", "value", "row", "index"]))
+        if fault == "value":
+            i = data.draw(st.integers(1, len(sample) - 1))
+            sample[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(REFUSED))
+        elif fault == "row":
+            i = data.draw(st.integers(0, len(sample) - 1))
+            sample[i] = data.draw(st.sampled_from([sample[i][:1], sample[i] * 2, "1/2", None]))
+        elif fault == "index" and sets:
+            name = data.draw(st.sampled_from(sorted(sets)))
+            sets[name] = sets[name] + [data.draw(st.sampled_from([len(sample), -1, True, 0.0]))]
+        want = read_point_cover(per_coordinate_point_cover, payload)
+        assert read_point_cover(memoized_point_cover, payload) == want
+
+    @pytest.mark.parametrize("value, shown", [
+        (1.0, "1.0"), (True, "True"), ("1.5", "'1.5'"), ("1/0", None),
+    ])
+    def test_refused_value_after_an_equal_accepted_one(self, value, shown):
+        """A memo keyed by value would take 1.0 and True for the 1 read
+        before them; the reader looks up strings only."""
+        payload = {"polytope": BOX, "sample": [["1", 1], ["3/2", "1"], [1, value]],
+                   "sets": {"A": [0, 1, 2]}}
+        message = (f'sample[2][1]: rationals must be integers or "p/q" strings, got {shown}'
+                   if shown else "sample[2][1]: Fraction(1, 0)")
+        with pytest.raises(InputError) as info:
+            jsonio.point_cover_from_json(payload)
+        assert str(info.value) == message
+        assert read_point_cover(per_coordinate_point_cover, payload) == message
+
+    def test_repeated_strings_give_equal_rationals(self):
+        payload = {"polytope": BOX, "sample": [["2/4", "-0"], ["1/2", "007/2"], [0, "2/4"]],
+                   "sets": {"A": [0, 1], "B": [2]}}
+        _, sample, _, _ = memoized_point_cover(payload)
+        assert sample == ((Fraction(1, 2), 0), (Fraction(1, 2), Fraction(7, 2)),
+                          (0, Fraction(1, 2)))
+
+
 class TestRationals:
     def test_strings_and_integers(self):
         assert jsonio.frac_from_str("3/4") == Fraction(3, 4)

@@ -128,6 +128,23 @@ REFUSALS = [
      InputError, "facet 0 coefficient must be an int or a Fraction, got None"),
     ("divisor-scalar-none", lambda: None * chow.Divisor.zero(construct_standard("cube", 2)),
      InputError, "scalar must be an int or a Fraction, got None"),
+    ("principal-v-none",
+     lambda: chow.principal_divisor(construct_standard("cube", 2), None),
+     InputError, "v must be a sequence of 2 numbers, got None"),
+    ("halfspaces-first-normal-none",
+     lambda: from_halfspaces([None, (0, 1), (-1, 0), (0, -1)], [0, 0, 1, 1]),
+     InputError, "normals[0] must be a sequence of numbers, got None"),
+    ("divisor-from-map-no-mapping",
+     lambda: chow.Divisor.from_map(construct_standard("cube", 2), None),
+     InputError, "mapping must be a mapping of facet ids to numbers, got None"),
+    ("avoidance-touched-none",
+     lambda: chow.avoidance_certificate(
+         construct_standard("cube", 2), chow.Divisor.zero(construct_standard("cube", 2)), None),
+     InputError, "touched must be a collection of facet ids, got None"),
+    ("sample-none", lambda: covering.Sample(None),
+     InputError, "sample must be a sequence of points, got None"),
+    ("lattice-cover-set-none", lambda: covering.LatticeCover(cube(2, 1), {"X": None}),
+     InputError, "set 'X' must be a collection of model points, got None"),
     # a lattice point is a tuple of ints: (True, 0) equals (1, 0) but is none
     ("lattice-cover-bool",
      lambda: covering.LatticeCover(cube(2, 1), {"X": [(True, 0)]}),
