@@ -137,7 +137,8 @@ def memoized_point_cover(data):
 BOX = {"dim": 2, "facets": [{"normal": u, "offset": c} for u, c in
                             [([1, 0], 0), ([0, 1], 0), ([-1, 0], 4), ([0, -1], 4)]]}
 
-# ways to write the rational a / b in JSON: canonical, non-canonical and int
+# ways to write the rational a / b in JSON: "a/b", doubled, zero-padded,
+# "-0" for 0, and a JSON integer when b is 1
 SPELLINGS = [
     lambda a, b: f"{a}/{b}" if b > 1 else str(a),
     lambda a, b: f"{2 * a}/{2 * b}",
