@@ -15,11 +15,16 @@ lines, the traced result lines under "traced", and per end-to-end metric the
 medians, the quartiles and the number of pairs in which the change reads
 better, and under "failures" each side's attempted and failed items over
 the pairs with the failed share.  Keys written by hand ("claim", "notes",
-"limits") are kept.  The parent must be a git checkout: its commit, resolved
-before the first pair, goes into the file as "parent".  After writing the
-file the script exits nonzero if any run reads "correct": false or the
-change fails a larger share of its items than the parent.  Uses the
-standard library only.
+"limits") are kept.  The parent must be a git checkout: its commit,
+resolved before the first pair, goes into the file as "parent".
+
+After writing the file the script prints to stderr, per end-to-end metric,
+whether the pairs show a gain (the change better in at least 9 of 10
+pairs, the medians further apart than the parent's interquartile distance)
+and whether the change's median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json.  It then exits nonzero if any run reads
+"correct": false or the change fails a larger share of its items than the
+parent.  Uses the standard library only.
 """
 
 import argparse
@@ -98,6 +103,37 @@ def summarize(pairs: list, better: dict) -> dict:
             "pairs_change_better": f"{wins}/{len(pairs)}",
         }
     return out
+
+
+def rule_checks(pairs: list, metrics: list) -> list:
+    """Two lines per end-to-end metric of BENCHMARK.json (each a dict with
+    "name", "better" and "bound") on the result lines in pairs.  The first
+    says whether they show a gain: the change better in at least 9 of every
+    10 pairs, and its median better than the parent's by more than the
+    parent's interquartile distance.  The second says whether the change's
+    median is worse than the parent's by more than the bound, a share of
+    the parent's median."""
+    summary = summarize(pairs, {m["name"]: m["better"] for m in metrics})
+    lines = []
+    for m in metrics:
+        name, entry, bound = m["name"], summary[m["name"]], m.get("bound")
+        sign = 1 if m["better"] == "higher" else -1
+        wins, count = map(int, entry["pairs_change_better"].split("/"))
+        parent, change = entry["parent_median"], entry["change_median"]
+        q1, _, q3 = entry["parent_quartiles"]
+        gain = 10 * wins >= 9 * count and sign * (change - parent) > q3 - q1
+        lines.append(
+            f"{name}: gain {'shown' if gain else 'not shown'}: change better in"
+            f" {wins}/{count} pairs, medians {parent:g} -> {change:g}, the parent's"
+            f" interquartile distance {q3 - q1:.4g}")
+        if bound is None:
+            lines.append(f"{name}: no bound in BENCHMARK.json")
+            continue
+        worse = sign * (parent - change) > bound * abs(parent)
+        lines.append(
+            f"{name}: {'worse than its bound' if worse else 'within its bound'}:"
+            f" change {entry['change_vs_parent']}, bound {100 * bound:g} %")
+    return lines
 
 
 def failures(pairs: list) -> dict:
@@ -185,6 +221,8 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    for line in rule_checks(pairs, spec["end_to_end"]):
+        print(f"{args.workload} {line}", file=sys.stderr)
 
     wrong = [f"{side} seed {run['seed']}{' (traced)' if run is traced else ''}"
              for run in pairs + [traced] for side in checkouts if not run[side]["correct"]]

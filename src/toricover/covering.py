@@ -27,9 +27,13 @@ LatticeCover.grid: immutable sets of point tuples, iterated in bit order,
 whose operations with sets over the same grid are int operations on the masks.
 A witness component is reported as its PointSet.  A plain collection of points
 meets the masks through the grid's index, a dict from the model's points to
-their bits built on first use: Grid.set_of looks a collection of int tuples up
-in one pass, so a PointSet compared with a set or frozenset costs one lookup
-of the other side, while & | - with one still go point by point.  The grid
+their positions in the point list, built on first use; the position is the
+cell on the cube, and Grid.cells maps one to the other on the simplex.
+Grid.set_of looks each item up once: when every item is the tuple the grid
+holds at its position, as in a set read off a PointSet, the positions give
+the mask with no type pass, and any other collection passes a type check
+first.  So a PointSet compared with a set or frozenset costs one lookup of
+the other side, while & | - with one still go point by point.  The grid
 also holds each point's compact JSON text, built on first use, from which
 jsonio writes a PointSet.  Unions and complements are ORs and AND-NOTs, and
 Grid.bfs, the grid's one search, grows the generators' cells and balls and
@@ -51,10 +55,11 @@ answer, so a witness and its re-check read facet contact once.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
-from collections.abc import Collection, Iterable, Set
+from collections.abc import Collection, Iterable, Mapping, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -185,14 +190,14 @@ def _digits(mask: int) -> str:
 
 def _mask(bits) -> int:
     """The int with exactly the given bits set, built from one byte per
-    cell of the span the bits cover."""
+    cell up to the highest bit, of which the span the bits cover is read."""
     if not bits:
         return 0
     low = min(bits)
-    cells = bytearray(max(bits) - low + 1)
+    cells = bytearray(max(bits) + 1)
     for b in bits:
-        cells[b - low] = 1
-    return int(cells[::-1].translate(_DIGIT_OF_BYTE), 2) << low
+        cells[b] = 1
+    return int(cells[low:][::-1].translate(_DIGIT_OF_BYTE), 2) << low
 
 
 def _repunit(period: int, count: int) -> int:
@@ -230,12 +235,14 @@ class Grid:
                 moves.append((self.full ^ facets[(j, r)], (s,)))
                 moves.append((self.full ^ facets[(j, 0)], (-s,)))
         else:
-            bits = [sum(map(mul, p, self.strides)) for p in self.points]
-            self.full = _mask(bits)
+            # the cell of each point, in point order (a cube point's cell is
+            # its position)
+            self.cells = tuple(sum(map(mul, p, self.strides)) for p in self.points)
+            self.full = _mask(self.cells)
             # one byte per cell, 1 for the cells of self.points
             self._valid = _digits(self.full).encode().translate(_BYTE_OF_DIGIT)
             facets = {(j, 0): self.slab(j, 0, 0) for j in range(n)}
-            facets[(n, 0)] = _mask([b for b, p in zip(bits, self.points) if p[n] == 0])
+            facets[(n, 0)] = _mask([b for b, p in zip(self.cells, self.points) if p[n] == 0])
             # moving a unit from coordinate i to j shifts by stride_j - stride_i
             ext = self.strides + (0,)
             moves = []
@@ -306,8 +313,19 @@ class Grid:
 
     @cached_property
     def index(self) -> dict:
-        """The bit of each point of the model, built on first use."""
-        return dict(zip(self.points, _bits_of(self.full)))
+        """The position in self.points of each point of the model, built on
+        first use."""
+        return dict(zip(self.points, range(len(self.points))))
+
+    def cells_at(self, positions: list) -> list:
+        """The cell of the point at each position in self.points, and None
+        for None: on the cube the position is the cell, on the simplex
+        self.cells maps one to the other."""
+        if self._valid is None:
+            return positions
+        if None in positions:
+            return [None if i is None else self.cells[i] for i in positions]
+        return list(map(self.cells.__getitem__, positions))
 
     @cached_property
     def texts(self) -> tuple:
@@ -322,15 +340,29 @@ class Grid:
 
     def set_of(self, pts):
         """The PointSet of the points of the model among pts and the list of
-        the other items, in the order of pts.  Tuples of ints are looked up
-        in the index all at once; any other item sends the whole collection
-        through bit, point by point.  The type pass matters: the index finds
-        (1, 0) for (1.0, 0), which bit refuses."""
+        the other items, in the order of pts.  Each item is looked up in the
+        index once.  When every item is the very tuple self.points holds at
+        its position, as when pts were read off a PointSet, the positions
+        give the mask at once: such a tuple holds ints by construction.
+        Otherwise a type pass decides: tuples of ints keep the positions
+        found, and any other item, an unhashable one included, sends the
+        whole collection through bit, point by point.  The type pass
+        matters: the index finds (1, 0) for (1.0, 0) or (True, 0), which bit
+        refuses."""
         pts = list(pts)
-        exact = set(map(type, pts)) <= {tuple} and set(
+        try:
+            found = list(map(self.index.get, pts))
+        except TypeError:  # an unhashable item
+            found = None
+        points = self.points
+        if found is not None and None not in found and all(
+            [points[i] is p for i, p in zip(found, pts)]
+        ):
+            return PointSet(self, _mask(self.cells_at(found))), []
+        exact = found is not None and set(map(type, pts)) <= {tuple} and set(
             map(type, itertools.chain.from_iterable(pts))
         ) <= {int}
-        return _point_set(self, pts, self.index.get if exact else self.bit)
+        return _point_set(self, pts, self.cells_at(found) if exact else list(map(self.bit, pts)))
 
     def positions(self, mask: int):
         """The positions in self.points of the points of mask, in order."""
@@ -350,10 +382,9 @@ class Grid:
         return map(self.points.__getitem__, self.positions(mask))
 
 
-def _point_set(grid, pts: list, lookup):
-    """The PointSet of the items of pts that lookup finds a bit for, and the
-    list of the others, in order."""
-    bits = list(map(lookup, pts))
+def _point_set(grid, pts: list, bits: list):
+    """The PointSet of the items of pts whose entry in bits is not None, the
+    item's bit, and the list of the others, in order."""
     if None not in bits:
         return PointSet(grid, _mask(bits)), []
     bad = [p for p, b in zip(pts, bits) if b is None]
@@ -385,7 +416,9 @@ class PointSet(Set):
     first occurrence on a Sample.  Comparisons and & | - with a PointSet over
     the same grid are int operations.  >= and > with a set or frozenset of
     points of the grid (and set <= and < PointSet, which Python reflects to
-    them) convert the set once through grid.set_of and compare masks.  Other
+    them) convert the set once through grid.set_of, which takes a set read
+    off a PointSet of the grid by its tuples' positions alone, and compare
+    masks.  Other
     comparisons, and & | - ^ with anything but a peer, go point by point
     (collections.abc.Set), and & | - ^ return frozensets."""
 
@@ -425,9 +458,9 @@ class PointSet(Set):
     def __ge__(self, other):
         if self._peer(other):
             return self.mask & other.mask == other.mask
-        # lattice_suite's items compare a plain set with a PointSet as
-        # `comp <= pts`, which Python reflects to here: 469-487
-        # items_per_ref_s with this path, 342-356 without (2 shared cores)
+        # lattice_suite's items compare a set of a component's own point
+        # tuples with a PointSet as `comp <= pts`, which Python reflects to
+        # here; set_of then reads the tuples' positions without a type pass
         if isinstance(other, (set, frozenset)):
             pts, bad = self.grid.set_of(other)
             return not bad and self.mask & pts.mask == pts.mask
@@ -461,6 +494,9 @@ class LatticeCover:
     def __post_init__(self):
         grid = self.model.grid()
         object.__setattr__(self, "grid", grid)
+        if not isinstance(self.sets, Mapping):
+            raise InputError(f"sets must be a mapping of set names to collections of model"
+                             f" points, got {self.sets!r}")
         coerced = {}
         for name, pts in self.sets.items():
             if not (isinstance(pts, PointSet) and pts.grid is grid):
@@ -470,8 +506,10 @@ class LatticeCover:
                 items = pts if isinstance(pts, Collection) else list(pts)
                 pts, bad = grid.set_of(items)
                 if bad:
-                    # named in the order of the frozenset of the set's points
-                    bad = grid.set_of(frozenset(items))[1]
+                    # named in the order of the frozenset of the set's points,
+                    # or as given when one of them is unhashable
+                    with contextlib.suppress(TypeError):
+                        bad = grid.set_of(frozenset(items))[1]
                     raise InputError(f"set {name!r} has points outside the model: {bad[:3]}")
             coerced[name] = pts
         object.__setattr__(self, "sets", coerced)
@@ -839,7 +877,8 @@ class Sample:
     def set_of(self, pts):
         """The PointSet of the sample points among pts and the list of the
         other items, in the order of pts."""
-        return _point_set(self, list(pts), self.bit)
+        pts = list(pts)
+        return _point_set(self, pts, list(map(self.bit, pts)))
 
     def points_of(self, mask: int):
         return map(self.points.__getitem__, _bits_of(mask))

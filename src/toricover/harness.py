@@ -4,7 +4,9 @@ All randomness flows through random.Random(seed) (MT19937), so every cover and
 every suite report replays exactly from its seed.  Generators measure what
 they promise: random covers come back stamped with their measured
 multiplicity, never an assumed one.  Their Voronoi cells and balls are masks
-grown by the model grid's one search, Grid.bfs.
+grown by the model grid's one search, Grid.bfs, except the cube's Voronoi
+cells around sources on one axis-parallel line, which are the grid's slabs
+in closed form.
 """
 
 from __future__ import annotations
@@ -115,9 +117,13 @@ def random_low_multiplicity_cover(
 ) -> StampedCover:
     """A deterministic-from-seed full cover with multiplicity at most m.
 
-    Layer 1 is a BFS Voronoi partition (for the cube with m >= 2 the sources
-    sit on a random axis-parallel line, which makes every cell contain a full
-    slice of the cube); layers 2..m are families of disjoint BFS balls, the
+    Layer 1 is a Voronoi partition in graph (L1) distance, ties going to the
+    earlier source, grown by BFS.  For the cube with m >= 2 and n >= 2 the
+    sources sit on a random axis-parallel line, in increasing order along
+    it, so the nearest source is the nearest along the axis and cell i is
+    the slab from the midpoint below source i to the one above it, the
+    midpoint itself going to the lower source; every cell holds a full
+    slice of the cube.  Layers 2..m are families of disjoint BFS balls, the
     first ball of every layer anchored at a common point so that the stamped
     multiplicity m is actually attained.  The balls of a layer are disjoint,
     so the sets hold at most m times the model's points, and the layering
@@ -140,12 +146,19 @@ def random_low_multiplicity_cover(
         axis = rng.randrange(model.n)
         count = rng.randint(2, min(4, model.r + 1))
         positions = sorted(rng.sample(range(model.r + 1), count))
-        center = tuple(rng.randint(0, model.r) for _ in range(model.n))
-        sources = [center[:axis] + (x,) + center[axis + 1:] for x in positions]
+        # drawn only to keep the draws that follow: the cells do not depend
+        # on where the line of sources crosses the other axes
+        for _ in range(model.n):
+            rng.randint(0, model.r)
+        # the nearest source in L1 is the nearest along the axis, the lower
+        # on a tie, so each cell is a slab reaching to the midpoints
+        ends = [(a + b) // 2 for a, b in zip(positions, positions[1:])] + [model.r]
+        cells = [grid.slab(axis, lo, hi) for lo, hi in zip([0] + [e + 1 for e in ends], ends)]
     else:
         count = rng.randint(2, min(len(points), 2 * model.n + 2))
         sources = rng.sample(points, count)
-    for i, cell in enumerate(grid.bfs([grid.bit(s) for s in sources])):
+        cells = grid.bfs([grid.bit(s) for s in sources])
+    for i, cell in enumerate(cells):
         if cell:
             sets[f"cell_{i}"] = PointSet(grid, cell)
 

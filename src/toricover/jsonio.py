@@ -209,7 +209,7 @@ def cover_from_json(data: dict) -> LatticeCover:
     sets = {}
     for name, pts in _field(data, "sets", kind=dict).items():
         pts = _points(pts, _at("sets", name))
-        found, bad = _point_set(grid, pts, grid.index.get)
+        found, bad = _point_set(grid, pts, grid.cells_at(list(map(grid.index.get, pts))))
         sets[name] = pts if bad else found
     return LatticeCover(model, sets)
 

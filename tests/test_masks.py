@@ -114,6 +114,9 @@ GENERATOR_MODELS = [
     LatticeModel("cube", 1, 1), LatticeModel("cube", 1, 6), LatticeModel("cube", 2, 8),
     LatticeModel("cube", 3, 6), LatticeModel("simplex", 1, 1), LatticeModel("simplex", 1, 5),
     LatticeModel("simplex", 2, 7), LatticeModel("simplex", 3, 5),
+    # random_low_multiplicity_cover's slab cells at their edges, against the
+    # reference's BFS: adjacent sources, odd r (midpoints tie) and n = 4
+    LatticeModel("cube", 2, 1), LatticeModel("cube", 3, 5), LatticeModel("cube", 4, 3),
 ]
 
 
@@ -229,8 +232,9 @@ def other_strays(p):
 
 
 class TestPointIndex:
-    """Grid.set_of looks int tuples up in the grid's index all at once and
-    every other collection point by point; both answer as bit does."""
+    """Grid.set_of takes the grid's own point tuples by their positions in
+    the index, other int tuples after a type pass and every other collection
+    point by point; all three answer as bit does."""
 
     @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
     def test_set_of_answers_as_bit(self, model):
@@ -249,6 +253,37 @@ class TestPointIndex:
             assert got.mask == sum(1 << b for b in set(bits) - {None})
             assert bad == [p for p, b in zip(pts, bits) if b is None]
             assert grid.set_of(iter(pts)) == (got, bad)
+
+    @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
+    def test_own_tuples_fresh_tuples_and_twins(self, model):
+        """A set read off a PointSet holds the grid's own tuples; the same
+        points as fresh equal tuples, those with a float or bool twin of a
+        point put in first, and a list holding a list are no such set.
+        set_of, >= and the reflected <= answer as bit does on each."""
+        grid = model.grid()
+        points = model.points()
+        rng = random.Random(31)
+        for trial in range(100):
+            x = PointSet(grid, rng.getrandbits(grid.full.bit_length()) & grid.full)
+            extra = rng.getrandbits(grid.full.bit_length()) & grid.full
+            z = PointSet(grid, extra | x.mask if trial % 2 else extra)
+            p = rng.choice(points)
+            own = set(x)
+            fresh = {tuple(list(q)) for q in x}
+            twin = tuple(map(float if trial % 3 else bool, p))
+            twinned = {twin} | fresh  # twin stays when a fresh tuple equals it
+            assert all(q is grid.points[grid.index[q]] for q in own)
+            assert not any(q is grid.points[grid.index[q]] for q in fresh)
+            for items in (own, fresh, twinned, [[0, 0]], [list(p)] + list(own)):
+                bits = [grid.bit(q) for q in items]
+                got, bad = grid.set_of(items)
+                assert got.grid is grid
+                assert got.mask == sum(1 << b for b in set(bits) - {None})
+                assert bad == [q for q, b in zip(items, bits) if b is None]
+                if isinstance(items, set):
+                    want = all(b is not None and z.mask >> b & 1 for b in bits)
+                    assert (z >= items) == want and (items <= z) == want
+                    assert (z >= frozenset(items)) == want
 
     @pytest.mark.parametrize("model", INDEX_MODELS, ids=repr)
     def test_comparisons_answer_as_frozensets(self, model):
@@ -293,7 +328,7 @@ class TestPointIndex:
             if set(p) <= {0, 1}:
                 items.append(tuple(map(bool, p)))  # (True, False) == (1, 0)
             for item in items:
-                assert grid.index.get(item) == grid.bit(p)
+                assert grid.points[grid.index.get(item)] == p
                 assert grid.bit(item) is None and item not in x
                 assert grid.set_of([p, item]) == (x, [item])
                 assert not x >= {item} and not {item} <= x

@@ -145,6 +145,12 @@ REFUSALS = [
      InputError, "sample must be a sequence of points, got None"),
     ("lattice-cover-set-none", lambda: covering.LatticeCover(cube(2, 1), {"X": None}),
      InputError, "set 'X' must be a collection of model points, got None"),
+    ("lattice-cover-sets-none", lambda: covering.LatticeCover(cube(2, 1), None),
+     InputError, "sets must be a mapping of set names to collections of model points,"
+     " got None"),
+    # an unhashable point is named in the order given
+    ("lattice-cover-list-point", lambda: covering.LatticeCover(cube(2, 1), {"X": [[0, 0]]}),
+     InputError, "set 'X' has points outside the model: [[0, 0]]"),
     # a lattice point is a tuple of ints: (True, 0) equals (1, 0) but is none
     ("lattice-cover-bool",
      lambda: covering.LatticeCover(cube(2, 1), {"X": [(True, 0)]}),

@@ -125,6 +125,49 @@ def test_bench_pairs_summary_on_canned_lines():
     assert bench_pairs.seed_list("11-13") == [11, 12, 13]
 
 
+METRICS = [
+    {"name": "items_per_ref_s", "better": "higher", "bound": 0.15},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+]
+
+
+def _ten_pairs(parent_items, change_items, parent_rss, change_rss):
+    return [{"parent": _line(p, pr), "change": _line(c, cr)}
+            for p, c, pr, cr in zip(parent_items, change_items, parent_rss, change_rss)]
+
+
+def test_bench_pairs_rule_checks_on_canned_lines():
+    """A gain needs the change better in 9 of 10 pairs and the medians
+    further apart than the parent's interquartile distance; a median worse
+    than the parent's by more than the bound is named."""
+    bench_pairs = _bench_pairs()
+    # 9 wins and one tie, medians 10 -> 12 against an interquartile distance
+    # of 0; rss 13.3 % worse against a bound of 10 %
+    pairs = _ten_pairs([10] * 9 + [12], [12] * 10, [30] * 10, [34] * 10)
+    assert bench_pairs.rule_checks(pairs, METRICS) == [
+        "items_per_ref_s: gain shown: change better in 9/10 pairs, medians 10 -> 12,"
+        " the parent's interquartile distance 0",
+        "items_per_ref_s: within its bound: change +20.0 %, bound 15 %",
+        "peak_rss_mb: gain not shown: change better in 0/10 pairs, medians 30 -> 34,"
+        " the parent's interquartile distance 0",
+        "peak_rss_mb: worse than its bound: change +13.3 %, bound 10 %",
+    ]
+    # 10 wins, but the medians 10 -> 11 lie within the parent's spread of 4;
+    # rss 6.7 % worse stays within its bound
+    pairs = _ten_pairs([8, 12] * 5, [9, 13] * 5, [30] * 10, [32] * 10)
+    lines = bench_pairs.rule_checks(pairs, METRICS)
+    assert lines[0] == ("items_per_ref_s: gain not shown: change better in 10/10 pairs,"
+                        " medians 10 -> 11, the parent's interquartile distance 4")
+    assert lines[3] == "peak_rss_mb: within its bound: change +6.7 %, bound 10 %"
+    # far apart, but better in only 8 of 10 pairs; items 20 % worse is past 15 %
+    pairs = _ten_pairs([10] * 10, [20] * 8 + [10, 10], [30] * 10, [30] * 10)
+    assert bench_pairs.rule_checks(pairs, METRICS)[0].startswith(
+        "items_per_ref_s: gain not shown: change better in 8/10 pairs, medians 10 -> 20,")
+    pairs = _ten_pairs([10] * 10, [8] * 10, [30] * 10, [30] * 10)
+    assert bench_pairs.rule_checks(pairs, METRICS)[1] == (
+        "items_per_ref_s: worse than its bound: change -20.0 %, bound 15 %")
+
+
 @pytest.mark.parametrize(
     "name", sorted(os.path.basename(path) for path in glob.glob(os.path.join(ROOT, "BENCH_*.json")))
 )
@@ -227,11 +270,17 @@ def _canned_pairs(tmp_path, failed=(0, 0), correct=(True, True)):
     return out, None
 
 
-def test_bench_pairs_adds_one_traced_run_per_side(tmp_path):
+def test_bench_pairs_adds_one_traced_run_per_side(tmp_path, capsys):
     """After the untraced pairs, each side runs once with --trace 1 on the
-    first seed, and both result lines go under the workload's "traced"."""
+    first seed, and both result lines go under the workload's "traced".
+    The rule checks follow on stderr."""
     out, stopped = _canned_pairs(tmp_path)
     assert stopped is None
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "lattice_suite items_per_ref_s: gain shown: change better in 3/3 pairs,"
+        " medians 8 -> 108, the parent's interquartile distance 1",
+        "lattice_suite items_per_ref_s: no bound in BENCHMARK.json",
+    ]
     doc = json.loads(out.read_text())
     assert doc["parent"] == _git(tmp_path / "parent", "rev-parse", "HEAD")
     entry = doc["workloads"]["lattice_suite"]
