@@ -116,7 +116,7 @@ def rule_checks(pairs: list, metrics: list) -> list:
     summary = summarize(pairs, {m["name"]: m["better"] for m in metrics})
     lines = []
     for m in metrics:
-        name, entry, bound = m["name"], summary[m["name"]], m.get("bound")
+        name, entry, bound = m["name"], summary[m["name"]], m["bound"]
         sign = 1 if m["better"] == "higher" else -1
         wins, count = map(int, entry["pairs_change_better"].split("/"))
         parent, change = entry["parent_median"], entry["change_median"]
@@ -126,9 +126,6 @@ def rule_checks(pairs: list, metrics: list) -> list:
             f"{name}: gain {'shown' if gain else 'not shown'}: change better in"
             f" {wins}/{count} pairs, medians {parent:g} -> {change:g}, the parent's"
             f" interquartile distance {q3 - q1:.4g}")
-        if bound is None:
-            lines.append(f"{name}: no bound in BENCHMARK.json")
-            continue
         worse = sign * (parent - change) > bound * abs(parent)
         lines.append(
             f"{name}: {'worse than its bound' if worse else 'within its bound'}:"

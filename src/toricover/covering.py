@@ -235,8 +235,7 @@ class Grid:
                 moves.append((self.full ^ facets[(j, r)], (s,)))
                 moves.append((self.full ^ facets[(j, 0)], (-s,)))
         else:
-            # the cell of each point, in point order (a cube point's cell is
-            # its position)
+            # the cell of each point, in point order
             self.cells = tuple(sum(map(mul, p, self.strides)) for p in self.points)
             self.full = _mask(self.cells)
             # one byte per cell, 1 for the cells of self.points
@@ -323,9 +322,8 @@ class Grid:
         self.cells maps one to the other."""
         if self._valid is None:
             return positions
-        if None in positions:
-            return [None if i is None else self.cells[i] for i in positions]
-        return list(map(self.cells.__getitem__, positions))
+        cells = self.cells
+        return [None if i is None else cells[i] for i in positions]
 
     @cached_property
     def texts(self) -> tuple:
@@ -355,8 +353,9 @@ class Grid:
         except TypeError:  # an unhashable item
             found = None
         points = self.points
-        if found is not None and None not in found and all(
-            [points[i] is p for i, p in zip(found, pts)]
+        # the first item settles most collections of other tuples at once
+        if found and found[0] is not None and points[found[0]] is pts[0] and (
+            None not in found and all([points[i] is p for i, p in zip(found, pts)])
         ):
             return PointSet(self, _mask(self.cells_at(found))), []
         exact = found is not None and set(map(type, pts)) <= {tuple} and set(
@@ -383,8 +382,8 @@ class Grid:
 
 
 def _point_set(grid, pts: list, bits: list):
-    """The PointSet of the items of pts whose entry in bits is not None, the
-    item's bit, and the list of the others, in order."""
+    """The PointSet of the bits that are not None, bits[i] being the bit of
+    pts[i] or None, and the list of the items whose bit is None, in order."""
     if None not in bits:
         return PointSet(grid, _mask(bits)), []
     bad = [p for p, b in zip(pts, bits) if b is None]

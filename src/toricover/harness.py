@@ -150,8 +150,6 @@ def random_low_multiplicity_cover(
         # on where the line of sources crosses the other axes
         for _ in range(model.n):
             rng.randint(0, model.r)
-        # the nearest source in L1 is the nearest along the axis, the lower
-        # on a tie, so each cell is a slab reaching to the midpoints
         ends = [(a + b) // 2 for a, b in zip(positions, positions[1:])] + [model.r]
         cells = [grid.slab(axis, lo, hi) for lo, hi in zip([0] + [e + 1 for e in ends], ends)]
     else:

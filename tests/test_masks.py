@@ -258,7 +258,8 @@ class TestPointIndex:
     def test_own_tuples_fresh_tuples_and_twins(self, model):
         """A set read off a PointSet holds the grid's own tuples; the same
         points as fresh equal tuples, those with a float or bool twin of a
-        point put in first, and a list holding a list are no such set.
+        point put in first, the own tuples with a twin put last, and a list
+        holding a list are no such collection.
         set_of, >= and the reflected <= answer as bit does on each."""
         grid = model.grid()
         points = model.points()
@@ -274,7 +275,7 @@ class TestPointIndex:
             twinned = {twin} | fresh  # twin stays when a fresh tuple equals it
             assert all(q is grid.points[grid.index[q]] for q in own)
             assert not any(q is grid.points[grid.index[q]] for q in fresh)
-            for items in (own, fresh, twinned, [[0, 0]], [list(p)] + list(own)):
+            for items in (own, fresh, twinned, list(own) + [twin], [[0, 0]], [list(p)] + list(own)):
                 bits = [grid.bit(q) for q in items]
                 got, bad = grid.set_of(items)
                 assert got.grid is grid

@@ -258,7 +258,7 @@ def _canned_pairs(tmp_path, failed=(0, 0), correct=(True, True)):
         _git(tmp_path / side, "commit", "-q", "-m", f"canned {side}")
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 0.5,
-        "end_to_end": [{"name": "items_per_ref_s", "better": "higher"}],
+        "end_to_end": [{"name": "items_per_ref_s", "better": "higher", "bound": 0.15}],
     }))
     out = tmp_path / "BENCH.json"
     bench_pairs = _bench_pairs()
@@ -279,7 +279,7 @@ def test_bench_pairs_adds_one_traced_run_per_side(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-2:] == [
         "lattice_suite items_per_ref_s: gain shown: change better in 3/3 pairs,"
         " medians 8 -> 108, the parent's interquartile distance 1",
-        "lattice_suite items_per_ref_s: no bound in BENCHMARK.json",
+        "lattice_suite items_per_ref_s: within its bound: change +1250.0 %, bound 15 %",
     ]
     doc = json.loads(out.read_text())
     assert doc["parent"] == _git(tmp_path / "parent", "rev-parse", "HEAD")
