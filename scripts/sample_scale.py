@@ -7,11 +7,12 @@ For each of Q^3, Q^4 and Delta^3, perturbed with budget 1/100 and seed 1,
 and each resolution r = 2..R, the script takes the multiplicity-2 sample
 cover polytope_sample_cover(p, r, 2, seed 1) and runs kkm_lebesgue_witness
 on it with the cover's eps, as the sample_cover benchmark's items do.  It
-prints one Markdown table row per polytope and r: the points kept, the
-lattice_sample time, the rest of polytope_sample_cover (the Sample and its
-slab and ball masks) and the kkm_lebesgue_witness time, in milliseconds,
-each the best of --repeat runs on a freshly perturbed polytope, so that no
-run reads what an earlier one left on the polytope or the sample.  A cover
+prints one Markdown table row per polytope and r: the points kept, then
+the three stages of an item layer by layer, in milliseconds: the perturb
+time, the lattice_sample time and the rest of polytope_sample_cover (the
+Sample and its slab and ball masks), and the kkm_lebesgue_witness time.
+Each is the best of --repeat runs on a freshly perturbed polytope, so that
+no run reads what an earlier one left on the polytope or the sample.  A cover
 whose sample is empty gets dashes.  Uses the standard library only.
 """
 
@@ -35,12 +36,12 @@ def timed(call, *args):
 
 
 def one_run(base, r):
-    """(points kept, scan ms, sample and mask ms, witness ms) of one item, or
-    None when its sample is empty.
+    """(points kept, perturb ms, scan ms, sample and mask ms, witness ms) of
+    one item, or None when its sample is empty.
 
     polytope_sample_cover looks lattice_sample up on the harness module when
     it runs, so a timing wrapper put there for the call sees the scan."""
-    p = polytope.perturb(base, BUDGET, seed=SEED)
+    p, tilt = timed(lambda: polytope.perturb(base, BUDGET, seed=SEED))
     scan = harness.lattice_sample
     spent = []
 
@@ -58,16 +59,16 @@ def one_run(base, r):
     finally:
         harness.lattice_sample = scan
     _, witness = timed(covering.kkm_lebesgue_witness, p, cover, eps)
-    return len(cover.sample), spent[0], total - spent[0], witness
+    return len(cover.sample), tilt, spent[0], total - spent[0], witness
 
 
 def row(name, base, r, repeat):
     runs = [one_run(base, r) for _ in range(repeat)]
     if runs[0] is None:
-        return f"| {name} | {r} | 0 | — | — | — |"
+        return f"| {name} | {r} | 0 | — | — | — | — |"
     kept = runs[0][0]
-    scan, sample, witness = (min(run[k] for run in runs) for k in (1, 2, 3))
-    return f"| {name} | {r} | {kept} | {scan:.3f} | {sample:.3f} | {witness:.3f} |"
+    times = (min(run[k] for run in runs) for k in (1, 2, 3, 4))
+    return f"| {name} | {r} | {kept} | " + " | ".join(f"{t:.3f}" for t in times) + " |"
 
 
 def main():
@@ -79,8 +80,8 @@ def main():
         ap.error("--max-r must be at least 2")
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    print("| polytope | r | points | lattice_sample | sample and masks | witness |")
-    print("|---|---|---|---|---|---|")
+    print("| polytope | r | points | perturb | lattice_sample | sample and masks | witness |")
+    print("|---|---|---|---|---|---|---|")
     for name, kind, n in SHAPES:
         base = polytope.construct_standard(kind, n)
         for r in range(2, args.max_r + 1):

@@ -143,7 +143,7 @@ class IntersectionQuery:
     divisors: tuple
 
     def __post_init__(self):
-        if len(self.divisors) != self.polytope.dim:
+        if len(sequence(self.divisors, "divisors", "Divisors")) != self.polytope.dim:
             raise InputError(
                 f"need exactly {self.polytope.dim} divisors, got {len(self.divisors)}"
             )
@@ -306,9 +306,11 @@ def ample_from_offsets(p: SimplePolytope) -> Divisor:
     coefficients come out positive): c_F + <u_F, centroid>, the offsets of
     P.translate(centroid) without moving the vertices.  The centroid is
     read in integers, as S / q (SimplePolytope.cleared_centroid), so each
-    coefficient is c_F + <u_F, S> / q."""
+    coefficient is c_F + <u_F, S> / q, computed as (n q + d <u_F, S>) / (d q)
+    from c_F = n / d: one Fraction per coefficient."""
     total, q = p.cleared_centroid()
-    return Divisor(tuple(c + Fraction(sum(map(mul, u, total)), q)
+    return Divisor(tuple(Fraction(c.numerator * q + c.denominator * sum(map(mul, u, total)),
+                                  c.denominator * q)
                          for u, c in zip(p.normals, p.offsets)))
 
 

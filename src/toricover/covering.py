@@ -200,6 +200,13 @@ def _mask(bits) -> int:
     return int(cells[low:][::-1].translate(_DIGIT_OF_BYTE), 2) << low
 
 
+def _tops_clear(fields: int, count: int, size: int) -> int:
+    """The mask of the fields, count of them of size bytes each, whose top
+    bit is clear."""
+    tops = fields.to_bytes(count * size, "little")[size - 1::size]
+    return int(tops.translate(_DIGIT_OF_TOP_BYTE)[::-1], 2)
+
+
 def _repunit(period: int, count: int) -> int:
     """Bit 0 of each of count blocks of period bits, built by doubling."""
     out, block, width, shift = 0, 1, period, 0
@@ -797,7 +804,7 @@ class Sample:
     """A point sample as the index space of PointSets: input point i is bit
     at[i], the position of its first occurrence.  ints holds the points'
     numerators over a common denominator L (den) of all coordinates, and the
-    facet and slab masks are computed on its columns.
+    facet and box masks are computed on its columns.
 
     Sample(points) reads exact points as given, hand-built or from JSON,
     repeats allowed, takes L as the lcm of their denominators and clears
@@ -818,8 +825,15 @@ class Sample:
     at most s = sum_k |u_k| (max_k - lo_k), and a bound inside that range
     puts every field in 0..2^(8B) - 1, so no field borrows from its
     neighbour, once 8B >= s.bit_length() + 1; a bound outside it gives no
-    point or every point at once.  near keeps its last answer, so a second
-    facet-contact query on the same polytope object and eps reads it."""
+    point or every point at once.  A box, the points within an interval on
+    each of several columns, is several such tests read off one field
+    layout: each interval is at most two tests of one column (a_k <= hi and
+    -a_k <= -lo), every test's sum is taken in fields of the one size that
+    the widest column tested needs, the sums are ORed, and the top bits are
+    read once, clear exactly where every test holds.  The facet bounds of
+    near and check_inside are computed from numerators and denominators, in
+    integers.  near keeps its last answer, so a second facet-contact query
+    on the same polytope object and eps reads it."""
 
     _near = None  # near's last (polytope, eps, masks)
 
@@ -882,15 +896,36 @@ class Sample:
     def points_of(self, mask: int):
         return map(self.points.__getitem__, _bits_of(mask))
 
-    def slab(self, axis: int, lo: int, hi: int) -> int:
-        """The mask of the points whose numerators a have lo <= a[axis] <= hi."""
+    def box(self, bounds) -> int:
+        """The mask of the points whose numerators a have lo <= a[axis] <= hi
+        for every (axis, lo, hi) of bounds, from one packed read (see the
+        class docstring)."""
         if not self.points:
             return 0
-        unit = [0] * len(self.columns)
-        unit[axis] = 1
-        below = self._at_most(unit, hi)
-        unit[axis] = -1
-        return below & self._at_most(unit, -lo) & self.full
+        lows, spans = self._box
+        tests = []  # (k, w, b): w (a_k - lows[k]) <= b, with w = +-1
+        for k, lo, hi in bounds:
+            lo, hi = lo - lows[k], hi - lows[k]
+            if hi < max(lo, 0) or lo > spans[k]:
+                return 0
+            if hi < spans[k]:
+                tests.append((k, 1, hi))
+            if lo > 0:
+                tests.append((k, -1, -lo))
+        if not tests:
+            return self.full
+        size = (max(spans[k] for k, _, _ in tests).bit_length() + 8) // 8
+        repunit, packed = self._fields(size)
+        top = (1 << (8 * size - 1)) - 1
+        fails = 0
+        for k, w, b in tests:
+            if k not in packed:
+                packed[k] = self._pack(k, size)
+            if w > 0:
+                fails |= (top - b) * repunit + packed[k]
+            else:
+                fails |= (top - b) * repunit - packed[k]
+        return _tops_clear(fails, len(self.points), size) & self.full
 
     def _fields(self, size: int) -> tuple:
         """The repunit of len(points) fields of size bytes, and the dict of
@@ -946,8 +981,7 @@ class Sample:
             if k not in packed:
                 packed[k] = self._pack(k, size)
             total += w * packed[k]
-        tops = total.to_bytes(len(self.points) * size, "little")[size - 1::size]
-        return int(tops.translate(_DIGIT_OF_TOP_BYTE)[::-1], 2)
+        return _tops_clear(total, len(self.points), size)
 
     def near(self, p: SimplePolytope, eps) -> list:
         """Per facet F of P, the mask of the points at slack <= eps |u_F|_1:
@@ -957,8 +991,11 @@ class Sample:
         eps = exact(eps, "eps")
         if self._near and self._near[0] is p and self._near[1] == eps:
             return self._near[2]
+        # L (eps |u|_1 - c) with eps = e / q and c = n / d, over q d
+        e, q = eps.numerator, eps.denominator
         masks = [
-            self._at_most(u, math.floor(self.den * (eps * sum(map(abs, u)) - c)))
+            self._at_most(u, self.den * (e * sum(map(abs, u)) * c.denominator - c.numerator * q)
+                          // (q * c.denominator))
             for u, c in zip(p.normals, p.offsets)
         ]
         self._near = (p, eps, masks)
@@ -968,7 +1005,7 @@ class Sample:
         """Raise InputError naming sample[i], the first point outside P, facet
         by facet: <u_F, x> + c_F < 0 holds iff <u_F, a> <= ceil(-L c_F) - 1."""
         for u, c in zip(p.normals, p.offsets):
-            mask = self._at_most(u, math.ceil(-self.den * c) - 1)
+            mask = self._at_most(u, -(self.den * c.numerator // c.denominator) - 1)
             if mask:
                 i = (mask & -mask).bit_length() - 1
                 raise InputError(f"sample[{i}] lies outside the polytope")

@@ -1,7 +1,9 @@
 """Cover generators, brute-force oracles, and the property-suite runner.
 
 All randomness flows through random.Random(seed) (MT19937), so every cover and
-every suite report replays exactly from its seed.  Generators measure what
+every suite report replays exactly from its seed.  A seed is an int, read by
+polytope.exact_int: None would seed from the operating system's entropy and
+never replay, so it is refused with anything else.  Generators measure what
 they promise: random covers come back stamped with their measured
 multiplicity, never an assumed one.  Their Voronoi cells and balls are masks
 grown by the model grid's one search, Grid.bfs, except the cube's Voronoi
@@ -23,7 +25,7 @@ from . import chow, covering
 from .covering import (
     HYPOTHESIS_VIOLATED, WITNESS_FOUND, LatticeCover, LatticeModel, PointCloudCover, PointSet,
 )
-from .polytope import InputError, SimplePolytope, construct_standard, perturb
+from .polytope import InputError, SimplePolytope, construct_standard, exact_int, perturb
 
 # random_low_multiplicity_cover holds at most m times the model's points and
 # counts its multiplicity m layers deep; 20 * MAX_MODEL_POINTS admits m <= n+1
@@ -138,7 +140,7 @@ def random_low_multiplicity_cover(
             f"target multiplicity m={m} times max(m, {len(points)} model points)"
             f" is more than {MAX_LAYERED_POINTS}"
         )
-    rng = random.Random(seed)
+    rng = random.Random(exact_int(seed, "seed"))
     grid = model.grid()
     sets = {}
 
@@ -189,7 +191,7 @@ def random_small_set_family(model: LatticeModel, k: int, seed: int) -> LatticeCo
     adjacent lattice balls would act as one merged wall with no complement
     gap between them, which no pair of disjoint closed sets can imitate.
     """
-    rng = random.Random(seed)
+    rng = random.Random(exact_int(seed, "seed"))
     grid = model.grid()
     radius_cap = max(1, model.r // 4)
     sets = {}
@@ -228,7 +230,7 @@ def dilated_partition_cover(model: LatticeModel, parts: int, seed: int) -> Latti
     """A BFS Voronoi partition into `parts` cells, each closed off by adding
     its graph neighbors.  The overlaps mimic a closed cover; the union is the
     whole model."""
-    rng = random.Random(seed)
+    rng = random.Random(exact_int(seed, "seed"))
     grid = model.grid()
     sources = rng.sample(model.points(), parts)
     cells = grid.bfs([grid.bit(s) for s in sources])
@@ -245,11 +247,12 @@ def lattice_sample(p: SimplePolytope, resolution: int, columns: list | None = No
     for every facet with offset N_F / D_F, so the scan runs over integer grid
     indices a.  The heads, the first n-1 indices, range over P's bounding
     box; each facet then tightens every head's interval on the last index in
-    one pass over all heads, and the points are emitted in lexicographic
-    order of a.  Fractions are built once per grid value.  When columns is a
-    list, it is extended with the n numerator columns over resolution:
-    column k holds a_k of every point, in point order, as Sample.from_grid
-    takes them.
+    one pass over all heads, whose sums <w, head> are built axis by axis as
+    outer sums (_head_sums), and the points are emitted in lexicographic
+    order of a.  One Fraction is built per distinct grid value, over all
+    axes at once.  When columns is a list, it is extended with the n
+    numerator columns over resolution: column k holds a_k of every point, in
+    point order, as Sample.from_grid takes them.
     """
     if resolution < 1:
         raise InputError("resolution must be >= 1")
@@ -284,14 +287,18 @@ def lattice_sample(p: SimplePolytope, resolution: int, columns: list | None = No
     cols.append(list(chain.from_iterable(map(range, first, stop))))
     if columns is not None:
         columns.extend(cols)
-    frac = {a: Fraction(a, r) for axis_range in ranges for a in axis_range}
+    frac = {a: Fraction(a, r) for a in set(chain.from_iterable(ranges))}
     return tuple(zip(*(map(frac.__getitem__, col) for col in cols)))
 
 
-def _head_sums(w: list, ranges: list, b: int):
-    """<w, h> + b for every head h of the product of ranges, in product order."""
-    axes = ([x * a for a in axis_range] for x, axis_range in zip(w, ranges))
-    return map(sum, itertools.product(*axes, (b,)))
+def _head_sums(w: list, ranges: list, b: int) -> list:
+    """<w, h> + b for every head h of the product of ranges, in product order:
+    the sums over the axes before one, each plus every term of that axis."""
+    sums = [b]
+    for x, axis_range in zip(w, ranges):
+        terms = [x * a for a in axis_range]
+        sums = [s + t for s in sums for t in terms]
+    return sums
 
 
 def polytope_sample_cover(
@@ -301,16 +308,17 @@ def polytope_sample_cover(
     (layer 1, a partition) plus up to m-1 layers of disjoint max-norm balls.
 
     The sample is a Sample.from_grid of the scan's numerator columns, and
-    every set is a mask over them: a slab is one column's interval mask, a
-    ball of radius k / resolution the AND of the intervals [c_j - k, c_j + k]
-    over the columns, less the balls already in its layer.  A ball's centre
-    is drawn as a point position and its numerators c_j read off the columns.
+    every set is a mask over them: a slab is the box of one column's
+    interval, a ball of radius k / resolution the box of the intervals
+    [c_j - k, c_j + k] over all columns, one packed read each (Sample.box),
+    less the balls already in its layer.  A ball's centre is drawn as a
+    point position and its numerators c_j read off the columns.
 
     Returns (PointCloudCover, eps) with eps one full grid spacing.  A tilted
     facet plane can stay further than half a spacing from every grid plane on
     its polytope side, so facet contact is judged at one grid layer.
     """
-    rng = random.Random(seed)
+    rng = random.Random(exact_int(seed, "seed"))
     columns = []
     points = lattice_sample(p, resolution, columns=columns)
     sample = covering.Sample.from_grid(points, columns, resolution)
@@ -324,7 +332,7 @@ def polytope_sample_cover(
     sets = {}
     for i in range(nslabs):
         first, last = values[bounds[i]], values[bounds[i + 1] - 1]
-        sets[f"slab_{i}"] = PointSet(sample, sample.slab(axis, first, last))
+        sets[f"slab_{i}"] = PointSet(sample, sample.box([(axis, first, last)]))
 
     for layer in range(1, m):
         used = 0
@@ -332,9 +340,9 @@ def polytope_sample_cover(
             # the same draw as rng.choice over the list of points
             center = rng.choice(range(len(points)))
             radius = rng.randint(1, 2)
-            ball = sample.full & ~used
-            for k, col in enumerate(columns):
-                ball &= sample.slab(k, col[center] - radius, col[center] + radius)
+            ball = sample.box(
+                [(k, col[center] - radius, col[center] + radius) for k, col in enumerate(columns)]
+            ) & ~used
             if ball:
                 sets[f"ball_{layer}_{b}"] = PointSet(sample, ball)
                 used |= ball

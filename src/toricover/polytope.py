@@ -6,9 +6,10 @@ n-subset of facets for the vertices and reads boundedness off them: every
 edge of a bounded simple polytope has two vertices.  perturb keeps its
 input's combinatorial type and solves only the input's vertex facet sets.
 A vertex is one linalg.int_cramer solve on the cleared half-space data, its
-slack signs are read in integers, and the genericity test sweeps every
-maximal minor of the integer normals by Laplace expansion; Fraction is only
-the type of the stored offsets and vertex coordinates.  The vertex centroid
+slack signs are read in integers on the rows outside the solved subset (the
+subset's rows are tight by construction), and the genericity test sweeps
+every maximal minor of the integer normals by Laplace expansion; Fraction is
+only the type of the stored offsets and vertex coordinates.  The vertex centroid
 is read off one integer sum of the cleared vertices (cleared_centroid),
 which chow's ample class reads too.
 
@@ -216,7 +217,9 @@ def _bounded(vertices) -> bool:
 def _basic_point(rows, subset):
     """(point, tight): the Fraction point x / d, d > 0, where the facets of
     `subset` are tight and the facets whose slack times d, <u_F, x> + c_F d,
-    is 0, on the rows (u_F, c_F) * s_F; None if singular or infeasible."""
+    is 0, on the rows (u_F, c_F) * s_F; None if singular or infeasible.
+    The rows of subset are tight by construction, so only the others are
+    read."""
     n = len(rows[0]) - 1
     sol = linalg.int_cramer([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
     if sol is None:
@@ -224,11 +227,16 @@ def _basic_point(rows, subset):
     x, d = sol
     if d < 0:
         x, d = [-v for v in x], -d
-    slacks = [sum(map(mul, row, x)) + row[n] * d for row in rows]
-    if min(slacks) < 0:
-        return None
-    return (tuple(Fraction(v, d) for v in x),
-            frozenset(i for i, s in enumerate(slacks) if s == 0))
+    xd = (*x, d)
+    tight = list(subset)
+    for i, row in enumerate(rows):
+        if i not in subset:
+            slack = sum(map(mul, row, xd))
+            if slack < 0:
+                return None
+            if not slack:
+                tight.append(i)
+    return tuple(Fraction(v, d) for v in x), frozenset(tight)
 
 
 def solve_region_vertices(normals, offsets, *, require_simple):
@@ -269,7 +277,8 @@ def from_halfspaces(normals, offsets) -> SimplePolytope:
     the round trip between the H-representation and the vertex set.  Each
     entry is read by exact, named normals[i][j] or offsets[i].
     """
-    if len(normals) != len(offsets):
+    sequence(normals, "normals", "vectors")
+    if len(normals) != len(sequence(offsets, "offsets", "numbers")):
         raise InputError("normals and offsets must have the same length")
     if not normals:
         raise InputError("at least one half-space is required")
@@ -430,16 +439,16 @@ def perturb(p: SimplePolytope, budget, *, seed: int = 0) -> SimplePolytope:
     budget = exact(budget, "budget")
     if budget <= 0:
         raise InputError("budget must be positive")
+    rng = random.Random(exact_int(seed, "seed"))
     if p.dim == 1:
         return p
-    rng = random.Random(seed)
     facet_sets = sorted((v.facets for v in p.vertices), key=sorted)
     step = budget
     for _ in range(PERTURB_MAX_RETRIES):
         denom = max(2, math.ceil(1 / step)) * 4
         normals, offsets = [], []
         for u, c in zip(p.normals, p.offsets):
-            w = [x * denom + rng.randint(-4, 4) for x in u]
+            w = [x * denom + rng.randrange(-4, 5) for x in u]
             g = math.gcd(*w)
             normals.append(tuple(x // g for x in w))
             offsets.append(c * Fraction(denom, g))

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,8 @@ from toricover import (
     polytope,
     product,
 )
+
+import chow_reference
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
@@ -310,6 +313,67 @@ class TestFaces:
         whole = faces(q3, 3)
         assert len(whole) == 1 and whole[0].facet_ids == frozenset()
         assert len(faces(q3, 0)) == len(q3.vertices)
+
+
+def tight_set_reference(normals, offsets, point):
+    """The full slack scan over Fractions: the facets tight at point, or None
+    when point is outside some facet."""
+    slacks = [sum(map(mul, u, point)) + c for u, c in zip(normals, offsets)]
+    if min(slacks) < 0:
+        return None
+    return frozenset(i for i, s in enumerate(slacks) if s == 0)
+
+
+# a square pyramid over [0, 2]^2 with apex (1, 1, 1): the apex lies on the
+# four side facets, so solving any three of them leaves the fourth tight
+PYRAMID = ([(0, 0, 1), (1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1)], [0, 0, 2, 0, 2])
+
+
+def basic_point_systems():
+    """Seeded perturbed Q^3, Q^4 and Delta^3, each also with its offsets cut
+    to integers so that subsets come out infeasible, and the pyramid."""
+    systems = {}
+    for name, shape, seed in (("Q3", ("cube", 3), 21), ("Q4", ("cube", 4), 22),
+                              ("D3", ("simplex", 3), 23)):
+        p = perturb(construct_standard(*shape), Fraction(1, 100), seed=seed)
+        systems[name] = (p.normals, p.offsets)
+        systems[name + "-cut"] = (p.normals, [c.numerator // c.denominator for c in p.offsets])
+    systems["pyramid"] = PYRAMID
+    return systems
+
+
+BASIC_POINT_SYSTEMS = basic_point_systems()
+
+
+class TestBasicPoint:
+    """_basic_point reads slacks only off the rows outside the solved subset;
+    its tight set must equal a full slack scan."""
+
+    @pytest.mark.parametrize("system", BASIC_POINT_SYSTEMS)
+    def test_tight_set_against_the_full_scan(self, system):
+        normals, offsets = BASIC_POINT_SYSTEMS[system]
+        rows = [linalg.int_row(list(u) + [c])[0] for u, c in zip(normals, offsets)]
+        for subset in itertools.combinations(range(len(rows)), len(normals[0])):
+            got = polytope._basic_point(rows, subset)
+            x, d = chow_reference.fraction_solve([normals[i] for i in subset],
+                                                 [-offsets[i] for i in subset])
+            if d == 0:
+                assert got is None
+                continue
+            want = tight_set_reference(normals, offsets, x)
+            assert got == (None if want is None else (tuple(x), want)), subset
+
+    def test_non_simple_vertex_keeps_the_row_it_did_not_solve(self):
+        normals, offsets = PYRAMID
+        vertices = polytope.solve_region_vertices(normals, offsets, require_simple=False)
+        assert {v.coords: v.facets for v in vertices} == {
+            (0, 0, 0): {0, 1, 3}, (2, 0, 0): {0, 2, 3}, (0, 2, 0): {0, 1, 4},
+            (2, 2, 0): {0, 2, 4}, (1, 1, 1): {1, 2, 3, 4},
+        }
+        for v in vertices:
+            assert v.facets == tight_set_reference(normals, offsets, v.coords)
+        with pytest.raises(NotSimpleError):
+            from_halfspaces(normals, offsets)
 
 
 class TestGenericNormals:

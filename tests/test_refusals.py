@@ -79,6 +79,10 @@ REFUSALS = [
      InputError, "unknown suite verifier: 'sperner'"),
     ("halfspaces-lengths", lambda: from_halfspaces([(1,), (-1,)], [0]),
      InputError, "normals and offsets must have the same length"),
+    ("halfspaces-normals-none", lambda: from_halfspaces(None, None),
+     InputError, "normals must be a sequence of vectors, got None"),
+    ("halfspaces-offsets-none", lambda: from_halfspaces([(1, 0)], None),
+     InputError, "offsets must be a sequence of numbers, got None"),
     ("halfspaces-none", lambda: from_halfspaces([], []),
      InputError, "at least one half-space is required"),
     ("halfspaces-few-facets", lambda: from_halfspaces([(1, 0), (0, 1)], [0, 0]),
@@ -253,6 +257,9 @@ REFUSALS = [
      lambda: chow.avoidance_certificate(
          construct_standard("cube", 2), chow.Divisor((1, True, 1, 1)), [0]),
      InputError, "h coefficients must be ints or Fractions, got True"),
+    ("intersect-divisors-none",
+     lambda: chow.IntersectionQuery(construct_standard("cube", 2), None),
+     InputError, "divisors must be a sequence of Divisors, got None"),
     ("intersect-divisor-long",
      lambda: chow.IntersectionQuery(
          construct_standard("cube", 2), (chow.Divisor((1,) * 4), chow.Divisor((1,) * 6))),
@@ -296,6 +303,28 @@ def test_refusal(call, exc, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is exc
+
+
+# the seeded generators, each with its seed as the one argument left open
+SEEDED = {
+    "perturb": lambda seed: polytope.perturb(construct_standard("cube", 2), 1, seed=seed),
+    "polytope_sample_cover":
+        lambda seed: harness.polytope_sample_cover(construct_standard("cube", 2), 3, 2, seed),
+    "random_low_multiplicity_cover":
+        lambda seed: harness.random_low_multiplicity_cover(cube(2, 4), 2, seed),
+    "random_small_set_family": lambda seed: harness.random_small_set_family(cube(2, 4), 2, seed),
+    "dilated_partition_cover": lambda seed: harness.dilated_partition_cover(cube(2, 4), 2, seed),
+}
+
+
+@pytest.mark.parametrize("generate", SEEDED.values(), ids=SEEDED)
+def test_seed_is_an_int(generate):
+    """None would seed from the operating system's entropy and never replay;
+    a float, bool or str is no seed either.  An int replays."""
+    for seed in (None, 1.5, True, "x"):
+        with pytest.raises(InputError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            generate(seed)
+    assert repr(generate(7)) == repr(generate(7))
 
 
 def test_exact_reads_p_over_q_strings():

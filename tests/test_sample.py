@@ -4,7 +4,9 @@ path hashes no Fraction."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -153,7 +155,7 @@ class TestSample:
     def test_empty_sample(self, segment):
         for sample in (Sample(()), Sample.from_grid((), [], 3)):
             assert sample.full == 0 and sample.near(segment, 1) == [0, 0]
-            assert sample.slab(0, 0, 3) == 0
+            assert sample.box([(0, 0, 3)]) == sample.box([]) == 0
             sample.check_inside(segment)
 
     def test_stray_point_raises_where_the_witness_did(self, segment):
@@ -382,11 +384,12 @@ def at_most_reference(sample, u, bound):
     return sum(1 << i for i, x in enumerate(sample.points) if dot(u, x) * sample.den <= bound)
 
 
-def slab_reference(sample, axis, lo, hi):
-    """Point by point: the first occurrences x with lo <= x[axis] den <= hi."""
+def box_reference(sample, bounds):
+    """Point by point: the first occurrences x with lo <= x[axis] den <= hi
+    for every (axis, lo, hi) of bounds."""
     mask = 0
     for i, x in enumerate(sample.points):
-        if lo <= x[axis] * sample.den <= hi:
+        if all(lo <= x[axis] * sample.den <= hi for axis, lo, hi in bounds):
             mask |= 1 << sample.at[i]
     return mask
 
@@ -402,8 +405,9 @@ def inside_reference(sample, p):
 
 
 def check_masks(sample, p, data):
-    """_at_most and slab of sample against the references, at bounds below,
-    inside and above the sample's range."""
+    """_at_most and box of sample against the references, at bounds below,
+    inside and above the sample's range; a box has up to three intervals,
+    crossed ones and repeated axes among them."""
     u = data.draw(normals(p.dim))
     dots = [int(dot(u, x) * sample.den) for x in sample.points] or [0]
     bound = data.draw(
@@ -414,10 +418,13 @@ def check_masks(sample, p, data):
         )
     )
     assert sample._at_most(u, bound) == at_most_reference(sample, u, bound)
-    axis = data.draw(st.integers(0, p.dim - 1))
-    lo = data.draw(st.one_of(st.integers(-8, 8), st.integers(-(2**24), 2**24)))
-    hi = lo + data.draw(st.one_of(st.integers(-2, 8), st.integers(0, 2**25)))
-    assert sample.slab(axis, lo, hi) == slab_reference(sample, axis, lo, hi)
+    bounds = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        axis = data.draw(st.integers(0, p.dim - 1))
+        lo = data.draw(st.one_of(st.integers(-8, 8), st.integers(-(2**24), 2**24)))
+        hi = lo + data.draw(st.one_of(st.integers(-2, 8), st.integers(0, 2**25)))
+        bounds.append((axis, lo, hi))
+    assert sample.box(bounds) == box_reference(sample, bounds)
 
 
 class TestPackedFields:
@@ -425,7 +432,7 @@ class TestPackedFields:
 
     @settings(max_examples=300, deadline=None)
     @given(drawn_samples(), st.data())
-    def test_at_most_and_slab(self, drawn, data):
+    def test_at_most_and_box(self, drawn, data):
         p, points = drawn
         check_masks(Sample(points), p, data)
 
@@ -461,7 +468,77 @@ class TestPackedFields:
         axis = data.draw(st.integers(0, p.dim - 1))
         lo, hi = sorted(data.draw(st.tuples(st.integers(-r, 3 * r), st.integers(-r, 3 * r))))
         # the same interval of coordinates over den instead of r
-        assert grid.slab(axis, lo, hi) == ref.slab(
-            axis, -(-lo * ref.den // r), hi * ref.den // r
+        assert grid.box([(axis, lo, hi)]) == ref.box(
+            [(axis, -(-lo * ref.den // r), hi * ref.den // r)]
         )
 
+
+
+# seeded perturbed Q^3, Q^4 and Delta^3 with a resolution each
+KERNEL_CASES = [(("cube", 3), 5, 11), (("cube", 4), 3, 12), (("simplex", 3), 6, 13)]
+KERNEL_IDS = ["Q3", "Q4", "D3"]
+
+
+def kernel_case(shape, r, seed):
+    return perturb(construct_standard(*shape), Fraction(1, 100), seed=seed), r
+
+
+class TestKernels:
+    """The sample lab's kernels against point-by-point Fraction references on
+    seeded perturbed polytopes."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_box_against_the_point_filter(self, case):
+        p, r = kernel_case(*case)
+        sample = grid_sample(p, r)
+        assert sample.points
+        for k, col in enumerate(sample.columns):
+            lo, hi = min(col), max(col)
+            # below, at and inside the column's range, and above it
+            ends = sorted({lo - 3, lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1, hi + 4})
+            for a, b in itertools.product(ends, repeat=2):  # a > b: crossed bounds
+                assert sample.box([(k, a, b)]) == box_reference(sample, [(k, a, b)]), (k, a, b)
+        rng = random.Random(r)
+        for _ in range(200):
+            bounds = []
+            for _ in range(rng.randint(2, 2 * p.dim)):
+                k = rng.randrange(p.dim)
+                a = rng.randint(min(sample.columns[k]) - 2, max(sample.columns[k]) + 2)
+                bounds.append((k, a, a + rng.randint(-1, r)))
+            assert sample.box(bounds) == box_reference(sample, bounds), bounds
+        assert sample.box([]) == sample.full
+        for empty in (Sample(()), Sample.from_grid((), [[] for _ in range(p.dim)], r)):
+            assert empty.box([]) == empty.box([(0, -5, 5)]) == 0
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_near_and_check_inside_against_the_slack_formula(self, case):
+        p, r = kernel_case(*case)
+        # every grid point of P's bounding box widened by one step, so that
+        # points outside every facet come up
+        lows = [min(v.coords[k] for v in p.vertices) * r for k in range(p.dim)]
+        highs = [max(v.coords[k] for v in p.vertices) * r for k in range(p.dim)]
+        ints = list(itertools.product(*(
+            range(math.floor(lo) - 1, math.ceil(hi) + 2) for lo, hi in zip(lows, highs)
+        )))
+        points = tuple(tuple(Fraction(a, r) for a in t) for t in ints)
+        inside = grid_sample(p, r)
+        for sample in (Sample.from_grid(points, list(zip(*ints)), r), inside):
+            for eps in (0, Fraction(1, 2 * r), Fraction(1, r), 1):
+                assert sample.near(p, eps) == [
+                    sum(1 << i for i, x in enumerate(sample.points)
+                        if dot(u, x) + c <= eps * sum(map(abs, u)))
+                    for u, c in zip(p.normals, p.offsets)
+                ], eps
+            assert outcome(sample.check_inside, p) == inside_reference(sample, p)
+        assert inside_reference(inside, p) is None
+
+    @pytest.mark.parametrize("heads", range(4))
+    def test_head_sums_against_the_product(self, heads):
+        rng = random.Random(heads)
+        for _ in range(30):
+            w = [rng.randint(-50, 50) for _ in range(heads)]
+            ranges = [range(rng.randint(-6, 3), rng.randint(-6, 8)) for _ in range(heads)]
+            b = rng.randint(-100, 100)
+            axes = [[x * a for a in axis] for x, axis in zip(w, ranges)]
+            want = list(map(sum, itertools.product(*axes, (b,))))
+            assert list(harness._head_sums(w, ranges, b)) == want

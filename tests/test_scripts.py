@@ -43,8 +43,8 @@ def test_divisor_scale_prints_one_row_per_dimension():
 def test_sample_scale_prints_one_row_per_polytope_and_resolution():
     rows = _run(["sample_scale.py", "--max-r", "3", "--repeat", "1"]).splitlines()
     assert rows[:2] == [
-        "| polytope | r | points | lattice_sample | sample and masks | witness |",
-        "|---|---|---|---|---|---|",
+        "| polytope | r | points | perturb | lattice_sample | sample and masks | witness |",
+        "|---|---|---|---|---|---|---|",
     ]
     assert [row.split(" | ")[:2] for row in rows[2:]] == [
         ["| Q^3", "2"], ["| Q^3", "3"], ["| Q^4", "2"], ["| Q^4", "3"],
@@ -52,7 +52,7 @@ def test_sample_scale_prints_one_row_per_polytope_and_resolution():
     ]
     for row in rows[2:]:
         points, *times = row.strip("| ").split(" | ")[2:]
-        assert int(points) > 0 and min(map(float, times)) >= 0
+        assert int(points) > 0 and len(times) == 4 and min(map(float, times)) >= 0
 
 
 def _run(argv):
