@@ -473,7 +473,6 @@ class TestPackedFields:
         )
 
 
-
 # seeded perturbed Q^3, Q^4 and Delta^3 with a resolution each
 KERNEL_CASES = [(("cube", 3), 5, 11), (("cube", 4), 3, 12), (("simplex", 3), 6, 13)]
 KERNEL_IDS = ["Q3", "Q4", "D3"]
@@ -514,7 +513,7 @@ class TestKernels:
     def test_near_and_check_inside_against_the_slack_formula(self, case):
         p, r = kernel_case(*case)
         # every grid point of P's bounding box widened by one step, so that
-        # points outside every facet come up
+        # points outside each facet come up
         lows = [min(v.coords[k] for v in p.vertices) * r for k in range(p.dim)]
         highs = [max(v.coords[k] for v in p.vertices) * r for k in range(p.dim)]
         ints = list(itertools.product(*(
