@@ -32,21 +32,22 @@ centroid as one integer vector over one denominator
 (SimplePolytope.cleared_centroid).  The flux solves, is_principal and the
 avoidance certificates, read the divisor's cleared numerators and take
 their vector from linalg.int_solve, an integer solution over one pivot.  A
-divisor handed to IntersectionQuery, avoidance_certificate, is_principal or
-linearly_equivalent must be exactly a tuple of one int or Fraction per
-facet, and InputError names it otherwise.
+Divisor reads its coefficients once, when it is built: they must be a
+non-empty tuple of ints and Fractions.  IntersectionQuery,
+avoidance_certificate, is_principal and linearly_equivalent then check only
+that a divisor has one coefficient per facet of the polytope, and InputError
+names it otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
 
-from . import linalg
+from . import linalg, polytope
 from .polytope import (
     InputError,
     NotSimpleError,
@@ -67,9 +68,17 @@ class NefLiftFailedError(Exception):
 
 @dataclass(frozen=True)
 class Divisor:
-    """Facet-indexed rational coefficients; position i belongs to facet id i."""
+    """Facet-indexed rational coefficients; position i belongs to facet id i.
+    The coefficients must be a non-empty tuple of ints and Fractions, and
+    InputError names coeffs otherwise."""
 
     coeffs: tuple
+
+    def __post_init__(self):
+        coeffs = self.coeffs
+        if type(coeffs) is not tuple or not coeffs or not set(map(type, coeffs)) <= {int, Fraction}:
+            raise InputError(f"coeffs must be a non-empty tuple of ints and Fractions,"
+                             f" got {coeffs!r}")
 
     @classmethod
     def from_map(cls, p: SimplePolytope, mapping) -> "Divisor":
@@ -77,13 +86,9 @@ class Divisor:
         id is read by polytope.exact_int and a value by polytope.exact, so a
         float, a bool or a string id and a float or bool value raise
         InputError, as does an id outside 0..m-1."""
-        if not isinstance(mapping, Mapping):
-            raise InputError(f"mapping must be a mapping of facet ids to numbers, got {mapping!r}")
         coeffs = [Fraction(0)] * p.num_facets
-        for fid, value in mapping.items():
-            fid = exact_int(fid, "facet id")
-            if not 0 <= fid < p.num_facets:
-                raise InputError(f"facet id {fid} not in 0..{p.num_facets - 1}")
+        for fid, value in polytope.mapping(mapping, "mapping", "facet ids to numbers").items():
+            fid = exact_int(fid, "facet id", 0, p.num_facets - 1)
             coeffs[fid] = exact(value, f"facet {fid} coefficient")
         return cls(tuple(coeffs))
 
@@ -93,15 +98,15 @@ class Divisor:
 
     @classmethod
     def on_facet(cls, p: SimplePolytope, facet_id: int, value=1) -> "Divisor":
-        return cls.from_map(p, {facet_id: value})
+        return cls.from_map(p, {exact_int(facet_id, "facet id"): value})
 
     @cached_property
     def cleared(self):
         """(c, s): the coefficients as the integer tuple c over their lcm
         denominator s, from one linalg.int_row call, kept on the divisor.
         It is not a field, so ==, hash, repr and asdict ignore it.  It is
-        sound because coeffs is a tuple, which the checked entry points
-        (_check_divisor) insist on."""
+        sound by construction: __post_init__ admits only a tuple of ints and
+        Fractions, which cannot change under the frozen divisor."""
         c, s = linalg.int_row(self.coeffs)
         return tuple(c), s
 
@@ -143,7 +148,8 @@ class IntersectionQuery:
     divisors: tuple
 
     def __post_init__(self):
-        if len(sequence(self.divisors, "divisors", "Divisors")) != self.polytope.dim:
+        object.__setattr__(self, "divisors", tuple(sequence(self.divisors, "divisors", "Divisors")))
+        if len(self.divisors) != self.polytope.dim:
             raise InputError(
                 f"need exactly {self.polytope.dim} divisors, got {len(self.divisors)}"
             )
@@ -152,30 +158,16 @@ class IntersectionQuery:
 
 
 def _check_divisor(p: SimplePolytope, d: Divisor, name: str, index=None) -> None:
-    """Refuse a divisor that is not exactly a tuple of one int or Fraction
-    per facet of p, naming it name, or name[index] when an index is given:
-    a bool or float is no exact coefficient, a short or long divisor would
-    be cut to the facets silently, and coefficients that can change under
-    the divisor would leave Divisor.cleared stale.  The accepted case is
-    one type test, one length test and one type pass, with the message
-    built only on refusal."""
-    coeffs = d.coeffs
-    if type(coeffs) is tuple and len(coeffs) == len(p.normals):
-        for c in coeffs:
-            if type(c) is not Fraction and type(c) is not int:
-                break
-        else:
-            return
-    if index is not None:
-        name = f"{name}[{index}]"
-    if type(coeffs) is not tuple:
-        raise InputError(f"{name} coefficients must be a tuple, got {type(coeffs).__name__}")
-    if len(coeffs) != len(p.normals):
+    """Refuse a divisor with other than one coefficient per facet of p,
+    naming it name, or name[index] when an index is given: zip would cut a
+    short or long divisor to the facets silently.  Its coefficients were
+    read when it was built."""
+    if len(d.coeffs) != len(p.normals):
+        if index is not None:
+            name = f"{name}[{index}]"
         raise InputError(
-            f"{name} must have one coefficient per facet ({len(p.normals)}), got {len(coeffs)}"
+            f"{name} must have one coefficient per facet ({len(p.normals)}), got {len(d.coeffs)}"
         )
-    bad = next(c for c in coeffs if type(c) is not Fraction and type(c) is not int)
-    raise InputError(f"{name} coefficients must be ints or Fractions, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +268,7 @@ def principal_divisor(p: SimplePolytope, v) -> Divisor:
     InputError naming v.  v is cleared once to x / s with x integer, and
     each flux is <u_F, x> / s.
     """
-    if len(sequence(v, "v", f"{p.dim} numbers")) != p.dim:
+    if len(v := sequence(v, "v", f"{p.dim} numbers")) != p.dim:
         raise InputError(f"v must have one entry per dimension ({p.dim}), got {len(v)}")
     x, s = linalg.int_row([exact(e, "v") for e in v])
     return Divisor(tuple(Fraction(sum(map(mul, u, x)), s) for u in p.normals))
@@ -438,8 +430,8 @@ def avoidance_certificate(p: SimplePolytope, h: Divisor, touched):
     H' = H + div(v) where v solves <u_F, v> = -coeff_F(H) for F touched; when
     the system is underdetermined the free components of v are set to zero.
     A touched id that is not an int (a bool, a float, a string) or lies
-    outside 0..m-1 raises InputError, and so does an h that is not a tuple
-    of one int or Fraction per facet.
+    outside 0..m-1 raises InputError, and so does an h with other than one
+    coefficient per facet.
 
     The solve runs in integers.  H carries its numerators c = s H
     (Divisor.cleared), so the certificates of one H clear it once, and s v
@@ -447,14 +439,11 @@ def avoidance_certificate(p: SimplePolytope, h: Divisor, touched):
     coefficient of H' is then (c_F d + <u_F, x>) / (s d).
     """
     _check_divisor(p, h, "h")
-    if not isinstance(touched, Iterable):
-        raise InputError(f"touched must be a collection of facet ids, got {touched!r}")
-    touched = sorted([exact_int(f, "touched facet id") for f in touched])
+    last = p.num_facets - 1
+    touched = sorted([exact_int(f, "touched facet id", 0, last)
+                      for f in sequence(touched, "touched", "facet ids")])
     if not touched:
         return h
-    for f in (touched[0], touched[-1]):
-        if not 0 <= f < p.num_facets:
-            raise InputError(f"touched facet id {f} not in 0..{p.num_facets - 1}")
     c, s = h.cleared
     solved = linalg.int_solve([p.normals[f] for f in touched], [-c[f] for f in touched])
     if solved is None:

@@ -59,14 +59,14 @@ import contextlib
 import heapq
 import itertools
 import math
-from collections.abc import Collection, Iterable, Mapping, Set
+from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, and_, mul, rshift, sub
 
 from . import chow
-from .polytope import InputError, SimplePolytope, exact, exact_int, sequence
+from .polytope import InputError, SimplePolytope, choice, exact, exact_int, mapping, sequence
 
 
 class BadSampleError(InputError):
@@ -92,10 +92,9 @@ class LatticeModel:
     r: int
 
     def __post_init__(self):
-        if self.kind not in ("cube", "simplex"):
-            raise InputError(f"unknown lattice model kind: {self.kind!r}")
-        if min(exact_int(self.n, "n"), exact_int(self.r, "r")) < 1:
-            raise InputError("need n >= 1 and r >= 1")
+        choice(self.kind, ("cube", "simplex"), "lattice model kind")
+        exact_int(self.n, "n", 1)
+        exact_int(self.r, "r", 1)
         # (r+1)^n or C(n+r, n) as a running product, stopped once past the
         # cap; the binomial runs over the smaller of n and r
         if self.kind == "cube":
@@ -138,8 +137,7 @@ class LatticeModel:
         """The k-faces, each the tuple of the n-k facets that cut it out: the
         (n-k)-subsets of facets() whose equations sit on distinct
         coordinates, enumerated as n-k coordinates and one equation on each."""
-        if not 0 <= k <= self.n:
-            raise InputError(f"face dimension {k} out of range 0..{self.n}")
+        k = exact_int(k, "face dimension", 0, self.n)
         by_coord = [
             list(eqs) for _, eqs in itertools.groupby(self.facets(), key=lambda f: f[0])
         ]
@@ -500,16 +498,11 @@ class LatticeCover:
     def __post_init__(self):
         grid = self.model.grid()
         object.__setattr__(self, "grid", grid)
-        if not isinstance(self.sets, Mapping):
-            raise InputError(f"sets must be a mapping of set names to collections of model"
-                             f" points, got {self.sets!r}")
         coerced = {}
-        for name, pts in self.sets.items():
+        sets = mapping(self.sets, "sets", "set names to collections of model points")
+        for name, pts in sets.items():
             if not (isinstance(pts, PointSet) and pts.grid is grid):
-                if not isinstance(pts, Iterable):
-                    raise InputError(f"set {name!r} must be a collection of model points,"
-                                     f" got {pts!r}")
-                items = pts if isinstance(pts, Collection) else list(pts)
+                items = sequence(pts, f"set {name!r}", "model points")
                 pts, bad = grid.set_of(items)
                 if bad:
                     # named in the order of the frozenset of the set's points,
@@ -566,17 +559,23 @@ def multiplicity(cover: LatticeCover) -> int:
     return len(_layers(pts.mask for pts in cover.sets.values()))
 
 
+def _set(cover: LatticeCover, set_id) -> PointSet:
+    """The cover's set named set_id, refusing a name it does not hold."""
+    return cover.sets[choice(set_id, cover.sets, "set")]
+
+
 def touches_facet(cover: LatticeCover, set_id, facet) -> bool:
-    return cover.sets[set_id].mask & cover.grid.facets[facet] != 0
+    facets = cover.grid.facets
+    return _set(cover, set_id).mask & facets[choice(facet, facets, "facet")] != 0
 
 
 def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
     """True iff the set touches both facets of the given cube axis."""
     if cover.model.kind != "cube":
         raise InputError("spans_pair is a cube-model notion")
-    return touches_facet(cover, set_id, (axis, 0)) and touches_facet(
-        cover, set_id, (axis, cover.model.r)
-    )
+    mask, facets = _set(cover, set_id).mask, cover.grid.facets
+    axis = exact_int(axis, "axis", 0, cover.model.n - 1)
+    return mask & facets[(axis, 0)] != 0 and mask & facets[(axis, cover.model.r)] != 0
 
 
 def connected_components(points, model: LatticeModel):
@@ -613,7 +612,7 @@ def complement_components(cover: LatticeCover):
 
 
 def set_components(cover: LatticeCover, set_id):
-    return connected_components(cover.sets[set_id], cover.model)
+    return connected_components(_set(cover, set_id), cover.model)
 
 
 def palais_coloring(cover: LatticeCover):
@@ -837,11 +836,12 @@ class Sample:
 
     _near = None  # near's last (polytope, eps, masks)
 
-    def __init__(self, points: tuple):
-        for i, pt in enumerate(sequence(points, "sample", "points")):
+    def __init__(self, points: tuple, name: str = "sample"):
+        points = tuple(sequence(points, name, "points"))
+        for i, pt in enumerate(points):
             if not pt or len(pt) != len(points[0]) or not set(map(type, pt)) <= {int, Fraction}:
-                raise InputError(f"sample[{i}] must be ints and Fractions, one per coordinate"
-                                 f" of sample[0], got {pt!r}")
+                raise InputError(f"{name}[{i}] must be ints and Fractions, one per coordinate"
+                                 f" of {name}[0], got {pt!r}")
         self.points = points
         self.den = math.lcm(*(x.denominator for pt in points for x in pt))
         self.columns = [[x.numerator * (self.den // x.denominator) for x in col]
@@ -1020,15 +1020,17 @@ class PointCloudCover:
     sets: dict
 
     def indexed(self):
-        """The Sample and the sets as PointSets over it, converted if need be."""
-        grids = {pts.grid if isinstance(pts, PointSet) else None for pts in self.sets.values()}
+        """The Sample and the sets as PointSets over it, converted if need be;
+        the sample and the sets are read here, by Sample and sequence."""
+        given = mapping(self.sets, "sets", "set names to collections of sample points")
+        grids = {pts.grid if isinstance(pts, PointSet) else None for pts in given.values()}
         sample = grids.pop() if len(grids) == 1 else None
         if isinstance(sample, Sample) and sample.points is self.sample:
-            return sample, self.sets
-        sample = Sample(tuple(self.sample))
+            return sample, given
+        sample = Sample(self.sample)
         sets = {}
-        for name, pts in self.sets.items():
-            sets[name], bad = sample.set_of(pts)
+        for name, pts in given.items():
+            sets[name], bad = sample.set_of(sequence(pts, f"set {name!r}", "sample points"))
             if bad:
                 raise BadSampleError(f"set {name!r} has points outside the sample")
         return sample, sets
@@ -1041,7 +1043,7 @@ def sample_spacing(sample) -> Fraction:
     by at least the best distance so far, no later point comes closer, and
     a distance of 1 / den, the least two distinct points can have, ends it.
     """
-    sample = sample if isinstance(sample, Sample) else Sample(tuple(sample))
+    sample = sample if isinstance(sample, Sample) else Sample(sample)
     pts = sorted(sample._index)
     best = None
     for i, p in enumerate(pts):
@@ -1075,7 +1077,7 @@ def facet_touch_set(p: SimplePolytope, points, eps: Fraction):
     if isinstance(points, PointSet) and isinstance(points.grid, Sample):
         sample, mask = points.grid, points.mask
     else:
-        sample = Sample(tuple(points))
+        sample = Sample(points, "points")
         mask = sample.full
     return {f for f, near in enumerate(sample.near(p, eps)) if near & mask}
 

@@ -25,7 +25,7 @@ from . import chow, covering
 from .covering import (
     HYPOTHESIS_VIOLATED, WITNESS_FOUND, LatticeCover, LatticeModel, PointCloudCover, PointSet,
 )
-from .polytope import InputError, SimplePolytope, construct_standard, exact_int, perturb
+from .polytope import InputError, SimplePolytope, choice, construct_standard, exact_int, perturb
 
 # random_low_multiplicity_cover holds at most m times the model's points and
 # counts its multiplicity m layers deep; 20 * MAX_MODEL_POINTS admits m <= n+1
@@ -132,8 +132,7 @@ def random_low_multiplicity_cover(
     that counts their multiplicity runs over up to m layers per set; m times
     the larger of m and the model's points is at most MAX_LAYERED_POINTS.
     """
-    if m < 1:
-        raise InputError("target multiplicity must be >= 1")
+    m = exact_int(m, "target multiplicity", 1)
     points = model.points()
     if m * max(m, len(points)) > MAX_LAYERED_POINTS:
         raise InputError(
@@ -191,6 +190,7 @@ def random_small_set_family(model: LatticeModel, k: int, seed: int) -> LatticeCo
     adjacent lattice balls would act as one merged wall with no complement
     gap between them, which no pair of disjoint closed sets can imitate.
     """
+    k = exact_int(k, "k", 0)
     rng = random.Random(exact_int(seed, "seed"))
     grid = model.grid()
     radius_cap = max(1, model.r // 4)
@@ -230,6 +230,7 @@ def dilated_partition_cover(model: LatticeModel, parts: int, seed: int) -> Latti
     """A BFS Voronoi partition into `parts` cells, each closed off by adding
     its graph neighbors.  The overlaps mimic a closed cover; the union is the
     whole model."""
+    parts = exact_int(parts, "parts", 1, len(model.points()))
     rng = random.Random(exact_int(seed, "seed"))
     grid = model.grid()
     sources = rng.sample(model.points(), parts)
@@ -254,9 +255,7 @@ def lattice_sample(p: SimplePolytope, resolution: int, columns: list | None = No
     numerator columns over resolution: column k holds a_k of every point, in
     point order, as Sample.from_grid takes them.
     """
-    if resolution < 1:
-        raise InputError("resolution must be >= 1")
-    r = resolution
+    r = exact_int(resolution, "resolution", 1)
     # per axis, ceil(r x) .. floor(r x) over the vertices' coordinates x
     ranges = [
         range(-max(-r * x.numerator // x.denominator for x in axis),
@@ -318,6 +317,7 @@ def polytope_sample_cover(
     facet plane can stay further than half a spacing from every grid plane on
     its polytope side, so facet contact is judged at one grid layer.
     """
+    m = exact_int(m, "m", 1)
     rng = random.Random(exact_int(seed, "seed"))
     columns = []
     points = lattice_sample(p, resolution, columns=columns)
@@ -362,10 +362,13 @@ class SuiteConfig:
     k: int = 0
 
     def __post_init__(self):
-        if self.instances < 1:
-            raise InputError("instances must be positive")
-        if self.verifier not in _SUITE:
-            raise InputError(f"unknown suite verifier: {self.verifier!r}")
+        """Every field is read here, so a bad one is refused before a suite
+        runs, whether or not its verifier reads it."""
+        choice(self.verifier, _SUITE, "suite verifier")
+        choice(self.kind, ("cube", "simplex"), "suite kind")
+        bounds = {"n": 1, "r": 1, "instances": 1, "seed": None, "multiplicity": 0, "k": 0}
+        for name, lo in bounds.items():
+            exact_int(getattr(self, name), name, lo)
 
 
 def _validate_coloring(cover: LatticeCover, classes) -> bool:

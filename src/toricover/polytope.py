@@ -15,6 +15,15 @@ which chow's ample class reads too.
 
 Facet ids are the integer positions 0..m-1 in the facet list; that ordering is
 the one serialized to JSON and referenced by divisor coefficient maps.
+
+The Python API reads every value once, where it enters, through one reader
+per kind of value, and a bad value raises InputError naming it: exact (a
+rational), exact_vector (a fixed number of them), exact_int (a count, size,
+dimension, axis, id or seed, with optional inclusive bounds), sequence (a
+collection), mapping, and choice (one of a table's kinds or keys).  An
+argument that is one of the library's own objects (SimplePolytope,
+LatticeModel, LatticeCover, PointCloudCover, Divisor, PointSet, Sample,
+IntersectionQuery, SuiteConfig) is trusted as built, with no type check.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import math
 import random
 import re
 from collections import Counter
-from collections.abc import Sized
+from collections.abc import Iterable, Mapping, Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,24 +90,51 @@ def exact(value, name: str) -> Fraction:
 
 
 def sequence(values, name: str, what: str):
-    """values, refusing a value with no length as no sequence of what."""
-    if not isinstance(values, Sized):
+    """values as a sized collection, a one-shot iterable read into a list,
+    refusing a str or a value that is not iterable as no sequence of what."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
         raise InputError(f"{name} must be a sequence of {what}, got {values!r}")
+    return values if isinstance(values, Sized) else list(values)
+
+
+def mapping(values, name: str, what: str):
+    """values, refusing anything but a mapping as no mapping of what."""
+    if not isinstance(values, Mapping):
+        raise InputError(f"{name} must be a mapping of {what}, got {values!r}")
     return values
 
 
-def exact_vector(values, n: int, name: str) -> tuple:
-    """values as n Fractions, each read by exact and named name[j]."""
-    if len(sequence(values, name, f"{n} numbers")) != n:
+def exact_vector(values, n: int, name: str, read=exact) -> tuple:
+    """values as n entries, each read by read (exact: a Fraction) and named
+    name[j]."""
+    values = sequence(values, name, f"{n} numbers")
+    if len(values) != n:
         raise InputError(f"{name} must have {n} entries, got {len(values)}")
-    return tuple(exact(x, f"{name}[{j}]") for j, x in enumerate(values))
+    return tuple(read(x, f"{name}[{j}]") for j, x in enumerate(values))
 
 
-def exact_int(value, name: str) -> int:
-    """value, refusing anything but an int named name (a bool is no number)."""
+def exact_int(value, name: str, lo=None, hi=None) -> int:
+    """value, refusing anything but an int named name (a bool is no number),
+    and an int below lo or above hi where those inclusive bounds are given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{name} must be an int, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise InputError(f"{name} {value} not in {lo}..{hi}")
+    if lo is not None and value < lo:
+        raise InputError(f"{name} must be >= {lo}")
     return value
+
+
+def choice(value, options, name: str):
+    """value, refusing anything that is not one of options (a tuple of
+    kinds, or the keys of a dict) as an unknown name; an unhashable value is
+    no key."""
+    try:
+        if value in options:
+            return value
+    except TypeError:
+        pass
+    raise InputError(f"unknown {name}: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +166,13 @@ class SimplePolytope:
         return range(len(self.normals))
 
     def slack(self, facet_id: int, point) -> Fraction:
+        facet_id = exact_int(facet_id, "facet id", 0, len(self.normals) - 1)
         point = exact_vector(point, self.dim, "point")
         return linalg.dot(self.normals[facet_id], point) + self.offsets[facet_id]
 
     def contains(self, point) -> bool:
-        return all(self.slack(f, point) >= 0 for f in self.facet_ids())
+        point = exact_vector(point, self.dim, "point")
+        return all(linalg.dot(u, point) + c >= 0 for u, c in zip(self.normals, self.offsets))
 
     def incidence_pattern(self):
         """The combinatorial type: set of vertex incidence sets."""
@@ -277,8 +315,8 @@ def from_halfspaces(normals, offsets) -> SimplePolytope:
     the round trip between the H-representation and the vertex set.  Each
     entry is read by exact, named normals[i][j] or offsets[i].
     """
-    sequence(normals, "normals", "vectors")
-    if len(normals) != len(sequence(offsets, "offsets", "numbers")):
+    normals = list(sequence(normals, "normals", "vectors"))
+    if len(normals) != len(offsets := sequence(offsets, "offsets", "numbers")):
         raise InputError("normals and offsets must have the same length")
     if not normals:
         raise InputError("at least one half-space is required")
@@ -322,22 +360,17 @@ def construct_standard(kind: str, n: int) -> SimplePolytope:
       simplex: facet j is x_{j+1} >= 0 for j = 0..n-1, facet n is the slant
                1 - sum(x) >= 0.
     """
-    if exact_int(n, "n") < 1:
-        raise InputError("n must be >= 1")
+    n = exact_int(n, "n", 1)
     units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    if kind == "cube":
+    if choice(kind, ("cube", "simplex"), "standard polytope kind") == "cube":
         normals = [u for e in units for u in (e, tuple(-x for x in e))]
         return from_halfspaces(normals, [0, 1] * n)
-    if kind == "simplex":
-        return from_halfspaces(units + [(-1,) * n], [0] * n + [1])
-    raise InputError(f"unknown standard polytope kind: {kind!r}")
+    return from_halfspaces(units + [(-1,) * n], [0] * n + [1])
 
 
 def cube_facet_id(axis: int, sign: str) -> int:
     """Facet id of the cube facet on `axis` (0-based): '-' lower, '+' upper."""
-    if sign not in ("-", "+"):
-        raise InputError("sign must be '-' or '+'")
-    return 2 * axis + (0 if sign == "-" else 1)
+    return 2 * exact_int(axis, "axis", 0) + (choice(sign, ("-", "+"), "sign") == "+")
 
 
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
@@ -368,9 +401,7 @@ def faces(p: SimplePolytope, k: int):
     contained in the incidence set of some vertex, and then the face has
     dimension exactly n - |S|.
     """
-    if not 0 <= k <= p.dim:
-        raise InputError(f"face dimension {k} out of range 0..{p.dim}")
-    size = p.dim - k
+    size = p.dim - exact_int(k, "face dimension", 0, p.dim)
     found = set()
     for v in p.vertices:
         for combo in itertools.combinations(sorted(v.facets), size):
@@ -473,9 +504,10 @@ class ZeroVectorError(InputError):
     """Moment map evaluated on an all-zero input."""
 
 
-def _norm_sq(pair) -> Fraction:
-    re, im = pair
-    return Fraction(re) ** 2 + Fraction(im) ** 2
+def _norm_sq(z, name: str) -> Fraction:
+    """|z|^2 of the complex number z given as its (re, im) pair."""
+    re, im = exact_vector(z, 2, name)
+    return re * re + im * im
 
 
 def _normalised(weights, message: str) -> tuple:
@@ -501,12 +533,14 @@ def moment_map_eval(kind: str, value):
         x_i^2 / sum x_j^2, i.e. the squares of the coordinates after symbolic
         normalization onto the unit sphere.
     """
+    kind = choice(kind, ("cpn", "product_cp1", "real_sphere"), "moment map kind")
+    value = sequence(value, "value", "numbers")
     if kind == "cpn":
-        return _normalised([_norm_sq(z) for z in value], "cpn moment map needs a nonzero vector")
+        return _normalised([_norm_sq(z, f"value[{i}]") for i, z in enumerate(value)],
+                           "cpn moment map needs a nonzero value")
     if kind == "product_cp1":
-        message = "each line factor needs a nonzero pair"
-        return tuple(_normalised([_norm_sq(z0), _norm_sq(z1)], message)[1] for z0, z1 in value)
-    if kind == "real_sphere":
-        squares = [Fraction(x) ** 2 for x in value]
-        return _normalised(squares, "real sphere moment map needs a nonzero vector")
-    raise InputError(f"unknown moment map kind: {kind!r}")
+        message = "each line factor of value needs a nonzero pair"
+        return tuple(_normalised(exact_vector(z, 2, f"value[{i}]", _norm_sq), message)[1]
+                     for i, z in enumerate(value))
+    squares = [x * x for x in exact_vector(value, len(value), "value")]
+    return _normalised(squares, "real sphere moment map needs a nonzero value")

@@ -361,7 +361,7 @@ class TestKRange:
     @pytest.mark.parametrize("k", [-1, 3])
     def test_out_of_range(self, witness, kind, k):
         cover = LatticeCover(LatticeModel(kind, 2, 4), {})
-        with pytest.raises(InputError, match=r"face dimension -?\d+ out of range 0\.\.2"):
+        with pytest.raises(InputError, match=r"^face dimension -?\d+ not in 0\.\.2$"):
             witness(cover, k)
 
     @pytest.mark.parametrize("theorem, pattern", [("kkm", "kkm"), ("complement", "bricks")])
@@ -370,7 +370,7 @@ class TestKRange:
         payload = capsys.readouterr().out
         code = cli.main(["verify", "--theorem", theorem, "--k", "9", "--input", payload])
         assert code == 4
-        assert "face dimension 9 out of range 0..2" in capsys.readouterr().err
+        assert capsys.readouterr().err == "input error: face dimension 9 not in 0..2\n"
 
 
 class TestGridCap:

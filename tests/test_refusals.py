@@ -1,5 +1,6 @@
 """Refusals: each check that turns a bad argument into a named InputError
-(or one of its subclasses), with the class and message it raises."""
+(or one of its subclasses), with the class and message it raises, and the
+probe that substitutes bad values into every entry point's arguments."""
 
 import contextlib
 import io
@@ -45,12 +46,11 @@ def square_cover():
 
 # (id, call, exception class, message)
 REFUSALS = [
-    ("model-n0", lambda: cube(0, 2), InputError, "need n >= 1 and r >= 1"),
+    ("model-n0", lambda: cube(0, 2), InputError, "n must be >= 1"),
     # n and r are counts: a float, bool or str is refused, not read as one
     ("model-n-float", lambda: cube(2.0, 3), InputError, "n must be an int, got 2.0"),
-    ("model-n-bool", lambda: cube(True, 3), InputError, "n must be an int, got True"),
     ("model-r-str", lambda: cube(2, "3"), InputError, "r must be an int, got '3'"),
-    ("model-r-float-n0", lambda: cube(0, 2.5), InputError, "r must be an int, got 2.5"),
+    ("model-r-float-n0", lambda: cube(0, 2.5), InputError, "n must be >= 1"),
     ("spans-pair-simplex",
      lambda: covering.spans_pair(harness.kkm_standard_cover(2, 3), "0", 0),
      InputError, "spans_pair is a cube-model notion"),
@@ -72,7 +72,7 @@ REFUSALS = [
      InputError, "empty sample; raise the resolution"),
     ("suite-no-instances",
      lambda: SuiteConfig(verifier="lebesgue", kind="cube", n=2, r=4, instances=0, seed=0),
-     InputError, "instances must be positive"),
+     InputError, "instances must be >= 1"),
     ("suite-unknown-verifier",
      lambda: harness.run_property_suite(
          SuiteConfig(verifier="sperner", kind="cube", n=2, r=4, instances=1, seed=0)),
@@ -141,14 +141,10 @@ REFUSALS = [
     ("divisor-from-map-no-mapping",
      lambda: chow.Divisor.from_map(construct_standard("cube", 2), None),
      InputError, "mapping must be a mapping of facet ids to numbers, got None"),
-    ("avoidance-touched-none",
-     lambda: chow.avoidance_certificate(
-         construct_standard("cube", 2), chow.Divisor.zero(construct_standard("cube", 2)), None),
-     InputError, "touched must be a collection of facet ids, got None"),
     ("sample-none", lambda: covering.Sample(None),
      InputError, "sample must be a sequence of points, got None"),
     ("lattice-cover-set-none", lambda: covering.LatticeCover(cube(2, 1), {"X": None}),
-     InputError, "set 'X' must be a collection of model points, got None"),
+     InputError, "set 'X' must be a sequence of model points, got None"),
     ("lattice-cover-sets-none", lambda: covering.LatticeCover(cube(2, 1), None),
      InputError, "sets must be a mapping of set names to collections of model points,"
      " got None"),
@@ -174,29 +170,22 @@ REFUSALS = [
     ("standard-n0", lambda: construct_standard("cube", 0), InputError, "n must be >= 1"),
     ("standard-n-float", lambda: construct_standard("cube", 2.0),
      InputError, "n must be an int, got 2.0"),
-    ("standard-n-bool", lambda: construct_standard("simplex", True),
-     InputError, "n must be an int, got True"),
     ("standard-kind", lambda: construct_standard("prism", 2),
      InputError, "unknown standard polytope kind: 'prism'"),
     ("cube-facet-sign", lambda: polytope.cube_facet_id(0, "0"),
-     InputError, "sign must be '-' or '+'"),
+     InputError, "unknown sign: '0'"),
     ("faces-k-high", lambda: polytope.faces(construct_standard("cube", 2), 3),
-     InputError, "face dimension 3 out of range 0..2"),
+     InputError, "face dimension 3 not in 0..2"),
     ("faces-k-negative", lambda: polytope.faces(construct_standard("cube", 2), -1),
-     InputError, "face dimension -1 out of range 0..2"),
+     InputError, "face dimension -1 not in 0..2"),
     ("perturb-budget-0", lambda: polytope.perturb(construct_standard("cube", 2), 0),
      InputError, "budget must be positive"),
     # a float is read as its binary value and a bool as 0 or 1, so neither is an eps or budget
     ("perturb-budget-float", lambda: polytope.perturb(construct_standard("cube", 2), 0.01),
      InputError, "budget must be an int or a Fraction, got 0.01"),
-    ("perturb-budget-bool", lambda: polytope.perturb(construct_standard("cube", 2), True),
-     InputError, "budget must be an int or a Fraction, got True"),
     ("kkm-lebesgue-eps-float",
      lambda: covering.kkm_lebesgue_witness(construct_standard("cube", 2), square_cover(), 0.1),
      InputError, "eps must be an int or a Fraction, got 0.1"),
-    ("kkm-lebesgue-eps-bool",
-     lambda: covering.kkm_lebesgue_witness(construct_standard("cube", 2), square_cover(), True),
-     InputError, "eps must be an int or a Fraction, got True"),
     ("touch-eps-float",
      lambda: covering.facet_touch_set(construct_standard("cube", 2), [(0, 0)], 0.5),
      InputError, "eps must be an int or a Fraction, got 0.5"),
@@ -252,11 +241,11 @@ REFUSALS = [
     ("certificate-h-float",
      lambda: chow.avoidance_certificate(
          construct_standard("cube", 2), chow.Divisor((0.5, 1, 1, 1)), [1]),
-     InputError, "h coefficients must be ints or Fractions, got 0.5"),
+     InputError, "coeffs must be a non-empty tuple of ints and Fractions, got (0.5, 1, 1, 1)"),
     ("certificate-h-bool",
      lambda: chow.avoidance_certificate(
          construct_standard("cube", 2), chow.Divisor((1, True, 1, 1)), [0]),
-     InputError, "h coefficients must be ints or Fractions, got True"),
+     InputError, "coeffs must be a non-empty tuple of ints and Fractions, got (1, True, 1, 1)"),
     ("intersect-divisors-none",
      lambda: chow.IntersectionQuery(construct_standard("cube", 2), None),
      InputError, "divisors must be a sequence of Divisors, got None"),
@@ -267,13 +256,13 @@ REFUSALS = [
     ("intersect-divisor-float",
      lambda: chow.IntersectionQuery(
          construct_standard("cube", 2), (chow.Divisor((1.0, 0, 0, 0)), chow.Divisor((1,) * 4))),
-     InputError, "divisors[0] coefficients must be ints or Fractions, got 1.0"),
+     InputError, "coeffs must be a non-empty tuple of ints and Fractions, got (1.0, 0, 0, 0)"),
     ("principal-d-short",
      lambda: chow.is_principal(construct_standard("cube", 2), chow.Divisor((1, -1))),
      InputError, "d must have one coefficient per facet (4), got 2"),
     ("principal-d-float",
      lambda: chow.is_principal(construct_standard("cube", 2), chow.Divisor((1, -1, 0.5, 0))),
-     InputError, "d coefficients must be ints or Fractions, got 0.5"),
+     InputError, "coeffs must be a non-empty tuple of ints and Fractions, got (1, -1, 0.5, 0)"),
     ("equivalent-d1-long",
      lambda: chow.linearly_equivalent(
          construct_standard("cube", 2), chow.Divisor((1, -1, 0, 0, 7)), chow.Divisor((0,) * 4)),
@@ -325,6 +314,188 @@ def test_seed_is_an_int(generate):
         with pytest.raises(InputError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
             generate(seed)
     assert repr(generate(7)) == repr(generate(7))
+
+
+# The probe: every public callable of toricover, and the other entry points
+# below, called with canonical arguments, then with each value argument in
+# turn replaced by each of BAD_VALUES.  A row is (callable, canonical
+# keyword arguments, {value argument: the word its refusal names it by}).
+# An argument missing from the labels is a library object, trusted as built
+# (the README's "Python API boundary"), or lattice_sample's columns, a list
+# the scan writes into.
+BAD_VALUES = [None, 1.5, True, "x", [None], ()]
+
+
+def q2():
+    return construct_standard("cube", 2)
+
+
+def cube_cover():
+    return covering.LatticeCover(cube(2, 2), {"A": cube(2, 2).points(), "B": [(0, 0)]})
+
+
+def simplex_cover():
+    return covering.LatticeCover(LatticeModel("simplex", 2, 3), {})
+
+
+PROBE = {
+    "construct_standard": (polytope.construct_standard, lambda: dict(kind="cube", n=2),
+                           {"kind": "kind", "n": "n"}),
+    "cube_facet_id": (polytope.cube_facet_id, lambda: dict(axis=1, sign="-"),
+                      {"axis": "axis", "sign": "sign"}),
+    "faces": (polytope.faces, lambda: dict(p=q2(), k=1), {"k": "face dimension"}),
+    "from_halfspaces": (
+        from_halfspaces, lambda: dict(normals=[(1, 0), (0, 1), (-1, 0), (0, -1)],
+                                      offsets=[0, 0, 1, 1]),
+        {"normals": "normals", "offsets": "offsets"}),
+    "generic_normals_check": (polytope.generic_normals_check, lambda: dict(p=q2()), {}),
+    "moment_map_eval": (polytope.moment_map_eval, lambda: dict(kind="cpn", value=[(1, 0), (0, 1)]),
+                        {"kind": "kind", "value": "value"}),
+    "perturb": (polytope.perturb, lambda: dict(p=q2(), budget=Fraction(1, 100), seed=0),
+                {"budget": "budget", "seed": "seed"}),
+    "product": (polytope.product, lambda: dict(p=q2(), q=q2()), {}),
+    "Divisor": (chow.Divisor, lambda: dict(coeffs=(1, 0, 0, 0)), {"coeffs": "coeffs"}),
+    "IntersectionQuery": (
+        chow.IntersectionQuery,
+        lambda: dict(polytope=q2(), divisors=(chow.Divisor.on_facet(q2(), 0),) * 2),
+        {"divisors": "divisors"}),
+    "ample_from_offsets": (chow.ample_from_offsets, lambda: dict(p=q2()), {}),
+    "avoidance_certificate": (
+        chow.avoidance_certificate,
+        lambda: dict(p=q2(), h=chow.ample_from_offsets(q2()), touched=[0]),
+        {"touched": "touched"}),
+    "intersection_number": (
+        chow.intersection_number,
+        lambda: dict(query=chow.IntersectionQuery(q2(), (chow.Divisor.on_facet(q2(), 0),) * 2)),
+        {}),
+    "is_principal": (chow.is_principal, lambda: dict(p=q2(), d=chow.Divisor.zero(q2())), {}),
+    "linearly_equivalent": (
+        chow.linearly_equivalent,
+        lambda: dict(p=q2(), d1=chow.Divisor.zero(q2()), d2=chow.Divisor.zero(q2())), {}),
+    "polytope_of_divisor": (
+        chow.polytope_of_divisor, lambda: dict(p=q2(), d=chow.ample_from_offsets(q2())), {}),
+    "presentation": (chow.presentation, lambda: dict(p=q2()), {}),
+    "principal_divisor": (chow.principal_divisor, lambda: dict(p=q2(), v=(1, 0)), {"v": "v"}),
+    "self_intersection_top": (
+        chow.self_intersection_top, lambda: dict(p=q2(), d=chow.ample_from_offsets(q2())), {}),
+    "volume": (chow.volume, lambda: dict(obj=q2()), {}),
+    "LatticeCover": (covering.LatticeCover, lambda: dict(model=cube(2, 2), sets={"A": [(0, 0)]}),
+                     {"sets": "sets"}),
+    "LatticeModel": (LatticeModel, lambda: dict(kind="cube", n=2, r=2),
+                     {"kind": "kind", "n": "n", "r": "r"}),
+    # a point cloud cover's sample and sets are read when it is indexed
+    "PointCloudCover": (
+        lambda sample, sets: covering.PointCloudCover(sample, sets).indexed(),
+        lambda: dict(sample=((Fraction(0),), (Fraction(1),)), sets={"A": [(0,), (1,)]}),
+        {"sample": "sample", "sets": "sets"}),
+    "axes_witness": (covering.axes_witness, lambda: dict(cover=cube_cover()), {}),
+    "complement_components": (covering.complement_components, lambda: dict(cover=cube_cover()),
+                              {}),
+    "complement_witness": (covering.complement_witness, lambda: dict(cover=cube_cover(), k=1),
+                           {"k": "face dimension"}),
+    "kkm_lebesgue_witness": (
+        covering.kkm_lebesgue_witness, lambda: dict(p=q2(), cover=square_cover(), eps=0),
+        {"eps": "eps"}),
+    "kkm_witness": (covering.kkm_witness, lambda: dict(cover=simplex_cover(), k=1),
+                    {"k": "face dimension"}),
+    "lebesgue_witness": (covering.lebesgue_witness, lambda: dict(cover=cube_cover()), {}),
+    "multiplicity": (covering.multiplicity, lambda: dict(cover=cube_cover()), {}),
+    "palais_coloring": (covering.palais_coloring, lambda: dict(cover=cube_cover()), {}),
+    "set_components": (covering.set_components, lambda: dict(cover=cube_cover(), set_id="A"),
+                       {"set_id": "set"}),
+    "spans_pair": (covering.spans_pair, lambda: dict(cover=cube_cover(), set_id="A", axis=1),
+                   {"set_id": "set", "axis": "axis"}),
+    "touches_facet": (
+        covering.touches_facet, lambda: dict(cover=cube_cover(), set_id="A", facet=(0, 0)),
+        {"set_id": "set", "facet": "facet"}),
+    "SuiteConfig": (
+        SuiteConfig,
+        lambda: dict(verifier="lebesgue", kind="cube", n=2, r=4, instances=1, seed=0,
+                     multiplicity=0, k=0),
+        {name: name for name in
+         ("verifier", "kind", "n", "r", "instances", "seed", "multiplicity", "k")}),
+    "kkm_standard_cover": (harness.kkm_standard_cover, lambda: dict(n=2, r=3),
+                           {"n": "n", "r": "r"}),
+    "random_low_multiplicity_cover": (
+        harness.random_low_multiplicity_cover, lambda: dict(model=cube(2, 4), m=2, seed=0),
+        {"m": "target multiplicity", "seed": "seed"}),
+    "run_property_suite": (
+        harness.run_property_suite,
+        lambda: dict(config=SuiteConfig("lebesgue", "cube", 2, 4, 1, 0)), {}),
+    "shifted_brick_cover": (harness.shifted_brick_cover, lambda: dict(n=2, r=4),
+                            {"n": "n", "r": "r"}),
+    # entry points beyond toricover's own names
+    "harness.lattice_sample": (harness.lattice_sample, lambda: dict(p=q2(), resolution=2),
+                               {"resolution": "resolution"}),
+    "harness.polytope_sample_cover": (
+        harness.polytope_sample_cover, lambda: dict(p=q2(), resolution=2, m=2, seed=0),
+        {"resolution": "resolution", "m": "m", "seed": "seed"}),
+    "harness.random_small_set_family": (
+        harness.random_small_set_family, lambda: dict(model=cube(2, 4), k=2, seed=0),
+        {"k": "k", "seed": "seed"}),
+    "harness.dilated_partition_cover": (
+        harness.dilated_partition_cover, lambda: dict(model=cube(2, 4), parts=2, seed=0),
+        {"parts": "parts", "seed": "seed"}),
+    "covering.facet_touch_set": (
+        covering.facet_touch_set, lambda: dict(p=q2(), points=[(0, 0)], eps=0),
+        {"points": "points", "eps": "eps"}),
+    "LatticeModel.k_faces": (lambda k: cube(2, 2).k_faces(k), lambda: dict(k=1),
+                             {"k": "face dimension"}),
+    "Divisor.from_map": (chow.Divisor.from_map, lambda: dict(p=q2(), mapping={0: 1}),
+                         {"mapping": "mapping"}),
+    "Divisor.on_facet": (chow.Divisor.on_facet, lambda: dict(p=q2(), facet_id=0, value=1),
+                         {"facet_id": "facet id", "value": "coefficient"}),
+    "SimplePolytope.slack": (lambda facet_id, point: q2().slack(facet_id, point),
+                             lambda: dict(facet_id=0, point=(0, 0)),
+                             {"facet_id": "facet id", "point": "point"}),
+    "SimplePolytope.contains": (lambda point: q2().contains(point), lambda: dict(point=(0, 0)),
+                                {"point": "point"}),
+    "SimplePolytope.translate": (lambda shift: q2().translate(shift), lambda: dict(shift=(0, 0)),
+                                 {"shift": "shift"}),
+}
+
+# toricover's classes whose instances the library builds and hands back; their
+# constructors store what they are given and are not entry points for values
+RECORDS = {"FaceDescriptor", "SimplePolytope", "RingPresentation", "Region", "WitnessReport",
+           "StampedCover"}
+
+# the substitutions that are accepted, each for its documented meaning: no
+# touched facet, the default eps, and no points
+ACCEPTED = {("avoidance_certificate", "touched", "()"), ("kkm_lebesgue_witness", "eps", "None"),
+            ("covering.facet_touch_set", "points", "()")}
+
+SUBSTITUTIONS = [(row, arg, bad) for row, (_, _, labels) in PROBE.items()
+                 for arg in labels for bad in BAD_VALUES]
+
+
+def test_probe_names_every_public_callable():
+    import toricover
+
+    public = {name for name, obj in vars(toricover).items() if not name.startswith("_")
+              and callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    assert public == {row for row in PROBE if "." not in row} | RECORDS
+
+
+@pytest.mark.parametrize("row", PROBE)
+def test_probe_canonical_call(row):
+    call, canonical, _ = PROBE[row]
+    call(**canonical())
+
+
+@pytest.mark.parametrize("row, arg, bad", SUBSTITUTIONS,
+                         ids=[f"{row}-{arg}-{bad!r}" for row, arg, bad in SUBSTITUTIONS])
+def test_probe(row, arg, bad):
+    """A bad value raises InputError naming its argument, or is a documented
+    acceptance; any other exception, or an accepted bad value, fails."""
+    call, canonical, labels = PROBE[row]
+    args = canonical()
+    args[arg] = bad
+    if (row, arg, repr(bad)) in ACCEPTED:
+        call(**args)
+        return
+    with pytest.raises(InputError) as info:
+        call(**args)
+    assert re.search(rf"(^|\W){re.escape(labels[arg])}(\W|$)", str(info.value)), str(info.value)
 
 
 def test_exact_reads_p_over_q_strings():
