@@ -559,21 +559,17 @@ def multiplicity(cover: LatticeCover) -> int:
     return len(_layers(pts.mask for pts in cover.sets.values()))
 
 
-def _set(cover: LatticeCover, set_id) -> PointSet:
-    """The cover's set named set_id, refusing a name it does not hold."""
-    return cover.sets[choice(set_id, cover.sets, "set")]
-
-
 def touches_facet(cover: LatticeCover, set_id, facet) -> bool:
     facets = cover.grid.facets
-    return _set(cover, set_id).mask & facets[choice(facet, facets, "facet")] != 0
+    mask = cover.sets[choice(set_id, cover.sets, "set")].mask
+    return mask & facets[choice(facet, facets, "facet")] != 0
 
 
 def spans_pair(cover: LatticeCover, set_id, axis: int) -> bool:
     """True iff the set touches both facets of the given cube axis."""
     if cover.model.kind != "cube":
         raise InputError("spans_pair is a cube-model notion")
-    mask, facets = _set(cover, set_id).mask, cover.grid.facets
+    mask, facets = cover.sets[choice(set_id, cover.sets, "set")].mask, cover.grid.facets
     axis = exact_int(axis, "axis", 0, cover.model.n - 1)
     return mask & facets[(axis, 0)] != 0 and mask & facets[(axis, cover.model.r)] != 0
 
@@ -612,7 +608,7 @@ def complement_components(cover: LatticeCover):
 
 
 def set_components(cover: LatticeCover, set_id):
-    return connected_components(_set(cover, set_id), cover.model)
+    return connected_components(cover.sets[choice(set_id, cover.sets, "set")], cover.model)
 
 
 def palais_coloring(cover: LatticeCover):

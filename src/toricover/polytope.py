@@ -118,10 +118,9 @@ def exact_int(value, name: str, lo=None, hi=None) -> int:
     and an int below lo or above hi where those inclusive bounds are given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{name} must be an int, got {value!r}")
-    if hi is not None and not lo <= value <= hi:
-        raise InputError(f"{name} {value} not in {lo}..{hi}")
-    if lo is not None and value < lo:
-        raise InputError(f"{name} must be >= {lo}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise InputError(f"{name} {value} not in {lo}..{hi}" if hi is not None
+                         else f"{name} must be >= {lo}")
     return value
 
 

@@ -174,6 +174,29 @@ REFUSALS = [
      InputError, "unknown standard polytope kind: 'prism'"),
     ("cube-facet-sign", lambda: polytope.cube_facet_id(0, "0"),
      InputError, "unknown sign: '0'"),
+    # an axis is an int >= 0, and a bool is no int
+    ("cube-facet-axis-float", lambda: polytope.cube_facet_id(1.5, "-"),
+     InputError, "axis must be an int, got 1.5"),
+    ("cube-facet-axis-bool", lambda: polytope.cube_facet_id(True, "-"),
+     InputError, "axis must be an int, got True"),
+    ("cube-facet-axis-negative", lambda: polytope.cube_facet_id(-1, "+"),
+     InputError, "axis must be >= 0"),
+    # ids and counts are read with their ranges where they enter
+    ("slack-facet-id-high", lambda: construct_standard("cube", 2).slack(4, (0, 0)),
+     InputError, "facet id 4 not in 0..3"),
+    ("spans-pair-axis-high",
+     lambda: covering.spans_pair(covering.LatticeCover(cube(2, 1), {"A": [(0, 0)]}), "A", 2),
+     InputError, "axis 2 not in 0..1"),
+    ("spans-pair-unknown-set",
+     lambda: covering.spans_pair(covering.LatticeCover(cube(2, 1), {"A": [(0, 0)]}), "B", 0),
+     InputError, "unknown set: 'B'"),
+    ("partition-parts-above-points", lambda: harness.dilated_partition_cover(cube(1, 3), 5, 0),
+     InputError, "parts 5 not in 1..4"),
+    ("partition-parts-0", lambda: harness.dilated_partition_cover(cube(1, 3), 0, 0),
+     InputError, "parts 0 not in 1..4"),
+    ("sample-cover-m-0",
+     lambda: harness.polytope_sample_cover(construct_standard("cube", 2), 2, 0, 0),
+     InputError, "m must be >= 1"),
     ("faces-k-high", lambda: polytope.faces(construct_standard("cube", 2), 3),
      InputError, "face dimension 3 not in 0..2"),
     ("faces-k-negative", lambda: polytope.faces(construct_standard("cube", 2), -1),
