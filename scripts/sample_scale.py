@@ -14,6 +14,13 @@ Sample and its slab and ball masks), and the kkm_lebesgue_witness time.
 Each is the best of --repeat runs on a freshly perturbed polytope, so that
 no run reads what an earlier one left on the polytope or the sample.  A cover
 whose sample is empty gets dashes.  Uses the standard library only.
+
+The best of --repeat runs is taken inside one process, which does not absorb
+the host's drift between one invocation and the next.  A before/after table
+therefore needs fresh processes, alternated per shape: run the script once
+per checkout and shape in turn (parent, change, parent, change, ...), each
+with PYTHONPATH at that checkout's src, and compare the rows of the same
+shape across the invocations.
 """
 
 import argparse

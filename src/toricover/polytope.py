@@ -369,7 +369,7 @@ def construct_standard(kind: str, n: int) -> SimplePolytope:
 
 def cube_facet_id(axis: int, sign: str) -> int:
     """Facet id of the cube facet on `axis` (0-based): '-' lower, '+' upper."""
-    return 2 * exact_int(axis, "axis", 0) + (choice(sign, ("-", "+"), "sign") == "+")
+    return 2 * exact_int(axis, "axis", 0) + (0 if choice(sign, ("-", "+"), "sign") == "-" else 1)
 
 
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
