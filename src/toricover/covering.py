@@ -25,7 +25,13 @@ come from a few shifts and ANDs.  Each facet is one mask and a face is the AND
 of its facets.  A cover's sets are PointSets over the grid it keeps as
 LatticeCover.grid: immutable sets of point tuples, iterated in bit order,
 whose operations with sets over the same grid are int operations on the masks.
-A witness component is reported as its PointSet.  A plain collection of points
+A mask is read through tuples over the grid's cells, built on first use,
+that hold the point and the position at each cell (None at a simplex cell
+that is no point): a dense mask, with at least 1/16 of the bits up to its
+highest set, by selector bytes, its binary digits steering itertools.compress
+over the tuple, and a sparse one by its gaps, the runs of zeros between its
+set bits, each set bit indexing the tuple.  A witness component is reported
+as its PointSet.  A plain collection of points
 meets the masks through the grid's index, a dict from the model's points to
 their positions in the point list, built on first use; the position is the
 cell on the cube, and Grid.cells maps one to the other on the simplex.
@@ -66,7 +72,16 @@ from functools import cached_property, lru_cache
 from operator import add, and_, mul, rshift, sub
 
 from . import chow
-from .polytope import InputError, SimplePolytope, choice, exact, exact_int, mapping, sequence
+from .polytope import (
+    InputError,
+    SimplePolytope,
+    choice,
+    exact,
+    exact_int,
+    exact_vector,
+    mapping,
+    sequence,
+)
 
 
 class BadSampleError(InputError):
@@ -148,7 +163,30 @@ class LatticeModel:
         ]
 
     def face_contains(self, face, p) -> bool:
-        return all(p[c] == v for c, v in face)
+        """Whether the point p lies on face; both are read as on_face reads
+        them."""
+        return self.on_face(face)(p)
+
+    def on_face(self, face):
+        """The test of whether a point lies on face, which is read here,
+        once: a sequence of facets of the model, each a pair of ints, the
+        empty face being the whole model.  The test reads its point p as one
+        int per coordinate; a tuple of ints of the right length, as the
+        grid's own points are, passes with one type check."""
+        facets = self.facets()
+        face = [
+            choice(exact_vector(f, 2, f"face[{j}]", exact_int), facets, "facet in face")
+            for j, f in enumerate(sequence(face, "face", "facets"))
+        ]
+        coords, values = tuple(c for c, _ in face), tuple(v for _, v in face)
+        width = self.n if self.kind == "cube" else self.n + 1
+
+        def test(p) -> bool:
+            if type(p) is not tuple or len(p) != width or not set(map(type, p)) <= {int}:
+                p = exact_vector(p, width, "point", exact_int)
+            return tuple(map(p.__getitem__, coords)) == values
+
+        return test
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +271,6 @@ class Grid:
         if model.kind == "cube":
             # the points are the cells, in order
             self.full = (1 << cells) - 1
-            self._valid = None
             facets = {(j, v): self.slab(j, v, v) for j, v in model.facets()}
             moves = []
             for j, s in enumerate(self.strides):
@@ -243,8 +280,6 @@ class Grid:
             # the cell of each point, in point order
             self.cells = tuple(sum(map(mul, p, self.strides)) for p in self.points)
             self.full = _mask(self.cells)
-            # one byte per cell, 1 for the cells of self.points
-            self._valid = _digits(self.full).encode().translate(_BYTE_OF_DIGIT)
             facets = {(j, 0): self.slab(j, 0, 0) for j in range(n)}
             facets[(n, 0)] = _mask([b for b, p in zip(self.cells, self.points) if p[n] == 0])
             # moving a unit from coordinate i to j shifts by stride_j - stride_i
@@ -309,7 +344,7 @@ class Grid:
         if type(p) is not tuple or not set(map(type, p)) <= {int}:
             return None
         i = sum(map(mul, p, self.strides))
-        if self._valid is None:
+        if self.model.kind == "cube":
             # the point of cube cell i is self.points[i]
             return i if 0 <= i < len(self.points) and self.points[i] == p else None
         ok = len(p) == self.model.n + 1 and min(p) >= 0 and sum(p) == self.model.r
@@ -325,7 +360,7 @@ class Grid:
         """The cell of the point at each position in self.points, and None
         for None: on the cube the position is the cell, on the simplex
         self.cells maps one to the other."""
-        if self._valid is None:
+        if self.model.kind == "cube":
             return positions
         cells = self.cells
         return [None if i is None else cells[i] for i in positions]
@@ -336,7 +371,7 @@ class Grid:
         built on first use.  The cube's points are the product of the digit
         strings, so their texts are too: 2.5 against 25 ms for the 15,625
         points of cube n=6, r=4 (2 shared cores, Python 3.11.7)."""
-        if self._valid is None:
+        if self.model.kind == "cube":
             digits = list(map(str, range(self.model.r + 1)))
             return tuple(map(",".join, itertools.product(digits, repeat=self.model.n)))
         return tuple(",".join(map(str, p)) for p in self.points)
@@ -368,22 +403,40 @@ class Grid:
         ) <= {int}
         return _point_set(self, pts, self.cells_at(found) if exact else list(map(self.bit, pts)))
 
+    @cached_property
+    def _point_at(self) -> tuple:
+        """The point at each cell, None at a cell that is no point: on the
+        cube self.points itself, on the simplex built on first use."""
+        if self.model.kind == "cube":
+            return self.points
+        return _per_cell(self.cells, self.points)
+
+    @cached_property
+    def _position_at(self) -> tuple:
+        """The position in self.points of the point at each cell, None at a
+        cell that is no point, built on first use."""
+        positions = range(len(self.points))
+        if self.model.kind == "cube":
+            return tuple(positions)
+        return _per_cell(self.cells, positions)
+
     def positions(self, mask: int):
-        """The positions in self.points of the points of mask, in order."""
-        if self._valid is None:
-            return _bits_of(mask)
-        if not mask:
-            return iter(())
-        # keep the digits of the cells that are points, from the lowest set
-        # bit on; their positions count in self.points
-        low = (mask & -mask).bit_length() - 1
-        digits = _digits(mask >> low)
-        digits = "".join(itertools.compress(digits, self._valid[low:low + len(digits)]))
-        return _ones(digits, self._valid.count(1, 0, low))
+        """The positions in self.points of the points of mask, in order;
+        on the cube a point's position is its cell."""
+        return _at_bits(self._position_at, mask, self.model.kind == "cube")
 
     def points_of(self, mask: int):
         """The points of the cells of mask, in cell (= sorted) order."""
-        return map(self.points.__getitem__, self.positions(mask))
+        return _at_bits(self._point_at, mask)
+
+
+def _per_cell(cells: tuple, values) -> tuple:
+    """A tuple over the cells up to the last of cells, an increasing tuple,
+    holding values[i] at cells[i] and None at every other cell."""
+    out = [None] * (cells[-1] + 1)
+    for cell, value in zip(cells, values):
+        out[cell] = value
+    return tuple(out)
 
 
 def _point_set(grid, pts: list, bits: list):
@@ -412,6 +465,39 @@ def _bits_of(mask: int):
         return iter(())
     low = (mask & -mask).bit_length() - 1
     return _ones(_digits(mask >> low), low)
+
+
+def _dense(count: int, length: int) -> bool:
+    """Whether count set bits are at least 1/16 of a mask's length bits,
+    the density from which _at_bits reads the mask by selector bytes.
+    scripts/mask_scale.py prints the crossover: between
+    densities 0.046 and 0.066 on cube n=3 r=18, and between 0.051 and 0.098
+    on simplex n=3 r=24 (2 shared cores, Python 3.11.7)."""
+    return 16 * count >= length
+
+
+def _at_bits(by_bit: tuple, mask: int, identity: bool = False):
+    """The entries of by_bit at the set bits of mask, lowest first: a dense
+    mask by selector bytes, a sparse one by its gaps, whose set bits are the
+    entries themselves when identity says that by_bit[i] is i.  The bits
+    are counted from the lowest set one on, where the gaps are read from:
+    int.bit_count costs per word of the whole int, and a sparse mask high in
+    a big grid is mostly zero words below its lowest set bit."""
+    if not mask:
+        return iter(())
+    low = (mask & -mask).bit_length() - 1
+    rest = mask >> low
+    if _dense(rest.bit_count(), mask.bit_length()):
+        return _by_selectors(by_bit, mask)
+    bits = _ones(_digits(rest), low)
+    return bits if identity else map(by_bit.__getitem__, bits)
+
+
+def _by_selectors(by_bit: tuple, mask: int):
+    """The entries of by_bit at the set bits of mask, by itertools.compress
+    over by_bit with mask's binary digits as selector bytes: C work per bit
+    up to the highest set bit, with no Python step per entry."""
+    return itertools.compress(by_bit, _digits(mask).encode().translate(_BYTE_OF_DIGIT))
 
 
 class PointSet(Set):
@@ -835,7 +921,10 @@ class Sample:
     def __init__(self, points: tuple, name: str = "sample"):
         points = tuple(sequence(points, name, "points"))
         for i, pt in enumerate(points):
-            if not pt or len(pt) != len(points[0]) or not set(map(type, pt)) <= {int, Fraction}:
+            # the type first: a bare number has no length (points[0] is read
+            # at i = 0, before any other point's length is compared with it)
+            if (not isinstance(pt, (tuple, list)) or not pt or len(pt) != len(points[0])
+                    or not set(map(type, pt)) <= {int, Fraction}):
                 raise InputError(f"{name}[{i}] must be ints and Fractions, one per coordinate"
                                  f" of {name}[0], got {pt!r}")
         self.points = points
@@ -890,7 +979,7 @@ class Sample:
         return _point_set(self, pts, list(map(self.bit, pts)))
 
     def points_of(self, mask: int):
-        return map(self.points.__getitem__, _bits_of(mask))
+        return _at_bits(self.points, mask)
 
     def box(self, bounds) -> int:
         """The mask of the points whose numerators a have lo <= a[axis] <= hi

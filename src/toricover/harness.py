@@ -413,7 +413,7 @@ def _meets_its_faces(payload, cover, k):
     comp, free, model = payload["component"], payload.get("axes", ()), cover.model
     faces = [f for f in model.k_faces(k) if all(c not in free for c, _ in f)]
     return comp <= covering.complement_points(cover) and all(
-        any(model.face_contains(face, q) for q in comp) for face in faces
+        any(map(model.on_face(face), comp)) for face in faces
     )
 
 

@@ -116,6 +116,9 @@ def exact_vector(values, n: int, name: str, read=exact) -> tuple:
 def exact_int(value, name: str, lo=None, hi=None) -> int:
     """value, refusing anything but an int named name (a bool is no number),
     and an int below lo or above hi where those inclusive bounds are given."""
+    # an int within its bounds, the common case, passes one exact type test
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{name} must be an int, got {value!r}")
     if (lo is not None and value < lo) or (hi is not None and value > hi):

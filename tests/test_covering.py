@@ -134,6 +134,17 @@ class TestFacesAgainstReference:
             else:
                 assert len(faces) == math.comb(n + 1, k + 1)
 
+    @pytest.mark.parametrize("kind", ["cube", "simplex"])
+    def test_on_face_is_face_contains(self, kind):
+        """The test on_face makes once per face answers as face_contains does
+        for every point, given as the grid's tuple or as a list of ints."""
+        model = LatticeModel(kind, 3, 2)
+        for k in range(model.n + 1):
+            for face in model.k_faces(k):
+                on = model.on_face(list(map(list, face)))
+                for p in model.points():
+                    assert on(p) is on(list(p)) is model.face_contains(face, p)
+
     def test_facets_are_coordinate_equations(self):
         assert LatticeModel("cube", 2, 3).facets() == [(0, 0), (0, 3), (1, 0), (1, 3)]
         assert LatticeModel("simplex", 2, 3).facets() == [(0, 0), (1, 0), (2, 0)]

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -450,3 +451,75 @@ class TestTextsAndPositions:
         assert "texts" not in vars(cover.grid)
         cover.grid.texts
         assert "texts" in vars(cover.grid)
+
+
+# the masks the enumeration kernel is checked on: the named edge cases, and
+# random subsets drawn on each side of covering._dense's threshold
+MASK_CASES = ["empty", "bit 0", "top cell", "full", "complement", "dense", "sparse"]
+
+
+def dense(mask):
+    return covering._dense(mask.bit_count(), mask.bit_length())
+
+
+@st.composite
+def grid_masks(draw):
+    model = draw(models(max_n=4, max_r=3))
+    grid = model.grid()
+    cells = [grid.bit(p) for p in grid.points]
+    case = draw(st.sampled_from(MASK_CASES))
+    if case in ("empty", "bit 0", "top cell", "full"):
+        mask = {"empty": 0, "bit 0": 1, "top cell": 1 << cells[-1], "full": grid.full}[case]
+        return model, mask
+    chosen = draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
+    mask = covering._mask(chosen)
+    if case == "complement":
+        mask ^= grid.full
+    elif case == "dense":
+        # add cells from the top down until at least 1/16 of the span is set
+        for c in reversed(cells):
+            if dense(mask):
+                break
+            mask |= 1 << c
+    else:
+        hypothesis.assume(mask and not dense(mask))
+    return model, mask
+
+
+class TestEnumerationKernel:
+    """Grid.points_of and Grid.positions read a dense mask by selector bytes
+    and a sparse one by its gaps; both give the reference enumeration, the
+    positions of the set cells in point order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_masks())
+    def test_both_ways_give_the_reference(self, drawn):
+        model, mask = drawn
+        grid = model.grid()
+        points = grid.points
+        want = [i for i in range(len(points)) if mask >> grid.bit(points[i]) & 1]
+        assert list(grid.positions(mask)) == want
+        wanted_points = [points[i] for i in want]
+        assert list(grid.points_of(mask)) == wanted_points
+        # the way not taken gives the same entries
+        for by_bit, entries in ((grid._position_at, want), (grid._point_at, wanted_points)):
+            assert list(covering._by_selectors(by_bit, mask)) == entries
+            assert list(map(by_bit.__getitem__, covering._bits_of(mask))) == entries
+        listed = list(PointSet(grid, mask))
+        assert listed == sorted(listed) == wanted_points
+
+    def test_threshold_is_a_sixteenth_of_the_span(self):
+        # one set bit in 16, two in 32, and one more bit of span is sparse
+        assert dense(1) and dense(1 << 15) and not dense(1 << 16)
+        assert dense(0b11 << 30) and not dense(0b11 << 31)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=40),
+           st.randoms(use_true_random=False))
+    def test_sample_points_of(self, raw, rng):
+        """A Sample's bit i is input position i, or the first position of a
+        repeated point, and points_of reads its masks the same two ways."""
+        sample = covering.Sample(tuple(raw))
+        for mask in (sample.full, rng.getrandbits(len(raw)) & sample.full, 1 << sample.at[-1]):
+            want = [sample.points[i] for i in range(len(raw)) if mask >> i & 1]
+            assert list(sample.points_of(mask)) == want

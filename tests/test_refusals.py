@@ -167,6 +167,30 @@ REFUSALS = [
     ("sample-ragged", lambda: covering.Sample(((1, 2), (1, 2), (1,))),
      InputError, "sample[2] must be ints and Fractions, one per coordinate of sample[0],"
      " got (1,)"),
+    # a point's type is read before its length: a bare number has none
+    ("sample-bare-number", lambda: covering.Sample([5]),
+     InputError, "sample[0] must be ints and Fractions, one per coordinate of sample[0], got 5"),
+    ("sample-bare-number-later", lambda: covering.Sample([(0,), 5]),
+     InputError, "sample[1] must be ints and Fractions, one per coordinate of sample[0], got 5"),
+    # a face is a sequence of the model's facets, each a pair of ints, and a
+    # point one int per coordinate: n on the cube, n + 1 on the simplex
+    ("face-contains-face-none", lambda: cube(2, 2).face_contains(None, (0, 0)),
+     InputError, "face must be a sequence of facets, got None"),
+    ("face-contains-point-none", lambda: cube(2, 2).face_contains(((0, 0),), None),
+     InputError, "point must be a sequence of 2 numbers, got None"),
+    ("face-contains-facet-none", lambda: cube(2, 2).face_contains([None], (0, 0)),
+     InputError, "face[0] must be a sequence of 2 numbers, got None"),
+    ("face-contains-facet-bool", lambda: cube(2, 2).face_contains(((True, 0),), (0, 0)),
+     InputError, "face[0][0] must be an int, got True"),
+    ("face-contains-unknown-facet", lambda: cube(2, 2).face_contains(((0, 5),), (0, 0)),
+     InputError, "unknown facet in face: (0, 5)"),
+    ("face-contains-point-short", lambda: cube(2, 2).face_contains(((0, 0),), (0,)),
+     InputError, "point must have 2 entries, got 1"),
+    ("face-contains-point-bool", lambda: cube(2, 2).face_contains(((0, 0),), (0, True)),
+     InputError, "point[1] must be an int, got True"),
+    ("face-contains-simplex-point-short",
+     lambda: LatticeModel("simplex", 2, 2).face_contains(((2, 0),), (0, 0)),
+     InputError, "point must have 3 entries, got 2"),
     ("standard-n0", lambda: construct_standard("cube", 0), InputError, "n must be >= 1"),
     ("standard-n-float", lambda: construct_standard("cube", 2.0),
      InputError, "n must be an int, got 2.0"),
@@ -464,6 +488,11 @@ PROBE = {
         {"points": "points", "eps": "eps"}),
     "LatticeModel.k_faces": (lambda k: cube(2, 2).k_faces(k), lambda: dict(k=1),
                              {"k": "face dimension"}),
+    "LatticeModel.face_contains": (lambda face, p: cube(2, 2).face_contains(face, p),
+                                   lambda: dict(face=((0, 0),), p=(0, 1)),
+                                   {"face": "face", "p": "point"}),
+    "LatticeModel.on_face": (lambda face: cube(2, 2).on_face(face), lambda: dict(face=((0, 0),)),
+                             {"face": "face"}),
     "Divisor.from_map": (chow.Divisor.from_map, lambda: dict(p=q2(), mapping={0: 1}),
                          {"mapping": "mapping"}),
     "Divisor.on_facet": (chow.Divisor.on_facet, lambda: dict(p=q2(), facet_id=0, value=1),
@@ -483,9 +512,11 @@ RECORDS = {"FaceDescriptor", "SimplePolytope", "RingPresentation", "Region", "Wi
            "StampedCover"}
 
 # the substitutions that are accepted, each for its documented meaning: no
-# touched facet, the default eps, and no points
+# touched facet, the default eps, no points, and the face cut out by no
+# facet, the whole model
 ACCEPTED = {("avoidance_certificate", "touched", "()"), ("kkm_lebesgue_witness", "eps", "None"),
-            ("covering.facet_touch_set", "points", "()")}
+            ("covering.facet_touch_set", "points", "()"),
+            ("LatticeModel.face_contains", "face", "()"), ("LatticeModel.on_face", "face", "()")}
 
 SUBSTITUTIONS = [(row, arg, bad) for row, (_, _, labels) in PROBE.items()
                  for arg in labels for bad in BAD_VALUES]

@@ -55,6 +55,26 @@ def test_sample_scale_prints_one_row_per_polytope_and_resolution():
         assert int(points) > 0 and len(times) == 4 and min(map(float, times)) >= 0
 
 
+def test_mask_scale_prints_one_row_per_model_and_share():
+    rows = _run(["mask_scale.py", "--cube", "2,4", "--simplex", "2,4", "--repeat", "1"]).splitlines()
+    assert rows[:2] == [
+        "| model | share | set bits | density | gaps µs | selectors µs | points_of |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    shares = ["1/256", "1/64", "1/32", "1/24", "1/16", "1/12", "1/8", "1/4", "1/2", "1/1"]
+    cells = [row.strip("| ").split(" | ") for row in rows[2:]]
+    assert [c[:2] for c in cells] == [[m, s] for m in ("cube n=2 r=4", "simplex n=2 r=4")
+                                      for s in shares]
+    for _, _, bits, density, gaps, selectors, way in cells:
+        assert int(bits) >= 0 and 0 <= float(density) <= 1
+        assert min(float(gaps), float(selectors)) >= 0
+        # the density is printed rounded, so rows near 1/16 are left out
+        if abs(float(density) - 1 / 16) > 0.001:
+            assert way == ("selectors" if float(density) > 1 / 16 or int(bits) == 0 else "gaps")
+    # the full set of the cube is every cell
+    assert cells[9][2:4] == ["25", "1.000"]
+
+
 def _run(argv):
     """The script's stdout; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
