@@ -21,7 +21,6 @@ points_of takes.  Uses the standard library only.
 """
 
 import argparse
-import itertools
 import random
 import time
 
@@ -51,19 +50,20 @@ def rows(model, repeat):
     grid = model.grid()
     by_cell = grid._point_at
     rng = random.Random(1)
+    cells = list(covering._bits_of(grid.full))
     for share in SHARES:
-        cells = [c for c in range(grid.full.bit_length()) if grid.full >> c & 1]
-        mask = sum(1 << c for c in cells if rng.random() < share) if share < 1 else grid.full
+        drawn = [c for c in cells if rng.random() < share]
+        mask = covering._mask(drawn) if share < 1 else grid.full
+        ways = (lambda: list(map(by_cell.__getitem__, covering._bits_of(mask))),
+                lambda: list(covering._by_selectors(by_cell, mask)))
         want = list(grid.points_of(mask))
-        gaps = best_us(lambda: list(map(by_cell.__getitem__, covering._bits_of(mask))), repeat)
-        selectors = best_us(lambda: list(covering._by_selectors(by_cell, mask)), repeat)
-        assert list(map(by_cell.__getitem__, covering._bits_of(mask))) == want
-        assert list(covering._by_selectors(by_cell, mask)) == want
-        way = "selectors" if covering._dense(mask.bit_count(), mask.bit_length()) else "gaps"
+        assert all(way() == want for way in ways)
+        gaps, selectors = (best_us(way, repeat) for way in ways)
+        taken = "selectors" if covering._dense(mask.bit_count(), mask.bit_length()) else "gaps"
         name = f"{model.kind} n={model.n} r={model.r}"
         density = mask.bit_count() / max(mask.bit_length(), 1)
         yield (f"| {name} | 1/{round(1 / share)} | {mask.bit_count()} | {density:.3f} |"
-               f" {gaps:.1f} | {selectors:.1f} | {way} |")
+               f" {gaps:.1f} | {selectors:.1f} | {taken} |")
 
 
 def main():

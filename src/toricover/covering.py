@@ -31,10 +31,10 @@ that is no point): a dense mask, with at least 1/16 of the bits up to its
 highest set, by selector bytes, its binary digits steering itertools.compress
 over the tuple, and a sparse one by its gaps, the runs of zeros between its
 set bits, each set bit indexing the tuple.  A witness component is reported
-as its PointSet.  A plain collection of points
-meets the masks through the grid's index, a dict from the model's points to
-their positions in the point list, built on first use; the position is the
-cell on the cube, and Grid.cells maps one to the other on the simplex.
+as its PointSet.  A plain collection of points meets the masks through the
+grid's index, a dict from the model's points to their positions in the
+point list, built on first use; the position is the cell on the cube, and
+Grid.cells maps one to the other on the simplex.
 Grid.set_of looks each item up once: when every item is the tuple the grid
 holds at its position, as in a set read off a PointSet, the positions give
 the mask with no type pass, and any other collection passes a type check

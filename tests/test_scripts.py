@@ -56,7 +56,8 @@ def test_sample_scale_prints_one_row_per_polytope_and_resolution():
 
 
 def test_mask_scale_prints_one_row_per_model_and_share():
-    rows = _run(["mask_scale.py", "--cube", "2,4", "--simplex", "2,4", "--repeat", "1"]).splitlines()
+    argv = ["mask_scale.py", "--cube", "2,4", "--simplex", "2,4", "--repeat", "1"]
+    rows = _run(argv).splitlines()
     assert rows[:2] == [
         "| model | share | set bits | density | gaps µs | selectors µs | points_of |",
         "|---|---|---|---|---|---|---|",
